@@ -40,3 +40,8 @@ def is_subset(a: int, b: int) -> bool:
 
 def format_set(mask: int, names: list[str]) -> str:
     return "{" + ",".join(names[i] for i in bits(mask)) + "}"
+
+
+def bit_string(mask: int, nbits: int) -> str:
+    """Render bits 0..nbits-1 as a left-to-right string, bit 0 first."""
+    return "".join("1" if mask >> i & 1 else "0" for i in range(nbits))

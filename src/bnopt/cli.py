@@ -146,6 +146,8 @@ def cmd_learn(args) -> int:
             else:
                 grouping = parse_grouping(args.groups or "auto", scores.n)
                 heuristic = StaticHeuristic(tables, grouping)
+        except DataError:  # a score table the PDB build cannot use
+            raise
         except ValueError as e:  # bad --k range, bad --groups syntax or cap
             raise UsageError(str(e)) from e
     pdb_time = time.perf_counter() - t0

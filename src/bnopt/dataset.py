@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .bitset import bits, popcount
 
 DEFAULT_MISSING_TOKENS = frozenset({"?", ""})
@@ -186,8 +185,10 @@ def counts(
         raise DataError(
             f"contingency table for X{x} given {popcount(pa)} parents needs "
             f"{rx * npa} cells, over the limit {cell_limit}")
-    cols = np.asarray(pa_list, dtype=np.int64)
-    ars = np.asarray([data.arity[y] for y in pa_list], dtype=np.int64)
-    codes = _kernels.mixed_radix_codes(data.rows, cols, ars)
+    codes = np.zeros(data.N, dtype=np.int64)
+    stride = 1
+    for y in pa_list:
+        codes += data.rows[:, y] * stride
+        stride *= data.arity[y]
     joint = np.bincount(codes * rx + data.rows[:, x], minlength=npa * rx)
     return joint.reshape(npa, rx).T.copy()

@@ -28,11 +28,6 @@ from .scoring import ScoreTable, simple_heads
 DEFAULT_GROUP_CAP = 25
 
 
-def simple_h(U: int, h0: np.ndarray, n: int) -> float:
-    """Sum of unconstrained best scores over the variables not yet in U."""
-    return float(sum(h0[x] for x in bits(full_mask(n) & ~U)))
-
-
 class SimpleHeuristic:
     consistent = True
 
@@ -43,6 +38,7 @@ class SimpleHeuristic:
         self._full = full_mask(self.n)
 
     def value(self, U: int) -> float:
+        """Sum of unconstrained best scores over the variables not yet in U."""
         return float(sum(self.h0[x] for x in bits(self._full & ~U)))
 
 

@@ -1,28 +1,27 @@
 """Bit-vector cursors over score tables.
 
-A cursor holds a packed validity row over a table's entries; excluding a
-candidate parent clears the bits of every entry containing it, and the
-lowest set bit is always the best score over the remaining pool. Cursors
-are persistent values: excluding returns a new cursor and shares the
-underlying table, so sibling search branches can keep a common ancestor.
+A cursor holds an int validity row over a table's entries (bit i set =
+entry i usable); excluding a candidate parent clears the bits of every
+entry containing it, and the lowest set bit is always the best score over
+the remaining pool. Cursors are persistent values: excluding returns a new
+cursor and shares the underlying table, so sibling search branches can
+keep a common ancestor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import _kernels
 from .bitset import bits
+from .dataset import DataError
 from .scoring import ScoreTable
 
 
 @dataclass(frozen=True, eq=False)
 class ExclusionCursor:
     table: ScoreTable
-    valid: np.ndarray = field(repr=False)  # packed uint64, bit i = entry i usable
-    excluded: int = 0                      # variables ruled out so far
+    valid: int = field(repr=False)  # bit i = entry i usable
+    excluded: int = 0               # variables ruled out so far
 
     def __len__(self) -> int:
         return len(self.table)
@@ -30,7 +29,7 @@ class ExclusionCursor:
 
 def cursor_new(table: ScoreTable) -> ExclusionCursor:
     """Fresh cursor with every entry admissible."""
-    return ExclusionCursor(table, _kernels.ones_row(len(table)), 0)
+    return ExclusionCursor(table, (1 << len(table)) - 1, 0)
 
 
 def cursor_exclude(c: ExclusionCursor, y: int) -> ExclusionCursor:
@@ -41,34 +40,39 @@ def cursor_exclude(c: ExclusionCursor, y: int) -> ExclusionCursor:
         raise ValueError(f"variable {y} already excluded")
     if not 0 <= y < c.table.n:
         raise ValueError(f"variable index {y} out of range")
-    valid = _kernels.andnot(c.valid, c.table.rows[y])
-    return ExclusionCursor(c.table, valid, c.excluded | 1 << y)
+    return ExclusionCursor(c.table, c.valid & ~c.table.rows[y],
+                           c.excluded | 1 << y)
 
 
 def cursor_best(c: ExclusionCursor) -> tuple[float, int]:
     """Entry at the lowest set bit: BestScore over all still-admissible
-    candidate pools (the empty parent set is never excluded)."""
-    i = _kernels.first_set_bit(c.valid)
-    assert i >= 0, "empty-set entry can never be invalidated"
-    return c.table.entry(i)
+    candidate pools. Only a table without the empty parent set can run out
+    of admissible entries."""
+    if not c.valid:
+        raise _no_empty_set(c.table)
+    return c.table.entry((c.valid & -c.valid).bit_length() - 1)
 
 
 def best_in(table: ScoreTable, candidates: int) -> tuple[float, int]:
-    """One-shot BestScore(X, candidates): same bit-row machinery as a cursor
-    chain excluding every non-candidate, fused into a single scan.
+    """One-shot BestScore(X, candidates): the rows of every non-candidate
+    OR-ed together mark the inadmissible entries, and the lowest zero bit
+    is the answer.
 
-    The table's own variable never appears in any entry, so its (all-zero)
-    row may be OR-ed in harmlessly; callers only guarantee candidates does
-    not contain the variable.
+    The table's own variable never appears in any entry, so its (zero) row
+    is OR-ed in harmlessly; callers only guarantee candidates does not
+    contain the variable.
     """
     if candidates >> table.variable & 1:
         raise ValueError("candidate set must not contain the variable itself")
-    excl = _excluded_indices(table, candidates)
-    i = _kernels.or_rows_firstbit(table.rows, excl, len(table))
-    assert i >= 0
+    hit = 0
+    for y in bits(((1 << table.n) - 1) & ~candidates):
+        hit |= table.rows[y]
+    i = (~hit & (hit + 1)).bit_length() - 1
+    if i >= len(table):
+        raise _no_empty_set(table)
     return table.entry(i)
 
 
-def _excluded_indices(table: ScoreTable, candidates: int) -> np.ndarray:
-    out = ((1 << table.n) - 1) & ~candidates & ~(1 << table.variable)
-    return np.fromiter(bits(out), dtype=np.int64, count=out.bit_count())
+def _no_empty_set(table: ScoreTable) -> DataError:
+    return DataError(f"score table of variable {table.variable} has no "
+                      "admissible entry: the empty parent set is missing")

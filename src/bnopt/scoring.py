@@ -3,8 +3,8 @@
 A score table keeps only the candidate parent sets that can be optimal for
 some candidate pool: supersets whose score is not strictly better than every
 proper subset are dropped, and sets larger than the record-count in-degree
-limit are never scored at all. Entries are sorted ascending by score and a
-packed bit row per other variable marks which entries contain it.
+limit are never scored at all. Entries are sorted ascending by score and an
+int bit row per variable marks which entries contain it.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _kernels
-from .bitset import bits, full_mask, is_subset, mask_of, popcount
-from .dataset import DEFAULT_CELL_LIMIT, Dataset
+from .bitset import bits, is_subset, mask_of, popcount
+from .dataset import DEFAULT_CELL_LIMIT, Dataset, counts
 
 
 def mdl_local_score(
@@ -26,24 +25,18 @@ def mdl_local_score(
 ) -> float:
     """MDL score of variable x with parent set pa, in bits (lower is better):
     N*H(x|pa) + log2(N)/2 * (arity[x]-1) * prod(parent arities)."""
-    if pa >> x & 1:
-        raise ValueError(f"X{x} cannot be its own parent")
-    pa_list = list(bits(pa))
-    rx = data.arity[x]
-    npa = 1
-    for y in pa_list:
-        npa *= data.arity[y]
-    if rx * npa > cell_limit:
-        raise ValueError(
-            f"scoring X{x} with this parent set needs {rx * npa} cells, "
-            f"over the limit {cell_limit}")
-    cols = np.asarray(pa_list, dtype=np.int64)
-    ars = np.asarray([data.arity[y] for y in pa_list], dtype=np.int64)
-    codes = _kernels.mixed_radix_codes(data.rows, cols, ars)
-    nh = _kernels.cond_entropy_bits(
-        np.ascontiguousarray(data.rows[:, x]), codes, rx, npa)
+    joint = counts(data, x, pa, cell_limit).T  # (parent config, x value)
+    npa, rx = joint.shape
+    marginal = joint.sum(axis=1)
+    # N*H(x|pa) = sum N(pa) log2 N(pa) - sum N(x,pa) log2 N(x,pa), summed
+    # one term at a time in index order so the float result is reproducible
+    nh = 0.0
+    for c in marginal[marginal > 1]:
+        nh += c * np.log2(np.float64(c))
+    for c in joint[joint > 1]:
+        nh -= c * np.log2(np.float64(c))
     penalty = math.log2(data.N) / 2.0 * (rx - 1) * npa
-    return nh + penalty
+    return float(nh) + penalty
 
 
 def parent_limit(N: int) -> int:
@@ -58,22 +51,17 @@ class ScoreTable:
     """Sorted unique pruned (score, parent set) list for one variable, with
     per-variable exclusion bit rows.
 
-    rows[y] bit i is set iff variable y is in entry i's parent set, packed
-    into uint64 words (row y of the 2-D rows array).
+    Bit i of rows[y] is set iff variable y is in entry i's parent set.
     """
 
     variable: int
     n: int
     scores: np.ndarray = field(repr=False)       # float64, ascending
     parent_sets: list[int] = field(repr=False)   # bitmasks, parallel to scores
-    rows: np.ndarray = field(repr=False)         # uint64 (n, nwords)
+    rows: list[int] = field(repr=False)          # one int per variable
 
     def __len__(self) -> int:
         return len(self.parent_sets)
-
-    @property
-    def nwords(self) -> int:
-        return self.rows.shape[1]
 
     @classmethod
     def from_entries(
@@ -81,16 +69,14 @@ class ScoreTable:
     ) -> "ScoreTable":
         """Build a table from (score, parent mask) pairs kept in the given
         order (callers pass them already sorted)."""
-        m = len(entries)
-        if m == 0:
+        if not entries:
             raise ValueError("a score table needs at least the empty parent set")
         scores = np.asarray([s for s, _ in entries], dtype=np.float64)
         parent_sets = [p for _, p in entries]
-        nwords = max(1, (m + 63) >> 6)
-        rows = np.zeros((n, nwords), dtype=np.uint64)
+        rows = [0] * n
         for i, p in enumerate(parent_sets):
             for y in bits(p):
-                rows[y, i >> 6] |= np.uint64(1) << np.uint64(i & 63)
+                rows[y] |= 1 << i
         return cls(variable, n, scores, parent_sets, rows)
 
     def entry(self, i: int) -> tuple[float, int]:
@@ -214,54 +200,64 @@ def write_score_file(path, scores: ScoreSet) -> None:
 
 
 def read_score_file(path) -> ScoreSet:
-    """Parse a score file back into tables (syntax only; semantic invariants
-    are the verifier's job)."""
+    """Parse a score file back into tables.
+
+    Syntax errors, truncated or overlong blocks and parent names that are
+    unknown or the block's own variable raise ValueError naming the line;
+    ordering and pruning invariants are the verifier's job.
+    """
     with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines or not lines[0].startswith("n "):
+        lines = [(no, ln.split()) for no, ln in enumerate(f, 1) if ln.strip()]
+    head = lines[0][1] if lines else []
+    if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
         raise ValueError(f"{path}: not a score file (missing 'n <count>' header)")
-    n = int(lines[0].split()[1])
-    pos = 1
-    names: list[str] = []
-    blocks: list[list[tuple[float, int]]] = []
-    # first pass only records names so parent references can point forward
-    probe = pos
-    for _ in range(n):
-        head = lines[probe].split()
-        if head[0] != "var":
-            raise ValueError(f"{path}: expected 'var' block, got {lines[probe]!r}")
-        names.append(head[1])
-        probe += 1 + int(head[2])
-    index = {nm: i for i, nm in enumerate(names)}
-    for _ in range(n):
-        head = lines[pos].split()
-        m = int(head[2])
-        pos += 1
+    n = int(head[1])
+
+    def bad(no: int, what: str) -> ValueError:
+        return ValueError(f"{path}: line {no}: {what}")
+
+    # group lines into blocks first so parent references can point forward;
+    # an entry line never starts with 'var' (its first token is a score)
+    heads: list[tuple[int, str, int]] = []
+    bodies: list[list[tuple[int, list[str]]]] = []
+    for no, toks in lines[1:]:
+        if toks[0] == "var":
+            if len(toks) != 3 or not toks[2].isdigit():
+                raise bad(no, "expected 'var <name> <entries>', "
+                              f"got {' '.join(toks)!r}")
+            heads.append((no, toks[1], int(toks[2])))
+            bodies.append([])
+        elif not heads:
+            raise bad(no, f"expected 'var' block, got {' '.join(toks)!r}")
+        else:
+            bodies[-1].append((no, toks))
+    if len(heads) != n:
+        raise bad(lines[-1][0], f"file has {len(heads)} variable blocks, "
+                                f"header says {n}")
+    index = {nm: i for i, (_, nm, _) in enumerate(heads)}
+    tables = []
+    for x, ((no, name, m), body) in enumerate(zip(heads, bodies)):
+        if len(body) != m:
+            raise bad(no, f"block for {name} declares {m} entries "
+                          f"but has {len(body)}")
         entries = []
-        for _ in range(m):
-            toks = lines[pos].split()
-            pos += 1
-            score = float(toks[0])
-            k = int(toks[1])
+        for eno, toks in body:
+            try:
+                score, k = float(toks[0]), int(toks[1])
+            except (ValueError, IndexError):
+                raise bad(eno, f"bad entry line {' '.join(toks)!r}") from None
             if len(toks) != 2 + k:
-                raise ValueError(f"{path}: bad entry line {lines[pos - 1]!r}")
-            pa = mask_of(index[t] for t in toks[2:])
-            entries.append((score, pa))
-        blocks.append(entries)
-    tables = [ScoreTable.from_entries(x, n, blocks[x]) for x in range(n)]
-    return ScoreSet(names, tables)
-
-
-def sparseness_ratio(table: ScoreTable, limit: int) -> tuple[int, int]:
-    """(kept entries, all in-limit subsets) for one variable."""
-    total = sum(math.comb(table.n - 1, k) for k in range(min(limit, table.n - 1) + 1))
-    return len(table), total
+                raise bad(eno, f"bad entry line {' '.join(toks)!r}")
+            for t in toks[2:]:
+                if t not in index:
+                    raise bad(eno, f"unknown parent {t!r}")
+                if t == name:
+                    raise bad(eno, f"{name} listed as its own parent")
+            entries.append((score, mask_of(index[t] for t in toks[2:])))
+        tables.append(ScoreTable.from_entries(x, n, entries))
+    return ScoreSet([nm for _, nm, _ in heads], tables)
 
 
 def simple_heads(tables: Sequence[ScoreTable]) -> np.ndarray:
     """First-entry score per variable: BestScore(X, V \\ {X})."""
     return np.asarray([t.scores[0] for t in tables], dtype=np.float64)
-
-
-def table_full_mask(tables: Sequence[ScoreTable]) -> int:
-    return full_mask(tables[0].n)

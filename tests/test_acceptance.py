@@ -18,8 +18,7 @@ from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
                    cursor_new, default_grouping, dp_oracle,
                    exact_distances_to_goal, initial_upper_bound,
                    load_dataset, mdl_local_score, parent_limit)
-from bnopt._kernels import bit_string
-from bnopt.bitset import bits, full_mask, mask_of, popcount
+from bnopt.bitset import bit_string, bits, full_mask, mask_of, popcount
 from bnopt.synth import prefix_dataset, random_dataset
 from conftest import FIXTURE_CSV
 

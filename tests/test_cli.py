@@ -150,6 +150,43 @@ def test_input_errors(tmp_path, capsys):
     assert "row 2" in capsys.readouterr().err
 
 
+def _edited_golden(tmp_path, old, new):
+    text = GOLDEN_SCORES.read_text()
+    assert old in text
+    bad = tmp_path / "bad.scores"
+    bad.write_text(text.replace(old, new, 1))
+    return bad
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("3 1 B\n", "3 1 Q\n", "line 3: unknown parent 'Q'"),
+    ("var D 1\n9.5 0\n", "var D 1\n", "line 14: block for D declares 1"),
+    ("3 1 B\n", "3 1 A\n", "line 3: A listed as its own parent"),
+], ids=["unknown-parent", "truncated-block", "self-parent"])
+def test_malformed_score_file(tmp_path, capsys, old, new, message):
+    bad = _edited_golden(tmp_path, old, new)
+    assert main(["learn", str(bad)]) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize("flags", [[], ["--algorithm", "bfbnb"],
+                                   ["--heuristic", "dynamic"]],
+                         ids=["astar", "bfbnb", "dynamic"])
+def test_score_file_without_empty_set(tmp_path, optimize, flags):
+    # holds under -O too: a missing empty parent set must not turn into a
+    # read past the admissible entries and a silently wrong network
+    bad = _edited_golden(tmp_path, "var A 3\n3 1 B\n9.4902249956730635 1 C\n"
+                         "9.5 0\n", "var A 2\n3 1 B\n9.4902249956730635 1 C\n")
+    r = subprocess.run([sys.executable, *optimize, "-m", "bnopt", "learn",
+                        str(bad), *flags], capture_output=True, text=True)
+    assert r.returncode == EXIT_INPUT
+    assert r.stdout == ""
+    err = r.stderr.splitlines()
+    assert len(err) == 1 and "variable 0" in err[0], r.stderr
+
+
 def test_memory_budget_exit(tmp_path, capsys):
     data = random_dataset(8, 60, seed=9)
     csv = write_csv(tmp_path, data)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from bnopt import (DataError, binarize_mean, counts, drop_incomplete,
-                   load_dataset, load_delimited)
+from bnopt import (DataError, Dataset, binarize_mean, counts,
+                   drop_incomplete, load_dataset, load_delimited)
 from conftest import FIXTURE_CSV
 
 
@@ -102,6 +102,20 @@ def test_counts_marginal(fixture_data):
     table = counts(fixture_data, 0, 0)
     assert table.shape == (2, 1)
     assert table.sum() == fixture_data.N
+    # empty parent list: a single configuration holding the marginal
+    assert list(table[:, 0]) == list(np.bincount(fixture_data.rows[:, 0]))
+
+
+def test_counts_mixed_radix_reference():
+    rng = np.random.default_rng(7)
+    rows = rng.integers(0, 3, size=(50, 6)).astype(np.int64)
+    data = Dataset([f"X{i + 1}" for i in range(6)], [3] * 6, rows)
+    table = counts(data, 0, 0b10110)  # parents X2, X3, X5
+    expect = np.zeros((3, 27), dtype=np.int64)
+    for r in rows.tolist():
+        # ascending parent index, lowest index varying fastest
+        expect[r[0], r[1] + 3 * r[2] + 9 * r[4]] += 1
+    assert np.array_equal(table, expect)
 
 
 def test_counts_pair_hand_checked(fixture_data):

@@ -21,10 +21,13 @@ def test_simple_h_boundaries(fixture_tables):
     for x in range(4):
         assert h.value(0b1111 ^ (1 << x)) == h.h0[x]
     assert h.value(0) == SIMPLE_H_EMPTY
-    # free function agrees with the provider
-    from bnopt import simple_h
+    # the sum of the unsearched variables' heads, in ascending index order
     for U in range(1 << 4):
-        assert simple_h(U, h.h0, 4) == h.value(U)
+        expect = 0.0
+        for x in range(4):
+            if not U >> x & 1:
+                expect += h.h0[x]
+        assert h.value(U) == expect
 
 
 def test_pattern_cost_singleton(fixture_tables):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracle
-from bnopt import (ScoreTable, best_score_naive, build_score_table,
+from bnopt import (Dataset, ScoreTable, best_score_naive, build_score_table,
                    build_score_tables, mdl_local_score, parent_limit,
                    prune_scores, read_score_file, write_score_file)
-from bnopt.bitset import mask_of
+from bnopt.bitset import bit_string, mask_of
 from bnopt.synth import random_dataset
 from conftest import SCORE_C_GIVEN_A
 
@@ -38,6 +38,33 @@ def test_mdl_matches_reference_everywhere(fixture_data):
         for pa, expect in raw.items():
             got = mdl_local_score(fixture_data, x, mask_of(pa))
             assert got == pytest.approx(expect, abs=1e-12)
+
+
+def test_mdl_entropy_plain_dict_reference():
+    rng = np.random.default_rng(6)
+    xcol = rng.integers(0, 2, size=200)
+    pcol = rng.integers(0, 6, size=200)
+    data = Dataset(["X", "P"], [2, 6],
+                   np.column_stack([xcol, pcol]).astype(np.int64))
+    joint, pa = {}, {}
+    for x, p in zip(xcol.tolist(), pcol.tolist()):
+        joint[x, p] = joint.get((x, p), 0) + 1
+        pa[p] = pa.get(p, 0) + 1
+    nh = -sum(c * math.log2(c / pa[p]) for (_, p), c in joint.items())
+    penalty = math.log2(200) / 2.0 * 6
+    assert mdl_local_score(data, 0, 0b10) == pytest.approx(nh + penalty,
+                                                           abs=1e-9)
+
+
+def test_mdl_entropy_degenerate_columns():
+    ones = np.ones(10, dtype=np.int64)
+    half = np.array([0, 1] * 5, dtype=np.int64)
+    data = Dataset(["C", "U"], [2, 2], np.column_stack([ones, half]))
+    penalty = math.log2(10) / 2.0
+    # deterministic column: no uncertainty left, only the penalty
+    assert mdl_local_score(data, 0, 0) == penalty
+    # uniform binary column, no parents: N bits
+    assert mdl_local_score(data, 1, 0) == pytest.approx(10.0 + penalty)
 
 
 def test_mdl_self_parent_rejected(fixture_data):
@@ -87,7 +114,6 @@ def test_prune_worked_example():
 
 
 def test_worked_example_exclusion_rows():
-    from bnopt._kernels import bit_string
     x2, x3 = 0b0010, 0b0100
     t = ScoreTable.from_entries(0, 4, [(5.0, x2 | x3), (6.0, x3),
                                        (8.0, x2), (10.0, 0)])
@@ -194,7 +220,7 @@ def test_score_file_roundtrip(tmp_path, fixture_scores):
     for t1, t2 in zip(fixture_scores.tables, back.tables):
         assert np.array_equal(t1.scores, t2.scores)  # bit identical
         assert t1.parent_sets == t2.parent_sets
-        assert np.array_equal(t1.rows, t2.rows)
+        assert t1.rows == t2.rows
 
 
 def test_score_file_roundtrip_random(tmp_path):
