@@ -15,6 +15,8 @@ import re
 import sys
 import time
 
+import numpy as np
+
 from .bitset import bits
 from .dataset import DEFAULT_MISSING_TOKENS, DataError, load_dataset
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
@@ -119,7 +121,13 @@ def _load_scores(args) -> tuple[ScoreSet, int | None, int | None]:
     """(scores, N, derived parent limit); N and limit are None for
     score-file input."""
     if _is_score_file(args.input):
-        return read_score_file(args.input), None, None
+        scores = read_score_file(args.input)
+        # the searches take each table's first fitting entry as its best
+        for name, table in zip(scores.names, scores.tables):
+            if not np.all(table.scores[:-1] <= table.scores[1:]):
+                raise DataError(f"{args.input}: scores of {name} are not in "
+                                "ascending order")
+        return scores, None, None
     data = load_dataset(args.input)
     limit = parent_limit(data.N)
     print(f"# scoring {args.input}: {data.n} variables, {data.N} records, "
@@ -132,6 +140,9 @@ def cmd_learn(args) -> int:
         raise UsageError("--k only makes sense with --heuristic dynamic")
     if args.groups is not None and args.heuristic != "static":
         raise UsageError("--groups only makes sense with --heuristic static")
+    if args.restarts < 1:
+        raise UsageError(f"--restarts {args.restarts}: need at least one")
+    k = args.k if args.k is not None else 3
     scores, N, limit = _load_scores(args)
     tables = scores.tables
 
@@ -142,7 +153,7 @@ def cmd_learn(args) -> int:
             if args.heuristic == "simple":
                 heuristic = SimpleHeuristic(tables)
             elif args.heuristic == "dynamic":
-                heuristic = DynamicHeuristic(tables, args.k if args.k else 3)
+                heuristic = DynamicHeuristic(tables, k)
             else:
                 grouping = parse_grouping(args.groups or "auto", scores.n)
                 heuristic = StaticHeuristic(tables, grouping)
@@ -171,7 +182,7 @@ def cmd_learn(args) -> int:
     config = {
         "algorithm": args.algorithm,
         "heuristic": args.heuristic if args.algorithm != "dp" else None,
-        "k": (args.k or 3) if args.heuristic == "dynamic"
+        "k": k if args.heuristic == "dynamic"
              and args.algorithm != "dp" else None,
         "groups": (args.groups or "auto") if args.heuristic == "static"
                   and args.algorithm != "dp" else None,

@@ -164,6 +164,14 @@ def load_dataset(
         path, delimiter=delimiter, missing_tokens=missing_tokens, header=header)))
 
 
+def check_cell_limit(x: int, pa: int, cells: int, cell_limit: int) -> None:
+    """Raise DataError when the counts of x given pa need too many cells."""
+    if cells > cell_limit:
+        raise DataError(
+            f"contingency table for X{x} given {popcount(pa)} parents needs "
+            f"{cells} cells, over the limit {cell_limit}")
+
+
 def counts(
     data: Dataset, x: int, pa: int, cell_limit: int = DEFAULT_CELL_LIMIT
 ) -> np.ndarray:
@@ -181,10 +189,7 @@ def counts(
     npa = 1
     for y in pa_list:
         npa *= data.arity[y]
-    if rx * npa > cell_limit:
-        raise DataError(
-            f"contingency table for X{x} given {popcount(pa)} parents needs "
-            f"{rx * npa} cells, over the limit {cell_limit}")
+    check_cell_limit(x, pa, rx * npa, cell_limit)
     codes = np.zeros(data.N, dtype=np.int64)
     stride = 1
     for y in pa_list:

@@ -11,13 +11,33 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from .bitset import bits, is_subset, mask_of, popcount
-from .dataset import DEFAULT_CELL_LIMIT, Dataset, counts
+from .dataset import DEFAULT_CELL_LIMIT, Dataset, check_cell_limit, counts
+
+
+# Queued cells of one shape that trigger a batched entropy evaluation.
+BATCH_CELLS = 2048
+
+
+def _nh_bits(joints: np.ndarray) -> np.ndarray:
+    """N*H(x|pa) in bits for each (parent config, x value) count table of an
+    (m, configs, arity[x]) stack.
+
+    N*H(x|pa) = sum N(pa) log2 N(pa) - sum N(x,pa) log2 N(x,pa). Cells with
+    a count of 0 or 1 add an exact 0.0, and the terms are summed one at a
+    time (marginal terms, then joint terms, each in index order), so the
+    float result does not depend on how many tables share the call.
+    """
+    m, npa, _ = joints.shape
+    cells = np.concatenate([joints.sum(axis=2), joints.reshape(m, -1)],
+                           axis=1).astype(np.float64)
+    terms = cells * np.log2(np.maximum(cells, 1.0))
+    terms[:, npa:] *= -1.0
+    return np.add.accumulate(terms, axis=1)[:, -1]
 
 
 def mdl_local_score(
@@ -27,16 +47,8 @@ def mdl_local_score(
     N*H(x|pa) + log2(N)/2 * (arity[x]-1) * prod(parent arities)."""
     joint = counts(data, x, pa, cell_limit).T  # (parent config, x value)
     npa, rx = joint.shape
-    marginal = joint.sum(axis=1)
-    # N*H(x|pa) = sum N(pa) log2 N(pa) - sum N(x,pa) log2 N(x,pa), summed
-    # one term at a time in index order so the float result is reproducible
-    nh = 0.0
-    for c in marginal[marginal > 1]:
-        nh += c * np.log2(np.float64(c))
-    for c in joint[joint > 1]:
-        nh -= c * np.log2(np.float64(c))
     penalty = math.log2(data.N) / 2.0 * (rx - 1) * npa
-    return float(nh) + penalty
+    return float(_nh_bits(joint[np.newaxis])[0]) + penalty
 
 
 def parent_limit(N: int) -> int:
@@ -112,21 +124,63 @@ def prune_scores(raw: dict[int, float]) -> list[tuple[float, int]]:
     return kept
 
 
+def score_parent_sets(
+    data: Dataset, x: int, limit: int, cell_limit: int = DEFAULT_CELL_LIMIT
+) -> dict[int, float]:
+    """MDL score of every parent set of x up to the in-degree limit, as a
+    (parent mask -> score) map; each equals mdl_local_score's bit for bit.
+
+    The sets are walked depth first, adding parents in ascending index
+    order, so a set's joint codes are its prefix's codes plus one column
+    times the prefix's cell count: the mixed-radix order of counts(). Count
+    tables are queued by shape and scored BATCH_CELLS cells at a time.
+    """
+    if not 0 <= x < data.n:
+        raise ValueError(f"variable index {x} out of range")
+    if limit < 0:
+        raise ValueError("negative parent limit")
+    others = [y for y in range(data.n) if y != x]
+    limit = min(limit, len(others))
+    rx = data.arity[x]
+    penalty_per_config = math.log2(data.N) / 2.0 * (rx - 1)
+    raw: dict[int, float] = {}
+    queued: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+
+    def flush(npa: int) -> None:
+        masks, joints = queued.pop(npa)
+        for pa, nh in zip(masks, _nh_bits(np.stack(joints)).tolist()):
+            raw[pa] = nh + penalty_per_config * npa
+
+    def visit(pa: int, codes: np.ndarray, npa: int, start: int,
+              size: int) -> None:
+        masks, joints = queued.setdefault(npa, ([], []))
+        masks.append(pa)
+        joints.append(np.bincount(codes, minlength=npa * rx).reshape(npa, rx))
+        if len(masks) * npa * rx >= BATCH_CELLS:
+            flush(npa)
+        if size == limit:
+            return
+        for j in range(start, len(others)):
+            y = others[j]
+            child = pa | 1 << y
+            check_cell_limit(x, child, npa * data.arity[y] * rx, cell_limit)
+            visit(child, codes + data.rows[:, y] * (npa * rx),
+                  npa * data.arity[y], j + 1, size + 1)
+
+    check_cell_limit(x, 0, rx, cell_limit)
+    visit(0, data.rows[:, x], 1, 0, 0)
+    for npa in list(queued):
+        flush(npa)
+    return raw
+
+
 def build_score_table(
     data: Dataset, x: int, limit: int, cell_limit: int = DEFAULT_CELL_LIMIT
 ) -> ScoreTable:
     """Score all parent sets of x up to the in-degree limit and keep the
     possibly-optimal ones (see prune_scores)."""
-    if limit < 0:
-        raise ValueError("negative parent limit")
-    others = [y for y in range(data.n) if y != x]
-    limit = min(limit, len(others))
-    raw: dict[int, float] = {}
-    for k in range(limit + 1):
-        for combo in combinations(others, k):
-            pa = mask_of(combo)
-            raw[pa] = mdl_local_score(data, x, pa, cell_limit)
-    return ScoreTable.from_entries(x, data.n, prune_scores(raw))
+    return ScoreTable.from_entries(
+        x, data.n, prune_scores(score_parent_sets(data, x, limit, cell_limit)))
 
 
 def best_score_naive(table: ScoreTable, candidates: int) -> tuple[float, int]:
@@ -202,8 +256,9 @@ def write_score_file(path, scores: ScoreSet) -> None:
 def read_score_file(path) -> ScoreSet:
     """Parse a score file back into tables.
 
-    Syntax errors, truncated or overlong blocks and parent names that are
-    unknown or the block's own variable raise ValueError naming the line;
+    Syntax errors, an empty header, duplicate variable names, truncated or
+    overlong blocks and parent names that are unknown or the block's own
+    variable raise ValueError naming the line;
     ordering and pruning invariants are the verifier's job.
     """
     with open(path) as f:
@@ -216,6 +271,9 @@ def read_score_file(path) -> ScoreSet:
     def bad(no: int, what: str) -> ValueError:
         return ValueError(f"{path}: line {no}: {what}")
 
+    if n == 0:
+        raise bad(lines[0][0], "header declares no variables")
+
     # group lines into blocks first so parent references can point forward;
     # an entry line never starts with 'var' (its first token is a score)
     heads: list[tuple[int, str, int]] = []
@@ -225,6 +283,8 @@ def read_score_file(path) -> ScoreSet:
             if len(toks) != 3 or not toks[2].isdigit():
                 raise bad(no, "expected 'var <name> <entries>', "
                               f"got {' '.join(toks)!r}")
+            if any(toks[1] == nm for _, nm, _ in heads):
+                raise bad(no, f"duplicate variable name {toks[1]!r}")
             heads.append((no, toks[1], int(toks[2])))
             bodies.append([])
         elif not heads:

@@ -151,10 +151,12 @@ def test_input_errors(tmp_path, capsys):
 
 
 def _edited_golden(tmp_path, old, new):
+    """The golden score file with its first `old` replaced by `new`, or
+    just `new` when `old` is None."""
     text = GOLDEN_SCORES.read_text()
-    assert old in text
+    assert old is None or old in text
     bad = tmp_path / "bad.scores"
-    bad.write_text(text.replace(old, new, 1))
+    bad.write_text(new if old is None else text.replace(old, new, 1))
     return bad
 
 
@@ -162,7 +164,10 @@ def _edited_golden(tmp_path, old, new):
     ("3 1 B\n", "3 1 Q\n", "line 3: unknown parent 'Q'"),
     ("var D 1\n9.5 0\n", "var D 1\n", "line 14: block for D declares 1"),
     ("3 1 B\n", "3 1 A\n", "line 3: A listed as its own parent"),
-], ids=["unknown-parent", "truncated-block", "self-parent"])
+    (None, "n 0\n", "line 1: header declares no variables"),
+    ("var D 1\n", "var A 1\n", "line 14: duplicate variable name 'A'"),
+], ids=["unknown-parent", "truncated-block", "self-parent", "no-variables",
+        "duplicate-name"])
 def test_malformed_score_file(tmp_path, capsys, old, new, message):
     bad = _edited_golden(tmp_path, old, new)
     assert main(["learn", str(bad)]) == EXIT_INPUT
@@ -185,6 +190,29 @@ def test_score_file_without_empty_set(tmp_path, optimize, flags):
     assert r.stdout == ""
     err = r.stderr.splitlines()
     assert len(err) == 1 and "variable 0" in err[0], r.stderr
+
+
+@pytest.mark.parametrize("algorithm", ["astar", "bfbnb", "dp"])
+def test_learn_rejects_unsorted_score_file(tmp_path, capsys, algorithm):
+    # read as given, A's first entry would be taken as its best for every
+    # pool, and all three searches would report 6.0 instead of 2.0
+    bad = tmp_path / "unsorted.scores"
+    bad.write_text("n 2\nvar A 2\n5.0 0\n1.0 1 B\nvar B 2\n1.0 0\n4.0 1 A\n")
+    assert main(["learn", str(bad), "--algorithm", algorithm]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and "scores of A are not in ascending order" in err[0]
+
+
+@pytest.mark.parametrize("flags", [["--heuristic", "dynamic", "--k", "0"],
+                                   ["--algorithm", "bfbnb", "--restarts", "0"]],
+                         ids=["k", "restarts"])
+def test_learn_zero_flag_is_usage_error(capsys, flags):
+    assert main(["learn", str(GOLDEN_SCORES), *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_memory_budget_exit(tmp_path, capsys):

@@ -1,12 +1,18 @@
 import math
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from bnopt import (Dataset, ScoreTable, best_score_naive, build_score_table,
-                   build_score_tables, mdl_local_score, parent_limit,
-                   prune_scores, read_score_file, write_score_file)
+from bnopt import (DataError, Dataset, ScoreTable, best_score_naive,
+                   build_score_table, build_score_tables, counts,
+                   mdl_local_score, parent_limit, prune_scores,
+                   read_score_file, write_score_file)
+from bnopt import scoring
 from bnopt.bitset import bit_string, mask_of
 from bnopt.synth import random_dataset
 from conftest import SCORE_C_GIVEN_A
@@ -65,6 +71,67 @@ def test_mdl_entropy_degenerate_columns():
     assert mdl_local_score(data, 0, 0) == penalty
     # uniform binary column, no parents: N bits
     assert mdl_local_score(data, 1, 0) == pytest.approx(10.0 + penalty)
+
+
+def sequential_score(data, x, pa):
+    """Per-set reference: N*H(x|pa) summed one term at a time, marginal
+    terms then joint terms in index order, plus the MDL penalty."""
+    joint = counts(data, x, pa).T  # (parent config, x value)
+    npa, rx = joint.shape
+    marginal = joint.sum(axis=1)
+    nh = 0.0
+    for c in marginal[marginal > 1]:
+        nh += c * np.log2(np.float64(c))
+    for c in joint[joint > 1]:
+        nh -= c * np.log2(np.float64(c))
+    return float(nh) + math.log2(data.N) / 2.0 * (rx - 1) * npa
+
+
+@st.composite
+def mixed_arity_data(draw):
+    """Seeded random records, arity 2-4 per column; small N leaves many
+    cells with counts 0 and 1."""
+    n = draw(st.integers(2, 5))
+    N = draw(st.integers(2, 200))
+    arity = draw(st.lists(st.integers(2, 4), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.column_stack([rng.integers(0, r, size=N) for r in arity])
+    return Dataset([f"X{i}" for i in range(n)], arity, rows.astype(np.int64))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=mixed_arity_data(), draw=st.data())
+def test_batched_scores_bit_identical(data, draw):
+    limit = draw.draw(st.integers(0, parent_limit(data.N)), label="limit")
+    # any batch size, so that flushes fall mid-walk as well as at its end
+    batch = draw.draw(st.integers(1, 2 * scoring.BATCH_CELLS), label="batch")
+    for x in range(data.n):
+        others = [y for y in range(data.n) if y != x]
+        expect = {mask_of(c): sequential_score(data, x, mask_of(c))
+                  for k in range(min(limit, len(others)) + 1)
+                  for c in combinations(others, k)}
+        with mock.patch.object(scoring, "BATCH_CELLS", batch):
+            raw = scoring.score_parent_sets(data, x, limit)
+            table = build_score_table(data, x, limit)
+        assert raw.keys() == expect.keys()
+        for pa, s in expect.items():
+            assert raw[pa] == s, (x, bin(pa), raw[pa].hex(), s.hex())
+            assert mdl_local_score(data, x, pa) == s, (x, bin(pa))
+        assert [table.entry(i) for i in range(len(table))] == \
+            prune_scores(expect)
+
+
+def test_batched_scores_cell_limit():
+    data = Dataset(["A", "B", "C"], [2, 4, 3],
+                   np.array([[0, 1, 2], [1, 3, 0], [1, 0, 1]], dtype=np.int64))
+    # A given {B, C} needs 2 * 4 * 3 = 24 cells, every smaller set at most 8
+    assert len(scoring.score_parent_sets(data, 0, 2, cell_limit=24)) == 4
+    assert len(scoring.score_parent_sets(data, 0, 1, cell_limit=8)) == 3
+    with pytest.raises(DataError, match="given 2 parents needs 24 cells, "
+                                        "over the limit 23"):
+        build_score_table(data, 0, 2, cell_limit=23)
+    with pytest.raises(DataError, match="given 0 parents needs 2 cells"):
+        build_score_table(data, 0, 0, cell_limit=1)
 
 
 def test_mdl_self_parent_rejected(fixture_data):
