@@ -56,9 +56,23 @@ def _is_score_file(path) -> bool:
     return False
 
 
-def _mem_budget_default() -> int:
-    env = os.environ.get("BNOPT_MEM_BUDGET")
-    return int(env) if env else DEFAULT_MEM_BUDGET
+def _mem_budget(args) -> int:
+    """--mem-budget, else $BNOPT_MEM_BUDGET, else the default; read when
+    learn runs, so a bad value is a usage error like a bad flag."""
+    if args.mem_budget is not None:
+        budget, source = args.mem_budget, "--mem-budget"
+    else:
+        env = os.environ.get("BNOPT_MEM_BUDGET")
+        if not env:
+            return DEFAULT_MEM_BUDGET
+        source = "BNOPT_MEM_BUDGET"
+        try:
+            budget = int(env)
+        except ValueError:
+            raise UsageError(f"{source} {env!r} is not an integer") from None
+    if budget < 1:
+        raise UsageError(f"{source} {budget}: need at least 1 byte")
+    return budget
 
 
 def emit_dot(net: LearnedNetwork, names: list[str]) -> str:
@@ -96,6 +110,8 @@ def _build_report(scores: ScoreSet, net: LearnedNetwork, stats: SearchStats,
 
 
 def cmd_score(args) -> int:
+    if args.max_parents is not None and args.max_parents < 0:
+        raise UsageError(f"--max-parents {args.max_parents}: need 0 or more")
     missing = (frozenset(args.missing_token) if args.missing_token
                else DEFAULT_MISSING_TOKENS)
     data = load_dataset(args.input, delimiter=args.delimiter,
@@ -142,6 +158,7 @@ def cmd_learn(args) -> int:
         raise UsageError("--groups only makes sense with --heuristic static")
     if args.restarts < 1:
         raise UsageError(f"--restarts {args.restarts}: need at least one")
+    mem_budget = _mem_budget(args)
     k = args.k if args.k is not None else 3
     scores, N, limit = _load_scores(args)
     tables = scores.tables
@@ -169,11 +186,11 @@ def cmd_learn(args) -> int:
         stats = SearchStats(nodes_expanded=1 << scores.n,
                             nodes_generated=1 << scores.n)
     elif args.algorithm == "astar":
-        net, stats = astar(tables, heuristic, mem_budget=args.mem_budget)
+        net, stats = astar(tables, heuristic, mem_budget=mem_budget)
     else:
         incumbent = initial_upper_bound(tables, args.seed, args.restarts)
         net, stats = bfbnb(tables, heuristic, incumbent,
-                           mem_budget=args.mem_budget)
+                           mem_budget=mem_budget)
     stats.pdb_build_time = pdb_time
     stats.search_time = time.perf_counter() - t0
     print(f"# pdb build {stats.pdb_build_time:.3f}s, "
@@ -249,7 +266,7 @@ def _make_parser() -> _Parser:
                                      "(1-based) or 'auto'")
     pl.add_argument("--seed", type=int, default=0)
     pl.add_argument("--restarts", type=int, default=8)
-    pl.add_argument("--mem-budget", type=int, default=_mem_budget_default(),
+    pl.add_argument("--mem-budget", type=int,
                     help="search memory budget in bytes "
                          "(default $BNOPT_MEM_BUDGET or 4 GiB)")
     pl.add_argument("--out", help="also write the JSON report here")

@@ -7,14 +7,17 @@ Three providers share one interface (value/consistent/size):
 * dynamic PDB -- exact goal distances for all nodes in the last k layers,
                  stored as patterns keyed by the remaining-variable set and
                  combined greedily per query by differential cost.
-* static PDB  -- a fixed partition of the variables; per group an exhaustive
-                 cost table with out-of-group variables always available, so
-                 a query is one table lookup per group.
+* static PDB  -- a fixed partition of the variables; per group the exact
+                 cost of every in-group pattern (keyed by its mask) with
+                 out-of-group variables always available, so a query is one
+                 lookup per group.
+
+Both PDBs, and the exact goal distances, come from one backward sweep,
+pattern_costs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -68,6 +71,29 @@ def pattern_cost_exact(P: int, tables: Sequence[ScoreTable]) -> float:
     return dist[P]
 
 
+def pattern_costs(
+    tables: Sequence[ScoreTable], group: int, k: int,
+) -> dict[int, float]:
+    """Exact cost of every pattern P within group with |P| <= k, keyed by
+    P's mask: cost(P) = min over x in P of BestScore(x, V\\P) +
+    cost(P\\{x}), the shortest distance from the node V\\P to the goal
+    when only P's variables may still be added.
+
+    Patterns are priced in ascending size, so each one's sub-patterns are
+    already in the dict.
+    """
+    full = full_mask(tables[0].n)
+    members = list(bits(group))
+    cost = {0: 0.0}
+    for size in range(1, min(k, len(members)) + 1):
+        for combo in combinations(members, size):
+            P = mask_of(combo)
+            rest = full & ~P
+            cost[P] = min(best_in(tables[x], rest)[0] + cost[P ^ 1 << x]
+                          for x in combo)
+    return cost
+
+
 @dataclass(eq=False)
 class DynamicPDB:
     """Patterns of size 2..k with their exact cost and differential cost.
@@ -93,9 +119,8 @@ class HeuristicValue:
 
 
 def build_dynamic_pdb(tables: Sequence[ScoreTable], k: int) -> DynamicPDB:
-    """Backward breadth-first sweep over the last k layers of the order
-    graph; every node's exact reverse distance prices the pattern of its
-    missing variables.
+    """Price every pattern of up to k variables (the last k layers of the
+    order graph) and keep the useful ones.
 
     A pattern is stored only when its differential is positive and differs
     from every immediate sub-pattern's differential (singletons all have
@@ -104,32 +129,16 @@ def build_dynamic_pdb(tables: Sequence[ScoreTable], k: int) -> DynamicPDB:
     n = tables[0].n
     if not 2 <= k <= n:
         raise ValueError(f"pattern size cap {k} outside 2..{n}")
-    full = full_mask(n)
     h0 = simple_heads(tables)
-    upper = {full: 0.0}  # reverse g for the layer above the one being built
     diffs: dict[int, float] = {}
     patterns: dict[int, tuple[float, float]] = {}
-    for size in range(n - 1, n - k - 1, -1):
-        layer: dict[int, float] = {}
-        for combo in combinations(range(n), size):
-            U = mask_of(combo)
-            best = math.inf
-            for x in bits(full & ~U):
-                d = best_in(tables[x], U)[0] + upper[U | 1 << x]
-                if d < best:
-                    best = d
-            layer[U] = best
-            P = full & ~U
-            diff = float(best - sum(h0[x] for x in bits(P)))
-            diffs[P] = diff
-            if popcount(P) >= 2:
-                # immediate sub-patterns were priced one layer earlier
-                # (singletons carry differential 0.0 exactly)
-                if diff > 0.0 and all(
-                    diff != diffs[P ^ (1 << x)] for x in bits(P)
-                ):
-                    patterns[P] = (float(best), diff)
-        upper = layer
+    # ascending size: immediate sub-patterns' differentials come first
+    for P, cost in pattern_costs(tables, full_mask(n), k).items():
+        diff = float(cost - sum(h0[x] for x in bits(P)))
+        diffs[P] = diff
+        if popcount(P) >= 2 and diff > 0.0 and all(
+                diff != diffs[P ^ (1 << x)] for x in bits(P)):
+            patterns[P] = (float(cost), diff)
     order = sorted(patterns.items(), key=lambda it: (-it[1][1], popcount(it[0]), it[0]))
     return DynamicPDB(k, n, h0, patterns,
                       [(p, diff) for p, (_, diff) in order])
@@ -218,26 +227,24 @@ def parse_grouping(text: str, n: int) -> list[int]:
 
 @dataclass(eq=False)
 class StaticPDB:
-    """Per group, exact costs for every subset of the group (indexed by the
-    pattern's local bit code), with out-of-group variables always usable as
+    """Per group, the exact cost of every subset of the group, keyed by the
+    pattern's mask, with out-of-group variables always usable as
     parents."""
 
     n: int
     groups: list[int]
-    members: list[list[int]]
-    costs: list[np.ndarray] = field(repr=False)
+    costs: list[dict[int, float]] = field(repr=False)
 
     @property
     def size(self) -> int:
-        return sum(c.size for c in self.costs)
+        return sum(len(c) for c in self.costs)
 
 
 def build_static_pdb(
     tables: Sequence[ScoreTable], grouping: Sequence[int],
     group_cap: int = DEFAULT_GROUP_CAP,
 ) -> StaticPDB:
-    """Backward breadth-first relaxation once per group over its full
-    subset lattice."""
+    """One pattern-cost sweep per group over its full subset lattice."""
     n = tables[0].n
     full = full_mask(n)
     union = 0
@@ -247,55 +254,22 @@ def build_static_pdb(
         total += popcount(g)
     if union != full or total != n:
         raise ValueError("grouping must partition the variable set")
-    members_all = []
     costs = []
     for g in grouping:
-        members = list(bits(g))
-        m = len(members)
+        m = popcount(g)
         if m > group_cap:
             raise ValueError(
                 f"group of {m} variables exceeds the size cap {group_cap} "
                 f"(2^{m} table entries)")
-        others = full & ~g
-        # dist over searched in-group sets T, descending cardinality
-        dist = np.full(1 << m, np.inf)
-        dist[(1 << m) - 1] = 0.0
-        for size in range(m - 1, -1, -1):
-            for combo in combinations(range(m), size):
-                t_local = mask_of(combo)
-                T = mask_of(members[j] for j in combo)
-                best = math.inf
-                for j in range(m):
-                    if t_local >> j & 1:
-                        continue
-                    x = members[j]
-                    d = best_in(tables[x], others | T)[0] + dist[t_local | 1 << j]
-                    if d < best:
-                        best = d
-                dist[t_local] = best
-        # cost indexed by the pattern (unsearched in-group set)
-        local_full = (1 << m) - 1
-        cost = np.empty(1 << m)
-        for p_local in range(1 << m):
-            cost[p_local] = dist[local_full & ~p_local]
-        members_all.append(members)
-        costs.append(cost)
-    return StaticPDB(n, list(grouping), members_all, costs)
-
-
-def _local_code(P: int, members: list[int]) -> int:
-    code = 0
-    for j, x in enumerate(members):
-        if P >> x & 1:
-            code |= 1 << j
-    return code
+        costs.append(pattern_costs(tables, g, m))
+    return StaticPDB(n, list(grouping), costs)
 
 
 def static_h(U: int, pdb: StaticPDB) -> float:
     """Sum over groups of the cost of the group's not-yet-searched part."""
     total = 0.0
-    for g, members, cost in zip(pdb.groups, pdb.members, pdb.costs):
-        total += cost[_local_code(g & ~U, members)]
+    for g, cost in zip(pdb.groups, pdb.costs):
+        total += cost[g & ~U]
     return float(total)
 
 

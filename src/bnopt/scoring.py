@@ -257,8 +257,8 @@ def read_score_file(path) -> ScoreSet:
     """Parse a score file back into tables.
 
     Syntax errors, an empty header, duplicate variable names, truncated or
-    overlong blocks and parent names that are unknown or the block's own
-    variable raise ValueError naming the line;
+    overlong blocks, non-finite scores and parent names that are unknown or
+    the block's own variable raise ValueError naming the line;
     ordering and pruning invariants are the verifier's job.
     """
     with open(path) as f:
@@ -306,6 +306,8 @@ def read_score_file(path) -> ScoreSet:
                 score, k = float(toks[0]), int(toks[1])
             except (ValueError, IndexError):
                 raise bad(eno, f"bad entry line {' '.join(toks)!r}") from None
+            if not math.isfinite(score):
+                raise bad(eno, f"non-finite score {toks[0]!r}")
             if len(toks) != 2 + k:
                 raise bad(eno, f"bad entry line {' '.join(toks)!r}")
             for t in toks[2:]:

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitset import bits, full_mask, popcount
+from .heuristics import pattern_costs
 from .parent_store import best_in, cursor_best, cursor_exclude, cursor_new
 from .scoring import ScoreTable
 
@@ -333,18 +334,10 @@ def dp_oracle(tables: Sequence[ScoreTable]) -> tuple[LearnedNetwork, float]:
 
 def exact_distances_to_goal(tables: Sequence[ScoreTable]) -> np.ndarray:
     """Backward DP; entry [U] is the shortest distance from node U to the
-    goal (indexed by bitmask)."""
+    goal (indexed by bitmask), i.e. the cost of the pattern V\\U."""
     n = tables[0].n
     if n > DP_MAX_VARS:
         raise ValueError(f"exact distances limited to {DP_MAX_VARS} variables")
-    size = 1 << n
-    dist = np.full(size, np.inf)
-    dist[size - 1] = 0.0
-    for U in range(size - 2, -1, -1):
-        best = math.inf
-        for x in bits((size - 1) & ~U):
-            d = best_in(tables[x], U)[0] + dist[U | 1 << x]
-            if d < best:
-                best = d
-        dist[U] = best
-    return dist
+    full = full_mask(n)
+    cost = pattern_costs(tables, full, n)
+    return np.array([cost[full ^ U] for U in range(1 << n)])

@@ -1,9 +1,15 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))  # for the oracle module
+# run from a fresh checkout: the package from src/, here and in the
+# `python -m bnopt` child processes, and the oracle module from tests/
+SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
+sys.path[:0] = [SRC_DIR, str(Path(__file__).parent)]
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
 
 from bnopt import build_score_tables, load_dataset
 

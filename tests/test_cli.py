@@ -166,8 +166,10 @@ def _edited_golden(tmp_path, old, new):
     ("3 1 B\n", "3 1 A\n", "line 3: A listed as its own parent"),
     (None, "n 0\n", "line 1: header declares no variables"),
     ("var D 1\n", "var A 1\n", "line 14: duplicate variable name 'A'"),
+    ("var D 1\n9.5 0\n", "var D 1\ninf 0\n", "line 15: non-finite score 'inf'"),
+    ("var D 1\n9.5 0\n", "var D 1\nnan 0\n", "line 15: non-finite score 'nan'"),
 ], ids=["unknown-parent", "truncated-block", "self-parent", "no-variables",
-        "duplicate-name"])
+        "duplicate-name", "inf-score", "nan-score"])
 def test_malformed_score_file(tmp_path, capsys, old, new, message):
     bad = _edited_golden(tmp_path, old, new)
     assert main(["learn", str(bad)]) == EXIT_INPUT
@@ -215,11 +217,35 @@ def test_learn_zero_flag_is_usage_error(capsys, flags):
     assert len(captured.err.splitlines()) == 1
 
 
-def test_memory_budget_exit(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["score", str(FIXTURE_CSV), "--max-parents", "-1"],
+    ["learn", str(FIXTURE_CSV), "--mem-budget", "-5"],
+    ["learn", str(FIXTURE_CSV), "--mem-budget", "0"],
+], ids=["max-parents-negative", "mem-budget-negative", "mem-budget-zero"])
+def test_out_of_range_flag_is_usage_error(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_mem_budget_env_is_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("BNOPT_MEM_BUDGET", value)
+    assert main(["learn", str(FIXTURE_CSV)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "BNOPT_MEM_BUDGET" in err[0]
+
+
+def test_memory_budget_exit(tmp_path, capsys, monkeypatch):
     data = random_dataset(8, 60, seed=9)
     csv = write_csv(tmp_path, data)
     rc = main(["learn", str(csv), "--mem-budget", "1500"])
     assert rc == EXIT_MEMORY
+    monkeypatch.setenv("BNOPT_MEM_BUDGET", "1500")
+    assert main(["learn", str(csv)]) == EXIT_MEMORY
 
 
 def test_score_ingestion_flags(tmp_path, capsys):

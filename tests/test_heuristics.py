@@ -174,9 +174,9 @@ def test_parse_grouping():
 
 def test_static_pdb_fixture_tables(fixture_tables):
     pdb = build_static_pdb(fixture_tables, default_grouping(4))
-    assert [list(c) for c in pdb.costs] == [
-        [0.0, 3.0, 3.0, PAIR_AB_COST],
-        [0.0, 9.490224995673064, 9.5, 18.990224995673064],
+    assert pdb.costs == [
+        {0: 0.0, A: 3.0, B: 3.0, A | B: PAIR_AB_COST},
+        {0: 0.0, C: 9.490224995673064, D: 9.5, C | D: 18.990224995673064},
     ]
     # group-local patterns priced exactly like free-standing patterns whose
     # complement keeps all out-of-group variables
@@ -184,8 +184,7 @@ def test_static_pdb_fixture_tables(fixture_tables):
         for P in range(1, 1 << 4):
             if P & ~g:
                 continue
-            from bnopt.heuristics import _local_code
-            assert pdb.costs[gi][_local_code(P, pdb.members[gi])] == \
+            assert pdb.costs[gi][P] == \
                 pytest.approx(pattern_cost_exact(P, fixture_tables), abs=1e-12)
 
 
@@ -195,8 +194,7 @@ def test_static_pdb_basics(fixture_tables):
     for gi, g in enumerate(pdb.groups):
         assert pdb.costs[gi][0] == 0.0
         for x in bits(g):
-            from bnopt.heuristics import _local_code
-            assert pdb.costs[gi][_local_code(1 << x, pdb.members[gi])] == h0[x]
+            assert pdb.costs[gi][1 << x] == h0[x]
 
 
 def test_static_pdb_group_cap(fixture_tables):
@@ -219,10 +217,9 @@ def test_static_h_two_pattern_sum():
     data = random_dataset(8, 100, seed=23)
     tables = build_score_tables(data).tables
     pdb = build_static_pdb(tables, default_grouping(8))
-    from bnopt.heuristics import _local_code
     U = mask_of([0, 3, 7])
-    left = pdb.costs[0][_local_code(mask_of([1, 2]), pdb.members[0])]
-    right = pdb.costs[1][_local_code(mask_of([4, 5, 6]), pdb.members[1])]
+    left = pdb.costs[0][mask_of([1, 2])]
+    right = pdb.costs[1][mask_of([4, 5, 6])]
     assert static_h(U, pdb) == pytest.approx(float(left + right), abs=0)
 
 
@@ -230,15 +227,38 @@ def test_static_h_incremental_contract():
     data = random_dataset(6, 80, seed=31)
     tables = build_score_tables(data).tables
     pdb = build_static_pdb(tables, default_grouping(6))
-    from bnopt.heuristics import _local_code
     for U in range(1 << 6):
         for x in bits(0b111111 & ~U):
             gi = next(i for i, g in enumerate(pdb.groups) if g >> x & 1)
-            g, mem = pdb.groups[gi], pdb.members[gi]
-            delta = (pdb.costs[gi][_local_code(g & ~U & ~(1 << x), mem)]
-                     - pdb.costs[gi][_local_code(g & ~U, mem)])
+            g = pdb.groups[gi]
+            delta = (pdb.costs[gi][g & ~U & ~(1 << x)]
+                     - pdb.costs[gi][g & ~U])
             assert static_h(U | 1 << x, pdb) == pytest.approx(
                 static_h(U, pdb) + float(delta), abs=1e-12)
+
+
+def test_static_pdb_three_groups_exact():
+    # groups of sizes 1, 2 and 3, not the default halves
+    data = random_dataset(6, 80, seed=37)
+    tables = build_score_tables(data).tables
+    pdb = build_static_pdb(tables, parse_grouping("1,2-3,4-6", 6))
+    assert pdb.groups == [0b000001, 0b000110, 0b111000]
+    assert pdb.size == 2 + 4 + 8
+    for g, cost in zip(pdb.groups, pdb.costs):
+        assert set(cost) == {P for P in range(1 << 6) if P & ~g == 0}
+        for P in cost:
+            if P:
+                assert cost[P] == pytest.approx(
+                    pattern_cost_exact(P, tables), abs=1e-12)
+
+
+def test_static_single_group_is_exact_distance():
+    data = random_dataset(6, 80, seed=39)
+    tables = build_score_tables(data).tables
+    pdb = build_static_pdb(tables, [full_mask(6)])
+    dist = exact_distances_to_goal(tables)
+    for U in range(1 << 6):
+        assert static_h(U, pdb) == dist[U]
 
 
 def _admissibility_dominance_consistency(data, ks=(2, 3)):
