@@ -10,11 +10,8 @@ breadth-first branch and bound both return provably optimal networks.
 
 from .dataset import (DataError, Dataset, RawTable, binarize_mean, counts,
                       drop_incomplete, load_dataset, load_delimited)
-from .heuristics import (DynamicHeuristic, DynamicPDB, HeuristicValue,
-                         SimpleHeuristic, StaticHeuristic, StaticPDB,
-                         build_dynamic_pdb, build_static_pdb,
-                         default_grouping, greedy_partition, parse_grouping,
-                         pattern_cost_exact, static_h)
+from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
+                         default_grouping, parse_grouping, pattern_cost_exact)
 from .parent_store import (ExclusionCursor, best_in, cursor_best,
                            cursor_exclude, cursor_new)
 from .scoring import (ScoreSet, ScoreTable, best_score_naive,
@@ -39,10 +36,8 @@ __all__ = [
     "parent_limit", "prune_scores", "read_score_file", "write_score_file",
     "ExclusionCursor", "best_in", "cursor_best", "cursor_exclude",
     "cursor_new",
-    "DynamicHeuristic", "DynamicPDB", "HeuristicValue", "SimpleHeuristic",
-    "StaticHeuristic", "StaticPDB", "build_dynamic_pdb", "build_static_pdb",
-    "default_grouping", "greedy_partition", "parse_grouping",
-    "pattern_cost_exact", "static_h",
+    "DynamicHeuristic", "SimpleHeuristic", "StaticHeuristic",
+    "default_grouping", "parse_grouping", "pattern_cost_exact",
     "LearnedNetwork", "MemoryBudgetError", "SearchStats", "astar", "bfbnb",
     "dp_oracle", "exact_distances_to_goal", "initial_upper_bound",
     "reconstruct",

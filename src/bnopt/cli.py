@@ -112,6 +112,9 @@ def _build_report(scores: ScoreSet, net: LearnedNetwork, stats: SearchStats,
 def cmd_score(args) -> int:
     if args.max_parents is not None and args.max_parents < 0:
         raise UsageError(f"--max-parents {args.max_parents}: need 0 or more")
+    if len(args.delimiter) != 1:
+        raise UsageError(f"--delimiter {args.delimiter!r}: need exactly one "
+                         "character")
     missing = (frozenset(args.missing_token) if args.missing_token
                else DEFAULT_MISSING_TOKENS)
     data = load_dataset(args.input, delimiter=args.delimiter,
@@ -159,9 +162,9 @@ def cmd_learn(args) -> int:
     if args.restarts < 1:
         raise UsageError(f"--restarts {args.restarts}: need at least one")
     mem_budget = _mem_budget(args)
-    k = args.k if args.k is not None else 3
     scores, N, limit = _load_scores(args)
     tables = scores.tables
+    k = args.k if args.k is not None else min(3, scores.n)
 
     t0 = time.perf_counter()
     heuristic = None
@@ -176,7 +179,7 @@ def cmd_learn(args) -> int:
                 heuristic = StaticHeuristic(tables, grouping)
         except DataError:  # a score table the PDB build cannot use
             raise
-        except ValueError as e:  # bad --k range, bad --groups syntax or cap
+        except ValueError as e:  # bad --k, --groups syntax, partition, cap
             raise UsageError(str(e)) from e
     pdb_time = time.perf_counter() - t0
 
@@ -191,10 +194,9 @@ def cmd_learn(args) -> int:
         incumbent = initial_upper_bound(tables, args.seed, args.restarts)
         net, stats = bfbnb(tables, heuristic, incumbent,
                            mem_budget=mem_budget)
-    stats.pdb_build_time = pdb_time
-    stats.search_time = time.perf_counter() - t0
-    print(f"# pdb build {stats.pdb_build_time:.3f}s, "
-          f"search {stats.search_time:.3f}s", file=sys.stderr)
+    search_time = time.perf_counter() - t0
+    print(f"# pdb build {pdb_time:.3f}s, search {search_time:.3f}s",
+          file=sys.stderr)
 
     config = {
         "algorithm": args.algorithm,
@@ -261,7 +263,7 @@ def _make_parser() -> _Parser:
     pl.add_argument("--heuristic", choices=["simple", "dynamic", "static"],
                     default="simple")
     pl.add_argument("--k", type=int, help="pattern size cap (dynamic only, "
-                                          "default 3)")
+                                          "default 3, or n if smaller)")
     pl.add_argument("--groups", help="static grouping, e.g. '1-4,5-8' "
                                      "(1-based) or 'auto'")
     pl.add_argument("--seed", type=int, default=0)

@@ -1,8 +1,9 @@
 """Shortest-path solvers over the order graph.
 
 Nodes are bitmasks of already-ordered variables; the arc U -> U|{x} costs
-BestScore(x, U) from the sparse parent store. A* runs best-first with
-reopening (needed when the greedy dynamic-PDB heuristic is inconsistent);
+BestScore(x, U) from the sparse parent store. A* runs best-first and
+reopens a closed node on a strictly better g (only the greedy dynamic-PDB
+heuristic, which need not be consistent, causes that);
 BFBnB sweeps layer by layer pruning against an incumbent from ordering
 hill climbing. Both are exact; dp_oracle and exact_distances_to_goal are
 the brute-force references.
@@ -48,15 +49,13 @@ class SearchStats:
 
     nodes_generated counts successful open-list insertions for A* and
     distinct materialized nodes per layer for BFBnB; expanded never exceeds
-    it. Durations are wall-clock seconds, filled by the CLI layer.
+    it.
     """
 
     nodes_expanded: int = 0
     nodes_generated: int = 0
     reopened: int = 0
     peak_open_size: int = 0
-    pdb_build_time: float = 0.0
-    search_time: float = 0.0
 
 
 @dataclass
@@ -148,19 +147,15 @@ def _order_from_preds(pred_of, full: int) -> list[int]:
 def astar(
     tables: Sequence[ScoreTable], heuristic,
     mem_budget: int | None = DEFAULT_MEM_BUDGET,
-    allow_reopen: bool | None = None,
 ) -> tuple[LearnedNetwork, SearchStats]:
     """Best-first search from the empty set to the full set.
 
     Ordered by f = g + h, ties broken toward larger g then ascending mask.
-    Closed nodes are reopened on a strictly better g unless reopening is
-    disabled (safe only for consistent heuristics; defaults from the
-    provider's declaration).
+    A closed node is reopened whenever a strictly better g reaches it;
+    under a consistent heuristic that never happens.
     """
     n = tables[0].n
     full = full_mask(n)
-    if allow_reopen is None:
-        allow_reopen = not heuristic.consistent
     stats = SearchStats(nodes_generated=1)
     g_best = {0: 0.0}
     pred: dict[int, int] = {}
@@ -184,8 +179,6 @@ def astar(
             if old is not None and not _improves(gc, old):
                 continue
             if child in closed:
-                if not allow_reopen:
-                    continue
                 closed.discard(child)
                 stats.reopened += 1
             g_best[child] = gc

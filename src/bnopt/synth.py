@@ -7,17 +7,21 @@ import numpy as np
 
 from .dataset import Dataset
 
+# chance that a column from the third on is a planted noisy XOR, and the
+# chance that each of its cells is flipped
+PLANTED_PROB = 0.5
+FLIP_PROB = 0.2
 
-def random_dataset(n: int, N: int, seed: int, planted_prob: float = 0.5,
-                   flip_prob: float = 0.2) -> Dataset:
+
+def random_dataset(n: int, N: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     cols = np.empty((N, n), dtype=np.int64)
     for j in range(n):
-        if j >= 2 and rng.random() < planted_prob:
+        if j >= 2 and rng.random() < PLANTED_PROB:
             k = int(rng.integers(1, min(3, j) + 1))
             parents = rng.choice(j, size=k, replace=False)
             col = np.bitwise_xor.reduce(cols[:, parents], axis=1)
-            flips = rng.random(N) < flip_prob
+            flips = rng.random(N) < FLIP_PROB
             col = col ^ flips
         else:
             p = 0.25 + 0.5 * rng.random()

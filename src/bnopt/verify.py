@@ -96,7 +96,7 @@ def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
 
 def check_heuristics(scores: ScoreSet, k_values=(2, 3)) -> list[str]:
     """Admissibility, dominance over the simple bound, arc consistency of
-    the consistent providers, and exact pattern costs."""
+    the simple and static bounds, and exact pattern costs."""
     out = []
     tables = scores.tables
     n = scores.n
@@ -124,8 +124,8 @@ def check_heuristics(scores: ScoreSet, k_values=(2, 3)) -> list[str]:
                 out.append(f"dominance: {label} below the simple bound at "
                            f"{format_set(U, scores.names)}")
                 break
-    consistent = [("simple", simple)] + ([("static auto", static)] if static else [])
-    for label, h in consistent:
+    arc_checked = [("simple", simple)] + ([("static auto", static)] if static else [])
+    for label, h in arc_checked:
         for U in range(1 << n):
             hu = h.value(U)
             for x in bits(full & ~U):
@@ -135,10 +135,9 @@ def check_heuristics(scores: ScoreSet, k_values=(2, 3)) -> list[str]:
                                f"inequality at {format_set(U, scores.names)} "
                                f"+ {scores.names[x]}")
     for label, h in providers[1:]:
-        pdb = getattr(h, "pdb", None)
-        if pdb is None or not hasattr(pdb, "patterns"):
+        if not isinstance(h, DynamicHeuristic):
             continue
-        for P, (cost, _) in pdb.patterns.items():
+        for P, (cost, _) in h.patterns.items():
             exact = pattern_cost_exact(P, tables)
             direct = dist[full & ~P]
             if abs(cost - exact) > TOL or abs(cost - direct) > TOL:

@@ -101,8 +101,7 @@ def test_c04_pattern_cost_equality():
         n = data.n
         full = full_mask(n)
         dist = exact_distances_to_goal(tables)
-        pdb = DynamicHeuristic(tables, 3).pdb
-        for P, (cost, _) in pdb.patterns.items():
+        for P, (cost, _) in DynamicHeuristic(tables, 3).patterns.items():
             assert cost == pytest.approx(float(dist[full & ~P]), abs=ABS_TOL)
         for P in range(1, 1 << n):
             if popcount(P) <= 3:
@@ -169,7 +168,7 @@ def test_c06_consistency_and_zero_reopenings():
                 assert simple.value(U) <= arc + simple.value(child) + ABS_TOL
                 assert static.value(U) <= arc + static.value(child) + ABS_TOL
         for h in (simple, static):
-            _, stats = astar(tables, h, allow_reopen=True)
+            _, stats = astar(tables, h)
             assert stats.reopened == 0, label
     _report("PASS criterion 6: simple and static heuristics consistent; "
             "A* reopened nothing under them")

@@ -221,9 +221,31 @@ def test_learn_zero_flag_is_usage_error(capsys, flags):
     ["score", str(FIXTURE_CSV), "--max-parents", "-1"],
     ["learn", str(FIXTURE_CSV), "--mem-budget", "-5"],
     ["learn", str(FIXTURE_CSV), "--mem-budget", "0"],
-], ids=["max-parents-negative", "mem-budget-negative", "mem-budget-zero"])
+    ["score", str(FIXTURE_CSV), "--delimiter", ""],
+    ["score", str(FIXTURE_CSV), "--delimiter", ";;"],
+], ids=["max-parents-negative", "mem-budget-negative", "mem-budget-zero",
+        "delimiter-empty", "delimiter-two-chars"])
 def test_out_of_range_flag_is_usage_error(capsys, argv):
     assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("algorithm", ["astar", "bfbnb"])
+def test_learn_default_k_on_two_variables(tmp_path, capsys, algorithm):
+    # without --k the pattern size cap is min(3, n); an explicit 3 stays
+    # out of range
+    two = tmp_path / "two.scores"
+    two.write_text("n 2\nvar A 2\n1.0 1 B\n5.0 0\nvar B 1\n1.0 0\n")
+    argv = ["learn", str(two), "--algorithm", algorithm,
+            "--heuristic", "dynamic"]
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["k"] == 2
+    assert report["total_score"] == 2.0
+    assert report["parents"] == {"A": ["B"], "B": []}
+    assert main(argv + ["--k", "3"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1

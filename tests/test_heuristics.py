@@ -1,10 +1,9 @@
 import pytest
 
-from bnopt import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
-                   best_in, build_dynamic_pdb, build_static_pdb,
-                   default_grouping, exact_distances_to_goal,
-                   greedy_partition, parse_grouping, pattern_cost_exact,
-                   static_h)
+from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
+                   StaticHeuristic, best_in, default_grouping,
+                   exact_distances_to_goal, parse_grouping,
+                   pattern_cost_exact)
 from bnopt.bitset import bits, full_mask, mask_of, popcount
 from bnopt.scoring import build_score_tables, simple_heads
 from bnopt.synth import random_dataset
@@ -55,50 +54,56 @@ def test_pattern_cost_equals_goal_distance(fixture_tables):
 
 
 def test_dynamic_pdb_contents_k2(fixture_tables):
-    pdb = build_dynamic_pdb(fixture_tables, 2)
-    assert set(pdb.patterns) == {A | B}
-    cost, diff = pdb.patterns[A | B]
+    h = DynamicHeuristic(fixture_tables, 2)
+    assert set(h.patterns) == {A | B}
+    assert h.size == 4 + 1
+    cost, diff = h.patterns[A | B]
     assert cost == PAIR_AB_COST
     assert diff == PAIR_AB_DIFF
 
 
 def test_dynamic_pdb_contents_k3(fixture_tables):
-    pdb = build_dynamic_pdb(fixture_tables, 3)
-    assert set(pdb.patterns) == {A | B, A | B | C}
-    assert pdb.patterns[A | B | C] == (TRIPLE_ABC_COST, TRIPLE_ABC_DIFF)
+    h = DynamicHeuristic(fixture_tables, 3)
+    assert set(h.patterns) == {A | B, A | B | C}
+    assert h.patterns[A | B | C] == (TRIPLE_ABC_COST, TRIPLE_ABC_DIFF)
     # {A,B,D} has the same differential as its subset {A,B}: pruned
+
+
+def test_dynamic_needs_two_variables():
+    # no pattern size cap fits, whichever k is asked for
+    tables = [ScoreTable.from_entries(0, 1, [(1.0, 0)])]
+    with pytest.raises(ValueError, match="at least 2 variables"):
+        DynamicHeuristic(tables, 2)
 
 
 def test_dynamic_diffs_nonnegative():
     data = random_dataset(8, 100, seed=17)
     tables = build_score_tables(data).tables
-    pdb = build_dynamic_pdb(tables, 3)
-    for P, (cost, diff) in pdb.patterns.items():
+    h = DynamicHeuristic(tables, 3)
+    for P, (cost, diff) in h.patterns.items():
         assert diff > 0.0
         assert cost == pytest.approx(pattern_cost_exact(P, tables), abs=1e-9)
 
 
 def test_greedy_no_pattern_is_simple(fixture_tables):
-    pdb = build_dynamic_pdb(fixture_tables, 2)
-    h0 = pdb.h0
-    # {C, D} contains no stored pattern
-    got = greedy_partition(C | D, pdb)
-    assert got.value == h0[2] + h0[3]
-    assert got.chosen == []
+    h = DynamicHeuristic(fixture_tables, 2)
+    h0 = h.h0
+    # the unsearched {C, D} contains no stored pattern
+    assert h.value(A | B) == h0[2] + h0[3]
 
 
 def test_greedy_exact_pattern_hit(fixture_tables):
-    pdb = build_dynamic_pdb(fixture_tables, 2)
-    got = greedy_partition(A | B, pdb)
-    assert got.value == PAIR_AB_COST
-    assert got.chosen == [A | B]
+    h = DynamicHeuristic(fixture_tables, 2)
+    # the unsearched {A, B} is exactly the stored pair
+    assert h.value(C | D) == PAIR_AB_COST == h.h0[0] + h.h0[1] + PAIR_AB_DIFF
 
 
 def test_greedy_start_node_golden(fixture_tables):
-    pdb = build_dynamic_pdb(fixture_tables, 2)
-    assert greedy_partition(0b1111, pdb).value == GREEDY_K2_AT_START
-    pdb3 = build_dynamic_pdb(fixture_tables, 3)
-    assert greedy_partition(0b1111, pdb3).chosen == [A | B | C]
+    h = DynamicHeuristic(fixture_tables, 2)
+    assert h.value(0) == GREEDY_K2_AT_START
+    # at k = 3 the cover is {A, B, C} plus the singleton D
+    h3 = DynamicHeuristic(fixture_tables, 3)
+    assert h3.value(0) == sum(h3.h0) + TRIPLE_ABC_DIFF
 
 
 def _greedy_reference(R, cost_diff, h0):
@@ -119,7 +124,7 @@ def _greedy_reference(R, cost_diff, h0):
 def test_greedy_pruning_safe(fixture_tables):
     # value with the pruned store equals the value with every pattern priced
     h0 = simple_heads(fixture_tables)
-    pdb = build_dynamic_pdb(fixture_tables, 3)
+    h = DynamicHeuristic(fixture_tables, 3)
     unpruned = {}
     for P in range(1, 1 << 4):
         if 2 <= popcount(P) <= 3:
@@ -129,7 +134,7 @@ def test_greedy_pruning_safe(fixture_tables):
                 unpruned[P] = diff
     for U in range(1 << 4):
         R = 0b1111 & ~U
-        assert greedy_partition(R, pdb).value == pytest.approx(
+        assert h.value(U) == pytest.approx(
             _greedy_reference(R, unpruned, h0), abs=1e-12)
 
 
@@ -139,7 +144,7 @@ def test_greedy_pruning_safe_k4_random():
     data = random_dataset(6, 80, seed=47)
     tables = build_score_tables(data).tables
     h0 = simple_heads(tables)
-    pdb = build_dynamic_pdb(tables, 4)
+    h = DynamicHeuristic(tables, 4)
     unpruned = {}
     for P in range(1, 1 << 6):
         if 2 <= popcount(P) <= 4:
@@ -149,7 +154,7 @@ def test_greedy_pruning_safe_k4_random():
                 unpruned[P] = diff
     for U in range(1 << 6):
         R = 0b111111 & ~U
-        assert greedy_partition(R, pdb).value == pytest.approx(
+        assert h.value(U) == pytest.approx(
             _greedy_reference(R, unpruned, h0), abs=1e-9)
 
 
@@ -165,15 +170,17 @@ def test_parse_grouping():
     assert parse_grouping("1-4,5-8", 8) == [0x0F, 0xF0]
     assert parse_grouping("1-2,3,4", 4) == [0b0011, 0b0100, 0b1000]
     with pytest.raises(ValueError):
-        parse_grouping("1-3,3-4", 4)  # overlap
-    with pytest.raises(ValueError):
-        parse_grouping("1-2", 4)      # not covering
-    with pytest.raises(ValueError):
         parse_grouping("1-9", 4)
 
 
+@pytest.mark.parametrize("groups", ["1-3,3-4", "1-2"])  # overlap, not covering
+def test_static_grouping_must_partition(fixture_tables, groups):
+    with pytest.raises(ValueError, match="partition"):
+        StaticHeuristic(fixture_tables, parse_grouping(groups, 4))
+
+
 def test_static_pdb_fixture_tables(fixture_tables):
-    pdb = build_static_pdb(fixture_tables, default_grouping(4))
+    pdb = StaticHeuristic(fixture_tables, default_grouping(4))
     assert pdb.costs == [
         {0: 0.0, A: 3.0, B: 3.0, A | B: PAIR_AB_COST},
         {0: 0.0, C: 9.490224995673064, D: 9.5, C | D: 18.990224995673064},
@@ -189,7 +196,7 @@ def test_static_pdb_fixture_tables(fixture_tables):
 
 
 def test_static_pdb_basics(fixture_tables):
-    pdb = build_static_pdb(fixture_tables, default_grouping(4))
+    pdb = StaticHeuristic(fixture_tables, default_grouping(4))
     h0 = simple_heads(fixture_tables)
     for gi, g in enumerate(pdb.groups):
         assert pdb.costs[gi][0] == 0.0
@@ -197,18 +204,20 @@ def test_static_pdb_basics(fixture_tables):
             assert pdb.costs[gi][1 << x] == h0[x]
 
 
-def test_static_pdb_group_cap(fixture_tables):
+def test_static_pdb_group_cap():
+    # one 26-variable group: refused before its 2^26-entry sweep starts
+    tables = [ScoreTable.from_entries(x, 26, [(0.0, 0)]) for x in range(26)]
     with pytest.raises(ValueError, match="cap"):
-        build_static_pdb(fixture_tables, [0b1111], group_cap=3)
+        StaticHeuristic(tables, [full_mask(26)])
 
 
 def test_static_h_fixture(fixture_tables):
-    pdb = build_static_pdb(fixture_tables, default_grouping(4))
-    assert static_h(0b1111, pdb) == 0.0
-    assert static_h(0, pdb) == STATIC_H_AT_START
+    pdb = StaticHeuristic(fixture_tables, default_grouping(4))
+    assert pdb.value(0b1111) == 0.0
+    assert pdb.value(0) == STATIC_H_AT_START
     h = SimpleHeuristic(fixture_tables)
     for U in range(1 << 4):
-        assert static_h(U, pdb) >= h.value(U) - 1e-12
+        assert pdb.value(U) >= h.value(U) - 1e-12
 
 
 def test_static_h_two_pattern_sum():
@@ -216,32 +225,32 @@ def test_static_h_two_pattern_sum():
     # {X5,X6,X7} by the half-half grouping
     data = random_dataset(8, 100, seed=23)
     tables = build_score_tables(data).tables
-    pdb = build_static_pdb(tables, default_grouping(8))
+    pdb = StaticHeuristic(tables, default_grouping(8))
     U = mask_of([0, 3, 7])
     left = pdb.costs[0][mask_of([1, 2])]
     right = pdb.costs[1][mask_of([4, 5, 6])]
-    assert static_h(U, pdb) == pytest.approx(float(left + right), abs=0)
+    assert pdb.value(U) == pytest.approx(float(left + right), abs=0)
 
 
 def test_static_h_incremental_contract():
     data = random_dataset(6, 80, seed=31)
     tables = build_score_tables(data).tables
-    pdb = build_static_pdb(tables, default_grouping(6))
+    pdb = StaticHeuristic(tables, default_grouping(6))
     for U in range(1 << 6):
         for x in bits(0b111111 & ~U):
             gi = next(i for i, g in enumerate(pdb.groups) if g >> x & 1)
             g = pdb.groups[gi]
             delta = (pdb.costs[gi][g & ~U & ~(1 << x)]
                      - pdb.costs[gi][g & ~U])
-            assert static_h(U | 1 << x, pdb) == pytest.approx(
-                static_h(U, pdb) + float(delta), abs=1e-12)
+            assert pdb.value(U | 1 << x) == pytest.approx(
+                pdb.value(U) + float(delta), abs=1e-12)
 
 
 def test_static_pdb_three_groups_exact():
     # groups of sizes 1, 2 and 3, not the default halves
     data = random_dataset(6, 80, seed=37)
     tables = build_score_tables(data).tables
-    pdb = build_static_pdb(tables, parse_grouping("1,2-3,4-6", 6))
+    pdb = StaticHeuristic(tables, parse_grouping("1,2-3,4-6", 6))
     assert pdb.groups == [0b000001, 0b000110, 0b111000]
     assert pdb.size == 2 + 4 + 8
     for g, cost in zip(pdb.groups, pdb.costs):
@@ -255,10 +264,10 @@ def test_static_pdb_three_groups_exact():
 def test_static_single_group_is_exact_distance():
     data = random_dataset(6, 80, seed=39)
     tables = build_score_tables(data).tables
-    pdb = build_static_pdb(tables, [full_mask(6)])
+    pdb = StaticHeuristic(tables, [full_mask(6)])
     dist = exact_distances_to_goal(tables)
     for U in range(1 << 6):
-        assert static_h(U, pdb) == dist[U]
+        assert pdb.value(U) == dist[U]
 
 
 def _admissibility_dominance_consistency(data, ks=(2, 3)):
@@ -287,7 +296,7 @@ def _admissibility_dominance_consistency(data, ks=(2, 3)):
             assert stat.value(U) <= arc + stat.value(U | 1 << x) + 1e-9
     # every stored pattern is priced at its exact goal distance
     for h in dyn:
-        for P, (cost, _) in h.pdb.patterns.items():
+        for P, (cost, _) in h.patterns.items():
             assert cost == pytest.approx(float(dist[full & ~P]), abs=1e-9)
 
 
