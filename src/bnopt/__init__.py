@@ -12,10 +12,10 @@ from .dataset import (DataError, Dataset, RawTable, binarize_mean, counts,
                       drop_incomplete, load_dataset, load_delimited)
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          default_grouping, parse_grouping, pattern_cost_exact)
-from .parent_store import (ExclusionCursor, best_in, cursor_best,
-                           cursor_exclude, cursor_new)
-from .scoring import (ScoreSet, ScoreTable, best_score_naive,
-                      build_score_table, build_score_tables,
+from .parent_store import (ExclusionCursor, ScoreTable, best_in,
+                           best_score_naive, cursor_best, cursor_exclude,
+                           cursor_new)
+from .scoring import (ScoreSet, build_score_table, build_score_tables,
                       format_score_file, mdl_local_score, parent_limit,
                       prune_scores, read_score_file, write_score_file)
 from .search import (LearnedNetwork, MemoryBudgetError, SearchStats, astar,
@@ -31,11 +31,11 @@ using_numba = False
 __all__ = [
     "DataError", "Dataset", "RawTable", "binarize_mean", "counts",
     "drop_incomplete", "load_dataset", "load_delimited",
-    "ScoreSet", "ScoreTable", "best_score_naive", "build_score_table",
-    "build_score_tables", "format_score_file", "mdl_local_score",
-    "parent_limit", "prune_scores", "read_score_file", "write_score_file",
-    "ExclusionCursor", "best_in", "cursor_best", "cursor_exclude",
-    "cursor_new",
+    "ScoreSet", "build_score_table", "build_score_tables",
+    "format_score_file", "mdl_local_score", "parent_limit", "prune_scores",
+    "read_score_file", "write_score_file",
+    "ExclusionCursor", "ScoreTable", "best_in", "best_score_naive",
+    "cursor_best", "cursor_exclude", "cursor_new",
     "DynamicHeuristic", "SimpleHeuristic", "StaticHeuristic",
     "default_grouping", "parse_grouping", "pattern_cost_exact",
     "LearnedNetwork", "MemoryBudgetError", "SearchStats", "astar", "bfbnb",

@@ -15,8 +15,6 @@ import re
 import sys
 import time
 
-import numpy as np
-
 from .bitset import bits
 from .dataset import DEFAULT_MISSING_TOKENS, DataError, load_dataset
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
@@ -143,7 +141,7 @@ def _load_scores(args) -> tuple[ScoreSet, int | None, int | None]:
         scores = read_score_file(args.input)
         # the searches take each table's first fitting entry as its best
         for name, table in zip(scores.names, scores.tables):
-            if not np.all(table.scores[:-1] <= table.scores[1:]):
+            if any(a > b for a, b in zip(table.scores, table.scores[1:])):
                 raise DataError(f"{args.input}: scores of {name} are not in "
                                 "ascending order")
         return scores, None, None
@@ -159,6 +157,8 @@ def cmd_learn(args) -> int:
         raise UsageError("--k only makes sense with --heuristic dynamic")
     if args.groups is not None and args.heuristic != "static":
         raise UsageError("--groups only makes sense with --heuristic static")
+    if args.algorithm == "dp" and (args.k, args.groups) != (None, None):
+        raise UsageError("--k and --groups have no effect with --algorithm dp")
     if args.restarts < 1:
         raise UsageError(f"--restarts {args.restarts}: need at least one")
     mem_budget = _mem_budget(args)

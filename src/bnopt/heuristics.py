@@ -25,8 +25,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .bitset import bits, full_mask, mask_of, popcount
-from .parent_store import best_in
-from .scoring import ScoreTable, simple_heads
+from .parent_store import ScoreTable, best_in
 
 # largest static group: its table holds 2^size entries
 GROUP_CAP = 25
@@ -35,7 +34,7 @@ GROUP_CAP = 25
 class SimpleHeuristic:
     def __init__(self, tables: Sequence[ScoreTable]):
         self.n = tables[0].n
-        self.h0 = simple_heads(tables).tolist()
+        self.h0 = [t.scores[0] for t in tables]
         self.size = self.n
         self._full = full_mask(self.n)
 
@@ -114,7 +113,7 @@ class DynamicHeuristic:
         if not 2 <= k <= n:
             raise ValueError(f"pattern size cap {k} outside 2..{n}")
         self.n = n
-        self.h0 = simple_heads(tables).tolist()
+        self.h0 = [t.scores[0] for t in tables]
         diffs: dict[int, float] = {}
         self.patterns: dict[int, tuple[float, float]] = {}
         # ascending size: immediate sub-patterns' differentials come first
@@ -174,11 +173,15 @@ def parse_grouping(text: str, n: int) -> list[int]:
             piece = piece.strip()
             if not piece:
                 continue
-            if "-" in piece:
-                lo, hi = piece.split("-", 1)
-                idxs.extend(range(int(lo) - 1, int(hi)))
-            else:
-                idxs.append(int(piece) - 1)
+            try:
+                if "-" in piece:
+                    lo, hi = piece.split("-", 1)
+                    idxs.extend(range(int(lo) - 1, int(hi)))
+                else:
+                    idxs.append(int(piece) - 1)
+            except ValueError:
+                raise ValueError(f"--groups: group {part!r} is not a 1-based "
+                                 "index or run like '1-4'") from None
         if not idxs:
             raise ValueError(f"empty group in {text!r}")
         if any(not 0 <= i < n for i in idxs):

@@ -1,22 +1,22 @@
-"""MDL local scores and sparse per-variable score tables.
+"""MDL local scores, the score tables built from them, and score files.
 
 A score table keeps only the candidate parent sets that can be optimal for
 some candidate pool: supersets whose score is not strictly better than every
 proper subset are dropped, and sets larger than the record-count in-degree
-limit are never scored at all. Entries are sorted ascending by score and an
-int bit row per variable marks which entries contain it.
+limit are never scored at all. The kept entries go into a ScoreTable of the
+parent store (sorted ascending by score, with int bit rows).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bitset import bits, is_subset, mask_of, popcount
+from .bitset import bits, mask_of, popcount
 from .dataset import DEFAULT_CELL_LIMIT, Dataset, check_cell_limit, counts
+from .parent_store import ScoreTable
 
 
 # Queued cells of one shape that trigger a batched entropy evaluation.
@@ -56,43 +56,6 @@ def parent_limit(N: int) -> int:
     if N < 2:
         raise ValueError("need at least 2 records")
     return math.floor(math.log2(2.0 * N / math.log2(N)))
-
-
-@dataclass(eq=False)
-class ScoreTable:
-    """Sorted unique pruned (score, parent set) list for one variable, with
-    per-variable exclusion bit rows.
-
-    Bit i of rows[y] is set iff variable y is in entry i's parent set.
-    """
-
-    variable: int
-    n: int
-    scores: np.ndarray = field(repr=False)       # float64, ascending
-    parent_sets: list[int] = field(repr=False)   # bitmasks, parallel to scores
-    rows: list[int] = field(repr=False)          # one int per variable
-
-    def __len__(self) -> int:
-        return len(self.parent_sets)
-
-    @classmethod
-    def from_entries(
-        cls, variable: int, n: int, entries: Sequence[tuple[float, int]]
-    ) -> "ScoreTable":
-        """Build a table from (score, parent mask) pairs kept in the given
-        order (callers pass them already sorted)."""
-        if not entries:
-            raise ValueError("a score table needs at least the empty parent set")
-        scores = np.asarray([s for s, _ in entries], dtype=np.float64)
-        parent_sets = [p for _, p in entries]
-        rows = [0] * n
-        for i, p in enumerate(parent_sets):
-            for y in bits(p):
-                rows[y] |= 1 << i
-        return cls(variable, n, scores, parent_sets, rows)
-
-    def entry(self, i: int) -> tuple[float, int]:
-        return float(self.scores[i]), self.parent_sets[i]
 
 
 def _entry_sort_key(score: float, pa: int):
@@ -181,20 +144,6 @@ def build_score_table(
     possibly-optimal ones (see prune_scores)."""
     return ScoreTable.from_entries(
         x, data.n, prune_scores(score_parent_sets(data, x, limit, cell_limit)))
-
-
-def best_score_naive(table: ScoreTable, candidates: int) -> tuple[float, int]:
-    """Front-to-back scan: first entry whose parents fit inside candidates.
-
-    Sortedness makes it the minimum; reference implementation for the
-    bit-vector cursors.
-    """
-    if candidates >> table.variable & 1:
-        raise ValueError("candidate set must not contain the variable itself")
-    for i, pa in enumerate(table.parent_sets):
-        if is_subset(pa, candidates):
-            return float(table.scores[i]), pa
-    raise AssertionError("empty parent set missing from table")
 
 
 @dataclass
@@ -318,8 +267,3 @@ def read_score_file(path) -> ScoreSet:
             entries.append((score, mask_of(index[t] for t in toks[2:])))
         tables.append(ScoreTable.from_entries(x, n, entries))
     return ScoreSet([nm for _, nm, _ in heads], tables)
-
-
-def simple_heads(tables: Sequence[ScoreTable]) -> np.ndarray:
-    """First-entry score per variable: BestScore(X, V \\ {X})."""
-    return np.asarray([t.scores[0] for t in tables], dtype=np.float64)

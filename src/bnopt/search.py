@@ -14,15 +14,14 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .bitset import bits, full_mask, popcount
 from .heuristics import pattern_costs
-from .parent_store import best_in, cursor_best, cursor_exclude, cursor_new
-from .scoring import ScoreTable
+from .parent_store import (ScoreTable, best_in, cursor_best, cursor_exclude,
+                           cursor_new)
 
 DP_MAX_VARS = 20
 
@@ -127,7 +126,7 @@ def _network_score(tables, parents) -> float:
     total = 0.0
     for x, pa in enumerate(parents):
         i = tables[x].parent_sets.index(pa)
-        total += float(tables[x].scores[i])
+        total += tables[x].scores[i]
     return total
 
 
@@ -211,43 +210,39 @@ def bfbnb(
     full = full_mask(n)
     bound = incumbent.total_score if incumbent is not None else math.inf
     stats = SearchStats()
-    layer: dict[int, tuple[float, int]] = {}
+    layer: dict[int, float] = {}  # mask -> g, one layer at a time
     if 0.0 + heuristic.value(0) < bound:
-        layer[0] = (0.0, -1)
+        layer[0] = 0.0
         stats.nodes_generated = 1
-    pred_layers: list[dict[int, int]] = [{0: -1}]
-    stored = 1
+    pred: dict[int, int] = {}  # every stored node but the root
     for _ in range(n):
-        nxt: dict[int, tuple[float, int]] = {}
+        nxt: dict[int, float] = {}
         for U in sorted(layer):
-            g, _ = layer[U]
+            g = layer[U]
             stats.nodes_expanded += 1
             for x in bits(full & ~U):
                 arc, _ = best_in(tables[x], U)
                 child = U | 1 << x
                 gc = g + arc
-                cur = nxt.get(child)
-                if cur is not None:
-                    if _improves(gc, cur[0]):
-                        nxt[child] = (gc, x)
+                old = nxt.get(child)
+                if old is not None:
+                    if _improves(gc, old):
+                        nxt[child] = gc
+                        pred[child] = x
                 elif gc + heuristic.value(child) < bound:
-                    nxt[child] = (gc, x)
+                    nxt[child] = gc
+                    pred[child] = x
                     stats.nodes_generated += 1
-        pred_layers.append({m: px for m, (_, px) in nxt.items()})
         layer = nxt
-        stored += len(nxt)
         if len(nxt) > stats.peak_open_size:
             stats.peak_open_size = len(nxt)
-        if mem_budget is not None and stored * NODE_BYTES > mem_budget:
+        if mem_budget is not None and \
+                (1 + len(pred)) * NODE_BYTES > mem_budget:
             raise MemoryBudgetError(
                 f"layer storage passed the {mem_budget}-byte budget", stats)
-    if full in layer and (incumbent is None or layer[full][0] < bound):
-        g = layer[full][0]
-
-        def pred_of(mask, _layers=pred_layers):
-            return _layers[popcount(mask)].get(mask)
-
-        return reconstruct(tables, _order_from_preds(pred_of, full), g), stats
+    if full in layer and (incumbent is None or layer[full] < bound):
+        return reconstruct(tables, _order_from_preds(pred.get, full),
+                           layer[full]), stats
     if incumbent is None:
         raise RuntimeError("goal unreachable with the bound disabled")
     return incumbent, stats
@@ -308,9 +303,9 @@ def dp_oracle(tables: Sequence[ScoreTable]) -> tuple[LearnedNetwork, float]:
     if n > DP_MAX_VARS:
         raise ValueError(f"dp oracle limited to {DP_MAX_VARS} variables")
     size = 1 << n
-    dist = np.full(size, np.inf)
+    dist = array("d", [math.inf]) * size
     dist[0] = 0.0
-    predv = np.full(size, -1, dtype=np.int8)
+    predv = array("b", [-1]) * size
     for U in range(size):
         d = dist[U]
         for x in bits((size - 1) & ~U):
@@ -319,13 +314,13 @@ def dp_oracle(tables: Sequence[ScoreTable]) -> tuple[LearnedNetwork, float]:
             if nd < dist[child]:
                 dist[child] = nd
                 predv[child] = x
-    opt = float(dist[size - 1])
-    net = reconstruct(
-        tables, _order_from_preds(lambda m: int(predv[m]), size - 1), opt)
+    opt = dist[size - 1]
+    net = reconstruct(tables, _order_from_preds(predv.__getitem__, size - 1),
+                      opt)
     return net, opt
 
 
-def exact_distances_to_goal(tables: Sequence[ScoreTable]) -> np.ndarray:
+def exact_distances_to_goal(tables: Sequence[ScoreTable]) -> list[float]:
     """Backward DP; entry [U] is the shortest distance from node U to the
     goal (indexed by bitmask), i.e. the cost of the pattern V\\U."""
     n = tables[0].n
@@ -333,4 +328,4 @@ def exact_distances_to_goal(tables: Sequence[ScoreTable]) -> np.ndarray:
         raise ValueError(f"exact distances limited to {DP_MAX_VARS} variables")
     full = full_mask(n)
     cost = pattern_costs(tables, full, n)
-    return np.array([cost[full ^ U] for U in range(1 << n)])
+    return [cost[full ^ U] for U in range(1 << n)]

@@ -13,8 +13,9 @@ from .bitset import bits, format_set, full_mask, is_subset, mask_of
 from .dataset import Dataset
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          default_grouping, pattern_cost_exact)
-from .parent_store import best_in, cursor_best, cursor_exclude, cursor_new
-from .scoring import ScoreSet, best_score_naive, mdl_local_score, parent_limit
+from .parent_store import (best_in, best_score_naive, cursor_best,
+                           cursor_exclude, cursor_new)
+from .scoring import ScoreSet, mdl_local_score, parent_limit
 from .search import exact_distances_to_goal
 
 TOL = 1e-9
@@ -71,10 +72,8 @@ def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
             c_rev = cursor_new(t)
             for y in reversed(excl):
                 c_rev = cursor_exclude(c_rev, y)
-            full_min = min(
-                (float(t.scores[i]), t.parent_sets[i])
-                for i in range(len(t))
-                if is_subset(t.parent_sets[i], cands))
+            full_min = min((s, pa) for s, pa in zip(t.scores, t.parent_sets)
+                           if is_subset(pa, cands))
             where = (f"variable {scores.names[x]}, candidates "
                      f"{format_set(cands, scores.names)}")
             if not (got == naive == cursor_best(c_fwd) == cursor_best(c_rev)):

@@ -223,8 +223,18 @@ def test_learn_zero_flag_is_usage_error(capsys, flags):
     ["learn", str(FIXTURE_CSV), "--mem-budget", "0"],
     ["score", str(FIXTURE_CSV), "--delimiter", ""],
     ["score", str(FIXTURE_CSV), "--delimiter", ";;"],
+    # dp builds no heuristic, so it takes neither --k nor --groups
+    ["learn", str(FIXTURE_CSV), "--algorithm", "dp", "--heuristic", "dynamic",
+     "--k", "99"],
+    ["learn", str(FIXTURE_CSV), "--algorithm", "dp", "--heuristic", "dynamic",
+     "--k", "3"],
+    ["learn", str(FIXTURE_CSV), "--algorithm", "dp", "--heuristic", "static",
+     "--groups", "1-99"],
+    ["learn", str(FIXTURE_CSV), "--algorithm", "dp", "--heuristic", "static",
+     "--groups", "1-2,3-4"],
 ], ids=["max-parents-negative", "mem-budget-negative", "mem-budget-zero",
-        "delimiter-empty", "delimiter-two-chars"])
+        "delimiter-empty", "delimiter-two-chars", "dp-k-out-of-range",
+        "dp-k-valid", "dp-groups-out-of-range", "dp-groups-valid"])
 def test_out_of_range_flag_is_usage_error(capsys, argv):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()

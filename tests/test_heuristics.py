@@ -5,7 +5,7 @@ from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
                    exact_distances_to_goal, parse_grouping,
                    pattern_cost_exact)
 from bnopt.bitset import bits, full_mask, mask_of, popcount
-from bnopt.scoring import build_score_tables, simple_heads
+from bnopt.scoring import build_score_tables
 from bnopt.synth import random_dataset
 from conftest import (GREEDY_K2_AT_START, PAIR_AB_COST, PAIR_AB_DIFF,
                       SIMPLE_H_EMPTY, STATIC_H_AT_START, TRIPLE_ABC_COST,
@@ -30,7 +30,7 @@ def test_simple_h_boundaries(fixture_tables):
 
 
 def test_pattern_cost_singleton(fixture_tables):
-    h0 = simple_heads(fixture_tables)
+    h0 = [t.scores[0] for t in fixture_tables]
     for x in range(4):
         assert pattern_cost_exact(1 << x, fixture_tables) == h0[x]
 
@@ -123,7 +123,7 @@ def _greedy_reference(R, cost_diff, h0):
 
 def test_greedy_pruning_safe(fixture_tables):
     # value with the pruned store equals the value with every pattern priced
-    h0 = simple_heads(fixture_tables)
+    h0 = [t.scores[0] for t in fixture_tables]
     h = DynamicHeuristic(fixture_tables, 3)
     unpruned = {}
     for P in range(1, 1 << 4):
@@ -143,7 +143,7 @@ def test_greedy_pruning_safe_k4_random():
     # immediate, so this exercises the pruning rule beyond the default k
     data = random_dataset(6, 80, seed=47)
     tables = build_score_tables(data).tables
-    h0 = simple_heads(tables)
+    h0 = [t.scores[0] for t in tables]
     h = DynamicHeuristic(tables, 4)
     unpruned = {}
     for P in range(1, 1 << 6):
@@ -171,6 +171,9 @@ def test_parse_grouping():
     assert parse_grouping("1-2,3,4", 4) == [0b0011, 0b0100, 0b1000]
     with pytest.raises(ValueError):
         parse_grouping("1-9", 4)
+    for bad in ("1-a", "x", "-3", "1-2-3"):
+        with pytest.raises(ValueError, match=f"--groups: group '{bad}' "):
+            parse_grouping(f"{bad},4", 4)
 
 
 @pytest.mark.parametrize("groups", ["1-3,3-4", "1-2"])  # overlap, not covering
@@ -197,7 +200,7 @@ def test_static_pdb_fixture_tables(fixture_tables):
 
 def test_static_pdb_basics(fixture_tables):
     pdb = StaticHeuristic(fixture_tables, default_grouping(4))
-    h0 = simple_heads(fixture_tables)
+    h0 = [t.scores[0] for t in fixture_tables]
     for gi, g in enumerate(pdb.groups):
         assert pdb.costs[gi][0] == 0.0
         for x in bits(g):

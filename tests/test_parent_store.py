@@ -1,7 +1,7 @@
 import pytest
 
-from bnopt import (ScoreTable, best_in, best_score_naive, cursor_best,
-                   cursor_exclude, cursor_new)
+from bnopt import (DataError, ScoreTable, best_in, best_score_naive,
+                   cursor_best, cursor_exclude, cursor_new)
 from bnopt.bitset import bit_string, mask_of
 from bnopt.scoring import build_score_tables, parent_limit
 from bnopt.synth import random_dataset
@@ -65,6 +65,10 @@ def test_missing_empty_set_raises():
     assert c.valid == 0
     with pytest.raises(ValueError, match="variable 0"):
         cursor_best(c)
+    # the reference scan raises the same error as the bit query
+    with pytest.raises(DataError, match="empty parent set is missing"):
+        best_score_naive(t, 0)
+    assert best_score_naive(t, 0b100) == (2.0, 0b100)
 
 
 def test_exclude_preconditions(worked_table):

@@ -117,7 +117,7 @@ def test_batched_scores_bit_identical(data, draw):
         for pa, s in expect.items():
             assert raw[pa] == s, (x, bin(pa), raw[pa].hex(), s.hex())
             assert mdl_local_score(data, x, pa) == s, (x, bin(pa))
-        assert [table.entry(i) for i in range(len(table))] == \
+        assert list(zip(table.scores, table.parent_sets)) == \
             prune_scores(expect)
 
 
