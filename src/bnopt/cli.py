@@ -16,7 +16,8 @@ import sys
 import time
 
 from .bitset import bits
-from .dataset import DEFAULT_MISSING_TOKENS, DataError, load_dataset
+from .dataset import (DEFAULT_MISSING_TOKENS, DataError, Dataset,
+                      load_dataset)
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          parse_grouping)
 from .scoring import (ScoreSet, build_score_tables, format_score_file,
@@ -104,6 +105,8 @@ def _build_report(scores: ScoreSet, net: LearnedNetwork, stats: SearchStats,
             "pdb_size": pdb_size,
         },
     }
+    if config["algorithm"] != "dp":  # dp generates every successor
+        report["stats"]["forced_skipped"] = stats.forced_skipped
     return json.dumps(report, indent=2) + "\n"
 
 
@@ -134,9 +137,9 @@ def cmd_score(args) -> int:
     return EXIT_OK
 
 
-def _load_scores(args) -> tuple[ScoreSet, int | None, int | None]:
-    """(scores, N, derived parent limit); N and limit are None for
-    score-file input."""
+def _load_input(args) -> tuple[ScoreSet | None, Dataset | None]:
+    """(scores, None) for a score file, (None, data) for a data file that
+    still needs scoring."""
     if _is_score_file(args.input):
         scores = read_score_file(args.input)
         # the searches take each table's first fitting entry as its best
@@ -144,12 +147,8 @@ def _load_scores(args) -> tuple[ScoreSet, int | None, int | None]:
             if any(a > b for a, b in zip(table.scores, table.scores[1:])):
                 raise DataError(f"{args.input}: scores of {name} are not in "
                                 "ascending order")
-        return scores, None, None
-    data = load_dataset(args.input)
-    limit = parent_limit(data.N)
-    print(f"# scoring {args.input}: {data.n} variables, {data.N} records, "
-          f"parent limit {limit}", file=sys.stderr)
-    return build_score_tables(data), data.N, limit
+        return scores, None
+    return None, load_dataset(args.input)
 
 
 def cmd_learn(args) -> int:
@@ -162,9 +161,23 @@ def cmd_learn(args) -> int:
     if args.restarts < 1:
         raise UsageError(f"--restarts {args.restarts}: need at least one")
     mem_budget = _mem_budget(args)
-    scores, N, limit = _load_scores(args)
+    scores, data = _load_input(args)
+    n = scores.n if data is None else data.n
+    grouping = None
+    if args.heuristic == "static" and args.algorithm != "dp":
+        # checked before scoring, so a typo costs no scoring run
+        try:
+            grouping = parse_grouping(args.groups or "auto", n)
+        except ValueError as e:
+            raise UsageError(str(e)) from e
+    N = limit = None
+    if data is not None:
+        N, limit = data.N, parent_limit(data.N)
+        print(f"# scoring {args.input}: {n} variables, {N} records, "
+              f"parent limit {limit}", file=sys.stderr)
+        scores = build_score_tables(data)
     tables = scores.tables
-    k = args.k if args.k is not None else min(3, scores.n)
+    k = args.k if args.k is not None else min(3, n)
 
     t0 = time.perf_counter()
     heuristic = None
@@ -175,11 +188,10 @@ def cmd_learn(args) -> int:
             elif args.heuristic == "dynamic":
                 heuristic = DynamicHeuristic(tables, k)
             else:
-                grouping = parse_grouping(args.groups or "auto", scores.n)
                 heuristic = StaticHeuristic(tables, grouping)
         except DataError:  # a score table the PDB build cannot use
             raise
-        except ValueError as e:  # bad --k, --groups syntax, partition, cap
+        except ValueError as e:  # bad --k
             raise UsageError(str(e)) from e
     pdb_time = time.perf_counter() - t0
 

@@ -159,10 +159,26 @@ def default_grouping(n: int) -> list[int]:
     return [mask_of(range(half)), mask_of(range(half, n))]
 
 
+def _check_grouping(grouping: Sequence[int], n: int) -> None:
+    """Raise ValueError unless the groups partition the n variables and
+    each fits under GROUP_CAP."""
+    union = 0
+    total = 0
+    for g in grouping:
+        union |= g
+        total += popcount(g)
+    if union != full_mask(n) or total != n:
+        raise ValueError(f"groups do not partition the {n} variables")
+    for g in grouping:
+        if popcount(g) > GROUP_CAP:
+            raise ValueError(
+                f"group of {popcount(g)} variables exceeds the size cap "
+                f"{GROUP_CAP} (2^{popcount(g)} table entries)")
+
+
 def parse_grouping(text: str, n: int) -> list[int]:
     """Parse CLI grouping syntax: 'auto' or comma-separated 1-based runs
-    and indices like '1-4,5-8'. Whether the groups partition the variables
-    is checked by StaticHeuristic."""
+    and indices like '1-4,5-8', and check the result with _check_grouping."""
     if text == "auto":
         return default_grouping(n)
     groups = []
@@ -187,6 +203,7 @@ def parse_grouping(text: str, n: int) -> list[int]:
         if any(not 0 <= i < n for i in idxs):
             raise ValueError(f"group {part!r} has variables outside 1..{n}")
         groups.append(mask_of(idxs))
+    _check_grouping(groups, n)
     return groups
 
 
@@ -198,18 +215,7 @@ class StaticHeuristic:
 
     def __init__(self, tables: Sequence[ScoreTable], grouping: Sequence[int]):
         n = tables[0].n
-        union = 0
-        total = 0
-        for g in grouping:
-            union |= g
-            total += popcount(g)
-        if union != full_mask(n) or total != n:
-            raise ValueError(f"groups do not partition the {n} variables")
-        for g in grouping:
-            if popcount(g) > GROUP_CAP:
-                raise ValueError(
-                    f"group of {popcount(g)} variables exceeds the size cap "
-                    f"{GROUP_CAP} (2^{popcount(g)} table entries)")
+        _check_grouping(grouping, n)
         self.n = n
         self.groups = list(grouping)
         # one pattern-cost sweep per group over its full subset lattice

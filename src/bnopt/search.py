@@ -5,8 +5,17 @@ BestScore(x, U) from the sparse parent store. A* runs best-first and
 reopens a closed node on a strictly better g (only the greedy dynamic-PDB
 heuristic, which need not be consistent, causes that);
 BFBnB sweeps layer by layer pruning against an incumbent from ordering
-hill climbing. Both are exact; dp_oracle and exact_distances_to_goal are
-the brute-force references.
+hill climbing.
+
+Both generate only U|{x} when some x outside U already has its overall
+best parent set inside U (a forced arc; the lowest such x): moving x to
+the front of any optimal completion of U costs x nothing extra and only
+widens the other variables' candidate pools, so goal distances, and with
+them admissibility, consistency and the optimum, are unchanged (Yuan &
+Malone, JAIR 2013; Yuan, Malone & Wu, IJCAI 2011). Where several networks
+tie at the optimum, the one returned can differ from an unpruned search's.
+BFBnB without an incumbent stays exhaustive. Both are exact; dp_oracle and
+exact_distances_to_goal are the unpruned brute-force references.
 """
 
 from __future__ import annotations
@@ -55,6 +64,7 @@ class SearchStats:
     nodes_generated: int = 0
     reopened: int = 0
     peak_open_size: int = 0
+    forced_skipped: int = 0  # successors left out by the forced-arc rule
 
 
 @dataclass
@@ -143,6 +153,18 @@ def _order_from_preds(pred_of, full: int) -> list[int]:
     return order
 
 
+def _successors(best: Sequence[int], U: int, rest: int,
+                stats: SearchStats):
+    """Variables x in rest whose arcs U -> U|{x} need generating: the
+    lowest x with its overall best parent set best[x] inside U (a forced
+    arc, counted in stats), else all of rest in ascending order."""
+    for x in bits(rest):
+        if best[x] & ~U == 0:
+            stats.forced_skipped += popcount(rest) - 1
+            return (x,)
+    return bits(rest)
+
+
 def astar(
     tables: Sequence[ScoreTable], heuristic,
     mem_budget: int | None = DEFAULT_MEM_BUDGET,
@@ -156,6 +178,7 @@ def astar(
     n = tables[0].n
     full = full_mask(n)
     stats = SearchStats(nodes_generated=1)
+    best = [t.parent_sets[0] for t in tables]
     g_best = {0: 0.0}
     pred: dict[int, int] = {}
     closed: set[int] = set()
@@ -170,7 +193,7 @@ def astar(
             return net, stats
         closed.add(U)
         stats.nodes_expanded += 1
-        for x in bits(full & ~U):
+        for x in _successors(best, U, full & ~U, stats):
             arc, _ = best_in(tables[x], U)
             child = U | 1 << x
             gc = g + arc
@@ -204,12 +227,14 @@ def bfbnb(
     A generated node is dropped when g + h >= the incumbent score; the
     incumbent (usually from initial_upper_bound) is returned unless the goal
     is reached strictly below it. Pass incumbent=None to disable the bound
-    (exhaustive sweep, mainly for testing).
+    and the forced arcs (exhaustive sweep, mainly for testing).
     """
     n = tables[0].n
     full = full_mask(n)
     bound = incumbent.total_score if incumbent is not None else math.inf
     stats = SearchStats()
+    best = [t.parent_sets[0] for t in tables]
+    forced = incumbent is not None  # the bound-disabled sweep is exhaustive
     layer: dict[int, float] = {}  # mask -> g, one layer at a time
     if 0.0 + heuristic.value(0) < bound:
         layer[0] = 0.0
@@ -220,7 +245,9 @@ def bfbnb(
         for U in sorted(layer):
             g = layer[U]
             stats.nodes_expanded += 1
-            for x in bits(full & ~U):
+            rest = full & ~U
+            for x in (_successors(best, U, rest, stats) if forced
+                      else bits(rest)):
                 arc, _ = best_in(tables[x], U)
                 child = U | 1 << x
                 gc = g + arc

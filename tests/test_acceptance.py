@@ -174,12 +174,14 @@ def test_c06_consistency_and_zero_reopenings():
             "A* reopened nothing under them")
 
 
-# expanded-node counts pinned from the first verified run of this suite
+# expanded-node counts, re-pinned when A* began generating a single
+# successor through a forced arc (a variable whose overall best parents
+# are already placed); n7 skips successors too but expands the same nodes
 TREND_SUITE = [
-    ("fixture4", None, (5, 4, 4)),
+    ("fixture4", None, (4, 4, 4)),
     ("n7 seed=201", (7, 201), (79, 54, 36)),
-    ("n8 seed=203", (8, 203), (185, 82, 43)),
-    ("n9 seed=203", (9, 203), (369, 164, 83)),
+    ("n8 seed=203", (8, 203), (94, 43, 24)),
+    ("n9 seed=203", (9, 203), (95, 45, 25)),
 ]
 
 

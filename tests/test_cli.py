@@ -56,6 +56,7 @@ def test_learn_dp_fixture(tmp_path, capsys):
     assert report["total_score"] == OPT_SCORE
     assert report["dataset"] == {"n": 4, "N": 8, "names": ["A", "B", "C", "D"]}
     assert report["config"]["parent_limit"] == 2
+    assert "forced_skipped" not in report["stats"]  # dp prunes nothing
     assert dot.read_text() == GOLDEN_DOT.read_text()
 
 
@@ -66,6 +67,7 @@ def test_learn_astar_dynamic(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["total_score"] == pytest.approx(OPT_SCORE, rel=1e-9)
     assert report["stats"]["pdb_size"] >= 0
+    assert report["stats"]["forced_skipped"] >= 0
     assert report["config"]["k"] == 3
 
 
@@ -240,6 +242,19 @@ def test_out_of_range_flag_is_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("groups", ["1-a,3-4", "1-2", "1-2,3-5"])
+def test_bad_groups_rejected_before_scoring(capsys, groups):
+    # a CSV input: the grouping is checked once the header gives n, so the
+    # only stderr line is the usage error, not "# scoring ..." before it
+    assert main(["learn", str(FIXTURE_CSV), "--heuristic", "static",
+                 "--groups", groups]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("bnopt: "), err
+    assert "# scoring" not in captured.err
 
 
 @pytest.mark.parametrize("algorithm", ["astar", "bfbnb"])

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from bnopt import (DynamicHeuristic, MemoryBudgetError, SimpleHeuristic,
-                   StaticHeuristic, astar, bfbnb, default_grouping,
+                   StaticHeuristic, astar, best_in, bfbnb, default_grouping,
                    dp_oracle, exact_distances_to_goal, initial_upper_bound,
                    pattern_cost_exact, reconstruct)
-from bnopt.bitset import popcount
+from bnopt.bitset import bits, full_mask, popcount
 from bnopt.dataset import Dataset
-from bnopt.scoring import build_score_tables
+from bnopt.scoring import build_score_tables, parent_limit
+from bnopt.search import G_EPS
 from bnopt.synth import random_dataset
 from conftest import OPT_SCORE
 
@@ -249,3 +252,59 @@ def test_reconstructed_score_matches_g_everywhere(fixture_tables):
             i = fixture_tables[x].parent_sets.index(net.parents[x])
             total += float(fixture_tables[x].scores[i])
         assert net.total_score == pytest.approx(total, abs=1e-12)
+
+
+@pytest.mark.parametrize("n,seed", [(5, 401), (6, 402), (7, 403), (8, 404)])
+def test_forced_arc_keeps_goal_distance(n, seed):
+    # the pruning lemma, without any search: if x's overall best parent
+    # set is inside U, the arc U -> U|{x} lies on a shortest path to the goal
+    tables = build_score_tables(random_dataset(n, 150, seed=seed)).tables
+    dist = exact_distances_to_goal(tables)
+    full = full_mask(n)
+    forced = 0
+    for U in range(1 << n):
+        for x in bits(full & ~U):
+            if tables[x].parent_sets[0] & ~U == 0:
+                via_x = best_in(tables[x], U)[0] + dist[U | 1 << x]
+                assert abs(via_x - dist[U]) <= G_EPS * max(1.0, abs(dist[U])), \
+                    (bin(U), x)
+                forced += 1
+    assert forced > 0
+
+
+def test_forced_arcs_counted_only_with_a_bound():
+    tables = build_score_tables(random_dataset(8, 100, seed=203)).tables
+    h = StaticHeuristic(tables, default_grouping(8))
+    _, stats = astar(tables, h)
+    assert stats.forced_skipped > 0
+    _, stats = bfbnb(tables, h, initial_upper_bound(tables, seed=1))
+    assert stats.forced_skipped > 0
+    _, stats = bfbnb(tables, h, None)
+    assert stats.forced_skipped == 0
+    assert stats.nodes_generated == 2 ** 8
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(n=st.integers(3, 8), N=st.integers(10, 500),
+       seed=st.integers(0, 2 ** 16))
+def test_solvers_match_oracles_on_random_data(n, N, seed):
+    data = random_dataset(n, N, seed=seed)
+    tables = build_score_tables(data).tables
+    _, opt = dp_oracle(tables)
+    refs = [opt]
+    if n <= 4:
+        rows = [tuple(r) for r in data.rows]
+        raw = [oracle.all_scores(rows, data.arity, x, parent_limit(N))
+               for x in range(n)]
+        refs.append(oracle.distances_to_goal(raw, n)[frozenset()])
+    inc = initial_upper_bound(tables, seed=seed, restarts=2)
+    nets = []
+    for h in (SimpleHeuristic(tables), DynamicHeuristic(tables, 3),
+              StaticHeuristic(tables, default_grouping(n))):
+        nets += [astar(tables, h)[0], bfbnb(tables, h, inc)[0]]
+    net, stats = bfbnb(tables, SimpleHeuristic(tables), None)
+    assert stats.forced_skipped == 0 and stats.nodes_generated == 2 ** n
+    for net in nets + [net]:
+        assert net.is_acyclic()
+        for ref in refs:
+            assert abs(net.total_score - ref) <= 1e-9 * max(1.0, abs(ref))
