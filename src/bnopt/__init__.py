@@ -8,20 +8,38 @@ pattern databases tighten the admissible search heuristics. A* and
 breadth-first branch and bound both return provably optimal networks.
 """
 
-from .dataset import (DataError, Dataset, RawTable, binarize_mean, counts,
-                      drop_incomplete, load_dataset, load_delimited)
+from importlib import import_module
+
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          default_grouping, parse_grouping, pattern_cost_exact)
-from .parent_store import (ExclusionCursor, ScoreTable, best_in,
-                           best_score_naive, cursor_best, cursor_exclude,
-                           cursor_new)
-from .scoring import (ScoreSet, build_score_table, build_score_tables,
-                      format_score_file, mdl_local_score, parent_limit,
-                      prune_scores, read_score_file, write_score_file)
+from .parent_store import (DataError, ExclusionCursor, ScoreSet, ScoreTable,
+                           best_in, best_score_naive, cursor_best,
+                           cursor_exclude, cursor_new, format_score_file,
+                           read_score_file, write_score_file)
 from .search import (LearnedNetwork, MemoryBudgetError, SearchStats, astar,
                      bfbnb, dp_oracle, exact_distances_to_goal,
                      initial_upper_bound, reconstruct)
-from .synth import prefix_dataset, random_dataset
+
+# The numpy-backed modules and their names load on first access (PEP 562),
+# so a learn run on a score file never imports numpy.
+_LAZY_MODULES = {
+    "dataset": ("Dataset", "RawTable", "binarize_mean", "counts",
+                "drop_incomplete", "load_dataset", "load_delimited"),
+    "scoring": ("build_score_table", "build_score_tables", "mdl_local_score",
+                "parent_limit", "prune_scores"),
+    "synth": ("prefix_dataset", "random_dataset"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items()
+               for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return import_module(f".{name}", __name__)
+    if name in _LAZY_NAMES:
+        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

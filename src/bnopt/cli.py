@@ -14,17 +14,20 @@ import os
 import re
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from .bitset import bits
-from .dataset import (DEFAULT_MISSING_TOKENS, DataError, Dataset,
-                      load_dataset)
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
-                         parse_grouping)
-from .scoring import (ScoreSet, build_score_tables, format_score_file,
-                      parent_limit, read_score_file, write_score_file)
+                         check_pattern_cap, parse_grouping)
+from .parent_store import (DataError, ScoreSet, format_score_file,
+                           read_score_file, write_score_file)
 from .search import (DEFAULT_MEM_BUDGET, LearnedNetwork, MemoryBudgetError,
                      SearchStats, astar, bfbnb, dp_oracle, initial_upper_bound)
-from .verify import run_all
+
+# dataset, scoring and verify load numpy; they are imported inside the
+# branches that read a data file, so a score-file learn run never loads them
+if TYPE_CHECKING:
+    from .dataset import Dataset
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -111,6 +114,9 @@ def _build_report(scores: ScoreSet, net: LearnedNetwork, stats: SearchStats,
 
 
 def cmd_score(args) -> int:
+    from .dataset import DEFAULT_MISSING_TOKENS, load_dataset
+    from .scoring import build_score_tables, parent_limit
+
     if args.max_parents is not None and args.max_parents < 0:
         raise UsageError(f"--max-parents {args.max_parents}: need 0 or more")
     if len(args.delimiter) != 1:
@@ -148,6 +154,7 @@ def _load_input(args) -> tuple[ScoreSet | None, Dataset | None]:
                 raise DataError(f"{args.input}: scores of {name} are not in "
                                 "ascending order")
         return scores, None
+    from .dataset import load_dataset
     return None, load_dataset(args.input)
 
 
@@ -163,36 +170,35 @@ def cmd_learn(args) -> int:
     mem_budget = _mem_budget(args)
     scores, data = _load_input(args)
     n = scores.n if data is None else data.n
+    k = args.k if args.k is not None else min(3, n)
     grouping = None
-    if args.heuristic == "static" and args.algorithm != "dp":
+    if args.algorithm != "dp":
         # checked before scoring, so a typo costs no scoring run
         try:
-            grouping = parse_grouping(args.groups or "auto", n)
+            if args.heuristic == "static":
+                grouping = parse_grouping(args.groups or "auto", n)
+            elif args.heuristic == "dynamic":
+                check_pattern_cap(k, n)
         except ValueError as e:
             raise UsageError(str(e)) from e
     N = limit = None
     if data is not None:
+        from .scoring import build_score_tables, parent_limit
         N, limit = data.N, parent_limit(data.N)
         print(f"# scoring {args.input}: {n} variables, {N} records, "
               f"parent limit {limit}", file=sys.stderr)
         scores = build_score_tables(data)
     tables = scores.tables
-    k = args.k if args.k is not None else min(3, n)
 
     t0 = time.perf_counter()
     heuristic = None
     if args.algorithm != "dp":
-        try:
-            if args.heuristic == "simple":
-                heuristic = SimpleHeuristic(tables)
-            elif args.heuristic == "dynamic":
-                heuristic = DynamicHeuristic(tables, k)
-            else:
-                heuristic = StaticHeuristic(tables, grouping)
-        except DataError:  # a score table the PDB build cannot use
-            raise
-        except ValueError as e:  # bad --k
-            raise UsageError(str(e)) from e
+        if args.heuristic == "simple":
+            heuristic = SimpleHeuristic(tables)
+        elif args.heuristic == "dynamic":
+            heuristic = DynamicHeuristic(tables, k)
+        else:
+            heuristic = StaticHeuristic(tables, grouping)
     pdb_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -234,6 +240,10 @@ def cmd_learn(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .dataset import load_dataset
+    from .scoring import build_score_tables
+    from .verify import run_all
+
     if _is_score_file(args.input):
         scores, data = read_score_file(args.input), None
     else:

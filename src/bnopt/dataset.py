@@ -15,16 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bitset import bits, popcount
+from .parent_store import DataError
 
 DEFAULT_MISSING_TOKENS = frozenset({"?", ""})
 
 # Guard on the contingency-table size for a single counts() call; parent sets
 # inside the record-count in-degree limit stay far below this.
 DEFAULT_CELL_LIMIT = 1 << 22
-
-
-class DataError(ValueError):
-    """Bad input data: I/O shape problems, empty results, constant columns."""
 
 
 @dataclass

@@ -92,6 +92,15 @@ def pattern_costs(
     return cost
 
 
+def check_pattern_cap(k: int, n: int) -> None:
+    """Raise ValueError unless a dynamic PDB over n variables can take
+    pattern size cap k."""
+    if n < 2:
+        raise ValueError("dynamic PDB needs at least 2 variables")
+    if not 2 <= k <= n:
+        raise ValueError(f"pattern size cap {k} outside 2..{n}")
+
+
 class DynamicHeuristic:
     """Dynamic PDB: every pattern of up to k variables (the last k layers of
     the order graph) is priced, and a query covers the unsearched set
@@ -108,10 +117,7 @@ class DynamicHeuristic:
 
     def __init__(self, tables: Sequence[ScoreTable], k: int):
         n = tables[0].n
-        if n < 2:
-            raise ValueError("dynamic PDB needs at least 2 variables")
-        if not 2 <= k <= n:
-            raise ValueError(f"pattern size cap {k} outside 2..{n}")
+        check_pattern_cap(k, n)
         self.n = n
         self.h0 = [t.scores[0] for t in tables]
         diffs: dict[int, float] = {}

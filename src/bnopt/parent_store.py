@@ -14,15 +14,25 @@ clears the bits of every entry containing it, and the lowest set bit is
 always the best score over the remaining pool. Cursors are persistent
 values: excluding returns a new cursor and shares the underlying table, so
 sibling search branches can keep a common ancestor.
+
+A ScoreSet names the tables of one dataset, and the score file is its form
+on disk: write_score_file and read_score_file round-trip it bit for bit.
+Nothing here needs numpy, so a run that starts from a score file never
+loads the ingest and scoring modules.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .bitset import bits, is_subset
-from .dataset import DataError
+from .bitset import bits, is_subset, mask_of, popcount
+
+
+class DataError(ValueError):
+    """Bad input: malformed files, empty results, constant columns, score
+    tables a search cannot use."""
 
 
 @dataclass(eq=False)
@@ -57,6 +67,18 @@ class ScoreTable:
             for y in bits(p):
                 rows[y] |= 1 << i
         return cls(variable, n, scores, parent_sets, rows)
+
+
+@dataclass
+class ScoreSet:
+    """Named score tables for a whole dataset, in variable order."""
+
+    names: list[str]
+    tables: list[ScoreTable]
+
+    @property
+    def n(self) -> int:
+        return len(self.names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,3 +155,98 @@ def best_score_naive(table: ScoreTable, candidates: int) -> tuple[float, int]:
 def _no_empty_set(table: ScoreTable) -> DataError:
     return DataError(f"score table of variable {table.variable} has no "
                       "admissible entry: the empty parent set is missing")
+
+
+# ------------------------------------------------------------- score file IO
+#
+# Line 1:        n <n>
+# Per variable:  var <name> <m>
+#                <score> <k> <parent name>*k        (m lines, sorted order)
+# Scores are written with 17 significant digits so reads are bit-identical.
+
+
+def format_score_file(scores: ScoreSet) -> str:
+    for name in scores.names:
+        if not name or any(c.isspace() for c in name):
+            raise ValueError(f"variable name {name!r} not representable")
+    chunks = [f"n {scores.n}\n"]
+    for name, table in zip(scores.names, scores.tables):
+        chunks.append(f"var {name} {len(table)}\n")
+        for i, pa in enumerate(table.parent_sets):
+            parents = " ".join(scores.names[y] for y in bits(pa))
+            k = popcount(pa)
+            chunks.append(f"{table.scores[i]:.17g} {k}" +
+                          (f" {parents}\n" if k else "\n"))
+    return "".join(chunks)
+
+
+def write_score_file(path, scores: ScoreSet) -> None:
+    with open(path, "w") as f:
+        f.write(format_score_file(scores))
+
+
+def read_score_file(path) -> ScoreSet:
+    """Parse a score file back into tables.
+
+    Syntax errors, an empty header, duplicate variable names, truncated or
+    overlong blocks, non-finite scores and parent names that are unknown or
+    the block's own variable raise ValueError naming the line;
+    ordering and pruning invariants are the verifier's job.
+    """
+    with open(path) as f:
+        lines = [(no, ln.split()) for no, ln in enumerate(f, 1) if ln.strip()]
+    head = lines[0][1] if lines else []
+    if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
+        raise ValueError(f"{path}: not a score file (missing 'n <count>' header)")
+    n = int(head[1])
+
+    def bad(no: int, what: str) -> ValueError:
+        return ValueError(f"{path}: line {no}: {what}")
+
+    if n == 0:
+        raise bad(lines[0][0], "header declares no variables")
+
+    # group lines into blocks first so parent references can point forward;
+    # an entry line never starts with 'var' (its first token is a score)
+    heads: list[tuple[int, str, int]] = []
+    bodies: list[list[tuple[int, list[str]]]] = []
+    for no, toks in lines[1:]:
+        if toks[0] == "var":
+            if len(toks) != 3 or not toks[2].isdigit():
+                raise bad(no, "expected 'var <name> <entries>', "
+                              f"got {' '.join(toks)!r}")
+            if any(toks[1] == nm for _, nm, _ in heads):
+                raise bad(no, f"duplicate variable name {toks[1]!r}")
+            heads.append((no, toks[1], int(toks[2])))
+            bodies.append([])
+        elif not heads:
+            raise bad(no, f"expected 'var' block, got {' '.join(toks)!r}")
+        else:
+            bodies[-1].append((no, toks))
+    if len(heads) != n:
+        raise bad(lines[-1][0], f"file has {len(heads)} variable blocks, "
+                                f"header says {n}")
+    index = {nm: i for i, (_, nm, _) in enumerate(heads)}
+    tables = []
+    for x, ((no, name, m), body) in enumerate(zip(heads, bodies)):
+        if len(body) != m:
+            raise bad(no, f"block for {name} declares {m} entries "
+                          f"but has {len(body)}")
+        entries = []
+        for eno, toks in body:
+            try:
+                score, k = float(toks[0]), int(toks[1])
+            except (ValueError, IndexError):
+                raise bad(eno, f"bad entry line {' '.join(toks)!r}") from None
+            if not math.isfinite(score):
+                raise bad(eno, f"non-finite score {toks[0]!r}")
+            if len(toks) != 2 + k:
+                raise bad(eno, f"bad entry line {' '.join(toks)!r}")
+            for t in toks[2:]:
+                if t not in index:
+                    raise bad(eno, f"unknown parent {t!r}")
+                if t == name:
+                    raise bad(eno, f"{name} listed as its own parent")
+            entries.append((score, mask_of(index[t] for t in toks[2:])))
+        tables.append(ScoreTable.from_entries(x, n, entries))
+    return ScoreSet([nm for _, nm, _ in heads], tables)

@@ -1,22 +1,23 @@
-"""MDL local scores, the score tables built from them, and score files.
+"""MDL local scores and the score tables built from them.
 
 A score table keeps only the candidate parent sets that can be optimal for
 some candidate pool: supersets whose score is not strictly better than every
 proper subset are dropped, and sets larger than the record-count in-degree
 limit are never scored at all. The kept entries go into a ScoreTable of the
-parent store (sorted ascending by score, with int bit rows).
+parent store (sorted ascending by score, with int bit rows), and the tables
+of a dataset into a ScoreSet, which the parent store also writes to and
+reads from score files. Only data-file input needs this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .bitset import bits, mask_of, popcount
+from .bitset import bits, popcount
 from .dataset import DEFAULT_CELL_LIMIT, Dataset, check_cell_limit, counts
-from .parent_store import ScoreTable
+from .parent_store import ScoreSet, ScoreTable
 
 
 # Queued cells of one shape that trigger a batched entropy evaluation.
@@ -146,18 +147,6 @@ def build_score_table(
         x, data.n, prune_scores(score_parent_sets(data, x, limit, cell_limit)))
 
 
-@dataclass
-class ScoreSet:
-    """Named score tables for a whole dataset, in variable order."""
-
-    names: list[str]
-    tables: list[ScoreTable]
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
-
-
 def build_score_tables(
     data: Dataset, max_parents: int | None = None,
     cell_limit: int = DEFAULT_CELL_LIMIT,
@@ -172,98 +161,3 @@ def build_score_tables(
         limit = max_parents
     tables = [build_score_table(data, x, limit, cell_limit) for x in range(data.n)]
     return ScoreSet(list(data.names), tables)
-
-
-# ------------------------------------------------------------- score file IO
-#
-# Line 1:        n <n>
-# Per variable:  var <name> <m>
-#                <score> <k> <parent name>*k        (m lines, sorted order)
-# Scores are written with 17 significant digits so reads are bit-identical.
-
-
-def format_score_file(scores: ScoreSet) -> str:
-    for name in scores.names:
-        if not name or any(c.isspace() for c in name):
-            raise ValueError(f"variable name {name!r} not representable")
-    chunks = [f"n {scores.n}\n"]
-    for name, table in zip(scores.names, scores.tables):
-        chunks.append(f"var {name} {len(table)}\n")
-        for i, pa in enumerate(table.parent_sets):
-            parents = " ".join(scores.names[y] for y in bits(pa))
-            k = popcount(pa)
-            chunks.append(f"{table.scores[i]:.17g} {k}" +
-                          (f" {parents}\n" if k else "\n"))
-    return "".join(chunks)
-
-
-def write_score_file(path, scores: ScoreSet) -> None:
-    with open(path, "w") as f:
-        f.write(format_score_file(scores))
-
-
-def read_score_file(path) -> ScoreSet:
-    """Parse a score file back into tables.
-
-    Syntax errors, an empty header, duplicate variable names, truncated or
-    overlong blocks, non-finite scores and parent names that are unknown or
-    the block's own variable raise ValueError naming the line;
-    ordering and pruning invariants are the verifier's job.
-    """
-    with open(path) as f:
-        lines = [(no, ln.split()) for no, ln in enumerate(f, 1) if ln.strip()]
-    head = lines[0][1] if lines else []
-    if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
-        raise ValueError(f"{path}: not a score file (missing 'n <count>' header)")
-    n = int(head[1])
-
-    def bad(no: int, what: str) -> ValueError:
-        return ValueError(f"{path}: line {no}: {what}")
-
-    if n == 0:
-        raise bad(lines[0][0], "header declares no variables")
-
-    # group lines into blocks first so parent references can point forward;
-    # an entry line never starts with 'var' (its first token is a score)
-    heads: list[tuple[int, str, int]] = []
-    bodies: list[list[tuple[int, list[str]]]] = []
-    for no, toks in lines[1:]:
-        if toks[0] == "var":
-            if len(toks) != 3 or not toks[2].isdigit():
-                raise bad(no, "expected 'var <name> <entries>', "
-                              f"got {' '.join(toks)!r}")
-            if any(toks[1] == nm for _, nm, _ in heads):
-                raise bad(no, f"duplicate variable name {toks[1]!r}")
-            heads.append((no, toks[1], int(toks[2])))
-            bodies.append([])
-        elif not heads:
-            raise bad(no, f"expected 'var' block, got {' '.join(toks)!r}")
-        else:
-            bodies[-1].append((no, toks))
-    if len(heads) != n:
-        raise bad(lines[-1][0], f"file has {len(heads)} variable blocks, "
-                                f"header says {n}")
-    index = {nm: i for i, (_, nm, _) in enumerate(heads)}
-    tables = []
-    for x, ((no, name, m), body) in enumerate(zip(heads, bodies)):
-        if len(body) != m:
-            raise bad(no, f"block for {name} declares {m} entries "
-                          f"but has {len(body)}")
-        entries = []
-        for eno, toks in body:
-            try:
-                score, k = float(toks[0]), int(toks[1])
-            except (ValueError, IndexError):
-                raise bad(eno, f"bad entry line {' '.join(toks)!r}") from None
-            if not math.isfinite(score):
-                raise bad(eno, f"non-finite score {toks[0]!r}")
-            if len(toks) != 2 + k:
-                raise bad(eno, f"bad entry line {' '.join(toks)!r}")
-            for t in toks[2:]:
-                if t not in index:
-                    raise bad(eno, f"unknown parent {t!r}")
-                if t == name:
-                    raise bad(eno, f"{name} listed as its own parent")
-            entries.append((score, mask_of(index[t] for t in toks[2:])))
-        tables.append(ScoreTable.from_entries(x, n, entries))
-    return ScoreSet([nm for _, nm, _ in heads], tables)

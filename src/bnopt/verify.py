@@ -13,9 +13,9 @@ from .bitset import bits, format_set, full_mask, is_subset, mask_of
 from .dataset import Dataset
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          default_grouping, pattern_cost_exact)
-from .parent_store import (best_in, best_score_naive, cursor_best,
+from .parent_store import (ScoreSet, best_in, best_score_naive, cursor_best,
                            cursor_exclude, cursor_new)
-from .scoring import ScoreSet, mdl_local_score, parent_limit
+from .scoring import mdl_local_score, parent_limit
 from .search import exact_distances_to_goal
 
 TOL = 1e-9

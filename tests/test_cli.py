@@ -257,6 +257,17 @@ def test_bad_groups_rejected_before_scoring(capsys, groups):
     assert "# scoring" not in captured.err
 
 
+@pytest.mark.parametrize("k", ["99", "1"])
+def test_bad_k_rejected_before_scoring(capsys, k):
+    # like --groups, --k is checked against 2..n once the header gives n
+    assert main(["learn", str(FIXTURE_CSV), "--heuristic", "dynamic",
+                 "--k", k]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert err == [f"bnopt: pattern size cap {k} outside 2..4"], err
+
+
 @pytest.mark.parametrize("algorithm", ["astar", "bfbnb"])
 def test_learn_default_k_on_two_variables(tmp_path, capsys, algorithm):
     # without --k the pattern size cap is min(3, n); an explicit 3 stays

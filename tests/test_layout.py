@@ -1,7 +1,13 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import bnopt
+from bnopt.cli import EXIT_OK, main
+from conftest import DATA_DIR
 
 # ingest, scoring and the synthetic generator work on numpy arrays; the
 # parent store, heuristics, search, verifier and CLI use plain Python
@@ -25,3 +31,66 @@ def test_numpy_only_in_ingest_scoring_and_synth():
     src = Path(bnopt.__file__).parent
     importers = {p.name for p in src.glob("*.py") if _imports_numpy(p)}
     assert importers == NUMPY_MODULES
+
+
+# the report of each score-file run is compared with the in-process CLI
+SCORE_FILE_RUNS = {
+    "astar-simple": ["--algorithm", "astar", "--heuristic", "simple"],
+    "astar-dynamic": ["--algorithm", "astar", "--heuristic", "dynamic",
+                      "--k", "3"],
+    "bfbnb-static": ["--algorithm", "bfbnb", "--heuristic", "static"],
+}
+
+# runs bnopt the way `python -m bnopt` does, or only imports it when given
+# no arguments, then names the numpy-backed modules it loaded on the last
+# stderr line
+CHILD = """\
+import runpy, sys
+try:
+    if len(sys.argv) > 1:
+        runpy.run_module("bnopt", run_name="__main__", alter_sys=True)
+    else:
+        import bnopt
+finally:
+    print(" ".join(m for m in ("numpy", "bnopt.dataset", "bnopt.scoring",
+                               "bnopt.synth") if m in sys.modules),
+          file=sys.stderr)
+"""
+
+
+def _child(args):
+    c = subprocess.run([sys.executable, "-c", CHILD, *args],
+                       capture_output=True, text=True)
+    assert c.returncode == 0, c.stderr
+    return c.stdout, c.stderr.splitlines()[-1].split()
+
+
+def test_import_loads_no_numpy():
+    assert _child([]) == ("", [])
+
+
+@pytest.mark.parametrize("flags", SCORE_FILE_RUNS.values(),
+                         ids=SCORE_FILE_RUNS.keys())
+def test_score_file_learn_loads_no_numpy(capsys, flags):
+    argv = ["learn", str(DATA_DIR / "fixture4.scores"), *flags]
+    report, loaded = _child(argv)
+    assert loaded == []
+    assert main(argv) == EXIT_OK
+    assert report == capsys.readouterr().out
+
+
+def test_public_names_resolve():
+    for name in bnopt.__all__:
+        value = getattr(bnopt, name)
+        # a lazily loaded name is the object its own module defines
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        bnopt.no_such_name
+
+
+@pytest.mark.parametrize("stem", sorted(p.removesuffix(".py")
+                                        for p in NUMPY_MODULES))
+def test_numpy_modules_load_on_access(stem):
+    # the benchmark's trace patches names inside these module attributes
+    module = bnopt.__getattr__(stem)
+    assert module is sys.modules[f"bnopt.{stem}"] is getattr(bnopt, stem)
