@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 from typing import TYPE_CHECKING
@@ -20,7 +19,7 @@ from .bitset import bits
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          check_pattern_cap, parse_grouping)
 from .parent_store import (DataError, ScoreSet, format_score_file,
-                           read_score_file, write_score_file)
+                           is_score_file, read_score_file, write_score_file)
 from .search import (DEFAULT_MEM_BUDGET, LearnedNetwork, MemoryBudgetError,
                      SearchStats, astar, bfbnb, dp_oracle, initial_upper_bound)
 
@@ -35,8 +34,6 @@ EXIT_USAGE = 3
 EXIT_MEMORY = 4
 EXIT_VERIFY = 5
 
-_SCORE_HEADER = re.compile(r"^n\s+\d+\s*$")
-
 
 class UsageError(Exception):
     pass
@@ -45,17 +42,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to the usage exit code
         raise UsageError(message)
-
-
-def _is_score_file(path) -> bool:
-    try:
-        with open(path) as f:
-            for line in f:
-                if line.strip():
-                    return bool(_SCORE_HEADER.match(line))
-    except OSError as e:
-        raise DataError(f"{path}: {e.strerror}") from e
-    return False
 
 
 def _mem_budget(args) -> int:
@@ -146,14 +132,8 @@ def cmd_score(args) -> int:
 def _load_input(args) -> tuple[ScoreSet | None, Dataset | None]:
     """(scores, None) for a score file, (None, data) for a data file that
     still needs scoring."""
-    if _is_score_file(args.input):
-        scores = read_score_file(args.input)
-        # the searches take each table's first fitting entry as its best
-        for name, table in zip(scores.names, scores.tables):
-            if any(a > b for a, b in zip(table.scores, table.scores[1:])):
-                raise DataError(f"{args.input}: scores of {name} are not in "
-                                "ascending order")
-        return scores, None
+    if is_score_file(args.input):
+        return read_score_file(args.input), None
     from .dataset import load_dataset
     return None, load_dataset(args.input)
 
@@ -169,6 +149,12 @@ def cmd_learn(args) -> int:
         raise UsageError(f"--restarts {args.restarts}: need at least one")
     mem_budget = _mem_budget(args)
     scores, data = _load_input(args)
+    if data is None:
+        # the searches take each table's first fitting entry as its best
+        for name, table in zip(scores.names, scores.tables):
+            if any(a > b for a, b in zip(table.scores, table.scores[1:])):
+                raise DataError(f"{args.input}: scores of {name} are not in "
+                                "ascending order")
     n = scores.n if data is None else data.n
     k = args.k if args.k is not None else min(3, n)
     grouping = None
@@ -240,14 +226,11 @@ def cmd_learn(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .dataset import load_dataset
-    from .scoring import build_score_tables
     from .verify import run_all
 
-    if _is_score_file(args.input):
-        scores, data = read_score_file(args.input), None
-    else:
-        data = load_dataset(args.input)
+    scores, data = _load_input(args)
+    if data is not None:
+        from .scoring import build_score_tables
         scores = build_score_tables(data)
     try:
         ok, lines = run_all(scores, data, max_n=args.max_n)

@@ -19,9 +19,9 @@ from .parent_store import DataError
 
 DEFAULT_MISSING_TOKENS = frozenset({"?", ""})
 
-# Guard on the contingency-table size for a single counts() call; parent sets
-# inside the record-count in-degree limit stay far below this.
-DEFAULT_CELL_LIMIT = 1 << 22
+# Guard on the contingency-table size of one parent set, read when checked;
+# parent sets inside the record-count in-degree limit stay far below this.
+CELL_LIMIT = 1 << 22
 
 
 @dataclass
@@ -161,17 +161,16 @@ def load_dataset(
         path, delimiter=delimiter, missing_tokens=missing_tokens, header=header)))
 
 
-def check_cell_limit(x: int, pa: int, cells: int, cell_limit: int) -> None:
-    """Raise DataError when the counts of x given pa need too many cells."""
-    if cells > cell_limit:
+def check_cell_limit(x: int, pa: int, cells: int) -> None:
+    """Raise DataError when the counts of x given pa need more than
+    CELL_LIMIT cells."""
+    if cells > CELL_LIMIT:
         raise DataError(
             f"contingency table for X{x} given {popcount(pa)} parents needs "
-            f"{cells} cells, over the limit {cell_limit}")
+            f"{cells} cells, over the limit {CELL_LIMIT}")
 
 
-def counts(
-    data: Dataset, x: int, pa: int, cell_limit: int = DEFAULT_CELL_LIMIT
-) -> np.ndarray:
+def counts(data: Dataset, x: int, pa: int) -> np.ndarray:
     """Contingency counts N(x, pa) as an (arity[x], prod parent arities)
     array; column order follows mixed-radix codes over ascending parent
     index."""
@@ -186,7 +185,7 @@ def counts(
     npa = 1
     for y in pa_list:
         npa *= data.arity[y]
-    check_cell_limit(x, pa, rx * npa, cell_limit)
+    check_cell_limit(x, pa, rx * npa)
     codes = np.zeros(data.N, dtype=np.int64)
     stride = 1
     for y in pa_list:

@@ -8,6 +8,10 @@ the lowest entry not hit by the row of any variable outside U (best_in);
 best_score_naive finds the same entry by a front-to-back scan and is the
 reference the bit queries are tested against.
 
+Every table holds the empty parent set, checked once when the table is
+built (ScoreTable.from_entries). Its bit is set in no row, so it fits every
+pool and no query or cursor can run past it: each has an answer.
+
 Exclusion cursors serve ordering-based hill climbing: a cursor holds an
 int validity row over a table's entries, excluding a candidate parent
 clears the bits of every entry containing it, and the lowest set bit is
@@ -40,7 +44,9 @@ class ScoreTable:
     """Sorted unique pruned (score, parent set) list for one variable, with
     per-variable exclusion bit rows.
 
-    Bit i of rows[y] is set iff variable y is in entry i's parent set.
+    Bit i of rows[y] is set iff variable y is in entry i's parent set. The
+    empty parent set is always among the entries (from_entries checks it),
+    so every candidate pool has a fitting entry.
     """
 
     variable: int
@@ -57,11 +63,13 @@ class ScoreTable:
         cls, variable: int, n: int, entries: Sequence[tuple[float, int]]
     ) -> "ScoreTable":
         """Build a table from (score, parent mask) pairs kept in the given
-        order (callers pass them already sorted)."""
-        if not entries:
-            raise ValueError("a score table needs at least the empty parent set")
+        order (callers pass them already sorted). Raises DataError when the
+        empty parent set (mask 0) is not among them."""
         scores = [float(s) for s, _ in entries]
         parent_sets = [p for _, p in entries]
+        if 0 not in parent_sets:
+            raise DataError(f"score table of variable {variable} lacks the "
+                            "empty parent set")
         rows = [0] * n
         for i, p in enumerate(parent_sets):
             for y in bits(p):
@@ -110,10 +118,7 @@ def cursor_exclude(c: ExclusionCursor, y: int) -> ExclusionCursor:
 
 def cursor_best(c: ExclusionCursor) -> tuple[float, int]:
     """Entry at the lowest set bit: BestScore over all still-admissible
-    candidate pools. Only a table without the empty parent set can run out
-    of admissible entries."""
-    if not c.valid:
-        raise _no_empty_set(c.table)
+    candidate pools. The empty parent set's bit is never cleared."""
     i = (c.valid & -c.valid).bit_length() - 1
     return c.table.scores[i], c.table.parent_sets[i]
 
@@ -121,7 +126,7 @@ def cursor_best(c: ExclusionCursor) -> tuple[float, int]:
 def best_in(table: ScoreTable, candidates: int) -> tuple[float, int]:
     """One-shot BestScore(X, candidates): the rows of every non-candidate
     OR-ed together mark the inadmissible entries, and the lowest zero bit
-    is the answer.
+    is the answer (at the latest the empty parent set, which no row hits).
 
     The table's own variable never appears in any entry, so its (zero) row
     is OR-ed in harmlessly; callers only guarantee candidates does not
@@ -133,8 +138,6 @@ def best_in(table: ScoreTable, candidates: int) -> tuple[float, int]:
     for y in bits(((1 << table.n) - 1) & ~candidates):
         hit |= table.rows[y]
     i = (~hit & (hit + 1)).bit_length() - 1
-    if i >= len(table):
-        raise _no_empty_set(table)
     return table.scores[i], table.parent_sets[i]
 
 
@@ -149,12 +152,6 @@ def best_score_naive(table: ScoreTable, candidates: int) -> tuple[float, int]:
     for score, pa in zip(table.scores, table.parent_sets):
         if is_subset(pa, candidates):
             return score, pa
-    raise _no_empty_set(table)
-
-
-def _no_empty_set(table: ScoreTable) -> DataError:
-    return DataError(f"score table of variable {table.variable} has no "
-                      "admissible entry: the empty parent set is missing")
 
 
 # ------------------------------------------------------------- score file IO
@@ -185,18 +182,37 @@ def write_score_file(path, scores: ScoreSet) -> None:
         f.write(format_score_file(scores))
 
 
+def _is_header(toks: list[str]) -> bool:
+    return len(toks) == 2 and toks[0] == "n" and toks[1].isdigit()
+
+
+def is_score_file(path) -> bool:
+    """Whether the first non-blank line of path is a score-file header; a
+    file that cannot be opened raises DataError naming path."""
+    try:
+        with open(path) as f:
+            for line in f:
+                if line.strip():
+                    return _is_header(line.split())
+    except OSError as e:
+        raise DataError(f"{path}: {e.strerror}") from e
+    return False
+
+
 def read_score_file(path) -> ScoreSet:
     """Parse a score file back into tables.
 
     Syntax errors, an empty header, duplicate variable names, truncated or
-    overlong blocks, non-finite scores and parent names that are unknown or
-    the block's own variable raise ValueError naming the line;
-    ordering and pruning invariants are the verifier's job.
+    overlong blocks, non-finite scores, parent names that are unknown, the
+    block's own variable or repeated within a line, and a parent set listed
+    twice in a block raise ValueError naming the line; a block without the
+    empty parent set raises DataError (ScoreTable.from_entries). Ordering
+    and pruning invariants are the verifier's job.
     """
     with open(path) as f:
         lines = [(no, ln.split()) for no, ln in enumerate(f, 1) if ln.strip()]
     head = lines[0][1] if lines else []
-    if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
+    if not _is_header(head):
         raise ValueError(f"{path}: not a score file (missing 'n <count>' header)")
     n = int(head[1])
 
@@ -233,6 +249,7 @@ def read_score_file(path) -> ScoreSet:
             raise bad(no, f"block for {name} declares {m} entries "
                           f"but has {len(body)}")
         entries = []
+        line_of: dict[int, int] = {}  # parent mask -> line number
         for eno, toks in body:
             try:
                 score, k = float(toks[0]), int(toks[1])
@@ -247,6 +264,12 @@ def read_score_file(path) -> ScoreSet:
                     raise bad(eno, f"unknown parent {t!r}")
                 if t == name:
                     raise bad(eno, f"{name} listed as its own parent")
-            entries.append((score, mask_of(index[t] for t in toks[2:])))
+            pa = mask_of(index[t] for t in toks[2:])
+            if popcount(pa) != k:
+                raise bad(eno, f"a parent is named twice in {' '.join(toks)!r}")
+            if pa in line_of:
+                raise bad(eno, f"parent set of line {line_of[pa]} listed again")
+            line_of[pa] = eno
+            entries.append((score, pa))
         tables.append(ScoreTable.from_entries(x, n, entries))
     return ScoreSet([nm for _, nm, _ in heads], tables)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .bitset import bits, popcount
-from .dataset import DEFAULT_CELL_LIMIT, Dataset, check_cell_limit, counts
+from .dataset import Dataset, check_cell_limit, counts
 from .parent_store import ScoreSet, ScoreTable
 
 
@@ -41,12 +41,10 @@ def _nh_bits(joints: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=1)[:, -1]
 
 
-def mdl_local_score(
-    data: Dataset, x: int, pa: int, cell_limit: int = DEFAULT_CELL_LIMIT
-) -> float:
+def mdl_local_score(data: Dataset, x: int, pa: int) -> float:
     """MDL score of variable x with parent set pa, in bits (lower is better):
     N*H(x|pa) + log2(N)/2 * (arity[x]-1) * prod(parent arities)."""
-    joint = counts(data, x, pa, cell_limit).T  # (parent config, x value)
+    joint = counts(data, x, pa).T  # (parent config, x value)
     npa, rx = joint.shape
     penalty = math.log2(data.N) / 2.0 * (rx - 1) * npa
     return float(_nh_bits(joint[np.newaxis])[0]) + penalty
@@ -88,9 +86,7 @@ def prune_scores(raw: dict[int, float]) -> list[tuple[float, int]]:
     return kept
 
 
-def score_parent_sets(
-    data: Dataset, x: int, limit: int, cell_limit: int = DEFAULT_CELL_LIMIT
-) -> dict[int, float]:
+def score_parent_sets(data: Dataset, x: int, limit: int) -> dict[int, float]:
     """MDL score of every parent set of x up to the in-degree limit, as a
     (parent mask -> score) map; each equals mdl_local_score's bit for bit.
 
@@ -127,29 +123,26 @@ def score_parent_sets(
         for j in range(start, len(others)):
             y = others[j]
             child = pa | 1 << y
-            check_cell_limit(x, child, npa * data.arity[y] * rx, cell_limit)
+            check_cell_limit(x, child, npa * data.arity[y] * rx)
             visit(child, codes + data.rows[:, y] * (npa * rx),
                   npa * data.arity[y], j + 1, size + 1)
 
-    check_cell_limit(x, 0, rx, cell_limit)
+    check_cell_limit(x, 0, rx)
     visit(0, data.rows[:, x], 1, 0, 0)
     for npa in list(queued):
         flush(npa)
     return raw
 
 
-def build_score_table(
-    data: Dataset, x: int, limit: int, cell_limit: int = DEFAULT_CELL_LIMIT
-) -> ScoreTable:
+def build_score_table(data: Dataset, x: int, limit: int) -> ScoreTable:
     """Score all parent sets of x up to the in-degree limit and keep the
     possibly-optimal ones (see prune_scores)."""
     return ScoreTable.from_entries(
-        x, data.n, prune_scores(score_parent_sets(data, x, limit, cell_limit)))
+        x, data.n, prune_scores(score_parent_sets(data, x, limit)))
 
 
 def build_score_tables(
-    data: Dataset, max_parents: int | None = None,
-    cell_limit: int = DEFAULT_CELL_LIMIT,
+    data: Dataset, max_parents: int | None = None
 ) -> ScoreSet:
     """Score tables for every variable; the in-degree limit defaults to
     parent_limit(N) and may only be tightened."""
@@ -159,5 +152,5 @@ def build_score_tables(
             raise ValueError(
                 f"max parents {max_parents} above the record-count limit {limit}")
         limit = max_parents
-    tables = [build_score_table(data, x, limit, cell_limit) for x in range(data.n)]
+    tables = [build_score_table(data, x, limit) for x in range(data.n)]
     return ScoreSet(list(data.names), tables)

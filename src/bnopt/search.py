@@ -78,10 +78,6 @@ class LearnedNetwork:
     def n(self) -> int:
         return len(self.parents)
 
-    def edges(self) -> list[tuple[int, int]]:
-        """(parent, child) pairs, child-major ascending."""
-        return [(y, x) for x in range(self.n) for y in bits(self.parents[x])]
-
     def is_acyclic(self) -> bool:
         indeg = [popcount(p) for p in self.parents]
         children: list[list[int]] = [[] for _ in range(self.n)]
@@ -118,26 +114,22 @@ def reconstruct(
     if sorted(order) != list(range(n)):
         raise ValueError("addition order must list every variable exactly once")
     parents = [0] * n
+    scores = [0.0] * n
     path_total = 0.0
     prefix = 0
     for x in order:
-        score, pa = best_in(tables[x], prefix)
-        parents[x] = pa
-        path_total += score
+        scores[x], parents[x] = best_in(tables[x], prefix)
+        path_total += scores[x]
         prefix |= 1 << x
     if expected_g is not None and abs(path_total - expected_g) > 1e-9:
         raise AssertionError(
             f"reconstructed path score {path_total} != search g {expected_g}")
-    return LearnedNetwork(parents, _network_score(tables, parents))
-
-
-def _network_score(tables, parents) -> float:
-    # canonical summation order: ascending variable index
+    # canonical summation order: ascending variable index (not sum(), which
+    # compensates rounding on Python 3.12+)
     total = 0.0
-    for x, pa in enumerate(parents):
-        i = tables[x].parent_sets.index(pa)
-        total += tables[x].scores[i]
-    return total
+    for s in scores:
+        total += s
+    return LearnedNetwork(parents, total)
 
 
 def _order_from_preds(pred_of, full: int) -> list[int]:

@@ -22,11 +22,10 @@ TOL = 1e-9
 
 
 def check_table_shape(scores: ScoreSet) -> list[str]:
-    """Sortedness, antichain after pruning, empty set present."""
+    """Sortedness and antichain after pruning (ScoreTable.from_entries has
+    checked that the empty parent set is present)."""
     out = []
     for name, t in zip(scores.names, scores.tables):
-        if 0 not in t.parent_sets:
-            out.append(f"table {name}: empty parent set missing")
         for i in range(1, len(t)):
             if t.scores[i] < t.scores[i - 1]:
                 out.append(f"table {name}: entries {i - 1},{i} out of order "
@@ -154,15 +153,9 @@ def run_all(scores: ScoreSet, data: Dataset | None = None,
             f"{max_n}; raise --max-n to force")
     lines = []
     ok = True
-    shape = check_table_shape(scores)
-    checks = [("table shape", shape)]
-    if any("empty parent set missing" in v for v in shape):
-        # queries would dereference a nonexistent always-valid entry
-        lines.append("SKIP remaining checks: a table has no empty parent set")
-    else:
-        checks.append(("cursor equivalence",
-                       check_cursor_equivalence(scores, data)))
-        checks.append(("heuristics", check_heuristics(scores)))
+    checks = [("table shape", check_table_shape(scores)),
+              ("cursor equivalence", check_cursor_equivalence(scores, data)),
+              ("heuristics", check_heuristics(scores))]
     for label, violations in checks:
         if violations:
             ok = False

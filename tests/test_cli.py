@@ -170,8 +170,12 @@ def _edited_golden(tmp_path, old, new):
     ("var D 1\n", "var A 1\n", "line 14: duplicate variable name 'A'"),
     ("var D 1\n9.5 0\n", "var D 1\ninf 0\n", "line 15: non-finite score 'inf'"),
     ("var D 1\n9.5 0\n", "var D 1\nnan 0\n", "line 15: non-finite score 'nan'"),
+    ("3 1 B\n", "3 2 B B\n", "line 3: a parent is named twice in '3 2 B B'"),
+    ("9.4902249956730635 1 C\n", "9.4902249956730635 1 B\n",
+     "line 4: parent set of line 3 listed again"),
 ], ids=["unknown-parent", "truncated-block", "self-parent", "no-variables",
-        "duplicate-name", "inf-score", "nan-score"])
+        "duplicate-name", "inf-score", "nan-score", "repeated-parent",
+        "repeated-parent-set"])
 def test_malformed_score_file(tmp_path, capsys, old, new, message):
     bad = _edited_golden(tmp_path, old, new)
     assert main(["learn", str(bad)]) == EXIT_INPUT
@@ -179,21 +183,42 @@ def test_malformed_score_file(tmp_path, capsys, old, new, message):
     assert len(err) == 1 and message in err[0]
 
 
+# A lacks the empty parent set; a search that adds B first never asks for
+# A's best parents within the empty pool
+NO_EMPTY_SET_2 = "n 2\nvar A 1\n1.0 1 B\nvar B 1\n0.5 0\n"
+
+
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
 @pytest.mark.parametrize("flags", [[], ["--algorithm", "bfbnb"],
-                                   ["--heuristic", "dynamic"]],
-                         ids=["astar", "bfbnb", "dynamic"])
+                                   ["--heuristic", "dynamic"],
+                                   ["--heuristic", "static"],
+                                   ["--algorithm", "dp"]],
+                         ids=["astar", "bfbnb", "dynamic", "static", "dp"])
 def test_score_file_without_empty_set(tmp_path, optimize, flags):
-    # holds under -O too: a missing empty parent set must not turn into a
-    # read past the admissible entries and a silently wrong network
-    bad = _edited_golden(tmp_path, "var A 3\n3 1 B\n9.4902249956730635 1 C\n"
-                         "9.5 0\n", "var A 2\n3 1 B\n9.4902249956730635 1 C\n")
-    r = subprocess.run([sys.executable, *optimize, "-m", "bnopt", "learn",
-                        str(bad), *flags], capture_output=True, text=True)
-    assert r.returncode == EXIT_INPUT
-    assert r.stdout == ""
-    err = r.stderr.splitlines()
-    assert len(err) == 1 and "variable 0" in err[0], r.stderr
+    # holds under -O too, whatever the search queries: a missing empty
+    # parent set must not turn into a read past the admissible entries and
+    # a silently wrong network
+    four = _edited_golden(tmp_path, "var A 3\n3 1 B\n9.4902249956730635 1 C\n"
+                          "9.5 0\n", "var A 2\n3 1 B\n9.4902249956730635 1 C\n")
+    two = tmp_path / "two.scores"
+    two.write_text(NO_EMPTY_SET_2)
+    for bad in (four, two):
+        r = subprocess.run([sys.executable, *optimize, "-m", "bnopt", "learn",
+                            str(bad), *flags], capture_output=True, text=True)
+        assert r.returncode == EXIT_INPUT, (bad.name, r.stdout)
+        assert r.stdout == ""
+        err = r.stderr.splitlines()
+        assert len(err) == 1 and "variable 0" in err[0], r.stderr
+
+
+def test_verify_rejects_score_file_without_empty_set(tmp_path, capsys):
+    bad = tmp_path / "two.scores"
+    bad.write_text(NO_EMPTY_SET_2)
+    assert main(["verify", str(bad)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and "variable 0" in err[0], err
 
 
 @pytest.mark.parametrize("algorithm", ["astar", "bfbnb", "dp"])

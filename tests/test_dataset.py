@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from bnopt import (DataError, Dataset, binarize_mean, counts,
-                   drop_incomplete, load_dataset, load_delimited)
+                   dataset, drop_incomplete, load_dataset, load_delimited)
 from conftest import FIXTURE_CSV
 
 
@@ -142,8 +144,9 @@ def test_counts_self_parent_rejected(fixture_data):
 
 
 def test_counts_cell_limit(fixture_data):
-    with pytest.raises(DataError, match="cells"):
-        counts(fixture_data, 0, 0b1110, cell_limit=8)
+    with mock.patch.object(dataset, "CELL_LIMIT", 8), \
+            pytest.raises(DataError, match="cells"):
+        counts(fixture_data, 0, 0b1110)
 
 
 def test_fixture_codes(fixture_data):

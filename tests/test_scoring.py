@@ -12,7 +12,7 @@ from bnopt import (DataError, Dataset, ScoreTable, best_score_naive,
                    build_score_table, build_score_tables, counts,
                    mdl_local_score, parent_limit, prune_scores,
                    read_score_file, write_score_file)
-from bnopt import scoring
+from bnopt import dataset, scoring
 from bnopt.bitset import bit_string, mask_of
 from bnopt.synth import random_dataset
 from conftest import SCORE_C_GIVEN_A
@@ -125,13 +125,17 @@ def test_batched_scores_cell_limit():
     data = Dataset(["A", "B", "C"], [2, 4, 3],
                    np.array([[0, 1, 2], [1, 3, 0], [1, 0, 1]], dtype=np.int64))
     # A given {B, C} needs 2 * 4 * 3 = 24 cells, every smaller set at most 8
-    assert len(scoring.score_parent_sets(data, 0, 2, cell_limit=24)) == 4
-    assert len(scoring.score_parent_sets(data, 0, 1, cell_limit=8)) == 3
-    with pytest.raises(DataError, match="given 2 parents needs 24 cells, "
-                                        "over the limit 23"):
-        build_score_table(data, 0, 2, cell_limit=23)
-    with pytest.raises(DataError, match="given 0 parents needs 2 cells"):
-        build_score_table(data, 0, 0, cell_limit=1)
+    with mock.patch.object(dataset, "CELL_LIMIT", 24):
+        assert len(scoring.score_parent_sets(data, 0, 2)) == 4
+    with mock.patch.object(dataset, "CELL_LIMIT", 8):
+        assert len(scoring.score_parent_sets(data, 0, 1)) == 3
+    with mock.patch.object(dataset, "CELL_LIMIT", 23), \
+            pytest.raises(DataError, match="given 2 parents needs 24 cells, "
+                                           "over the limit 23"):
+        build_score_table(data, 0, 2)
+    with mock.patch.object(dataset, "CELL_LIMIT", 1), \
+            pytest.raises(DataError, match="given 0 parents needs 2 cells"):
+        build_score_table(data, 0, 0)
 
 
 def test_mdl_self_parent_rejected(fixture_data):
