@@ -149,12 +149,6 @@ def cmd_learn(args) -> int:
         raise UsageError(f"--restarts {args.restarts}: need at least one")
     mem_budget = _mem_budget(args)
     scores, data = _load_input(args)
-    if data is None:
-        # the searches take each table's first fitting entry as its best
-        for name, table in zip(scores.names, scores.tables):
-            if any(a > b for a, b in zip(table.scores, table.scores[1:])):
-                raise DataError(f"{args.input}: scores of {name} are not in "
-                                "ascending order")
     n = scores.n if data is None else data.n
     k = args.k if args.k is not None else min(3, n)
     grouping = None

@@ -94,11 +94,9 @@ def pattern_costs(
 
 def check_pattern_cap(k: int, n: int) -> None:
     """Raise ValueError unless a dynamic PDB over n variables can take
-    pattern size cap k."""
-    if n < 2:
-        raise ValueError("dynamic PDB needs at least 2 variables")
-    if not 2 <= k <= n:
-        raise ValueError(f"pattern size cap {k} outside 2..{n}")
+    pattern size cap k: 2..n, or 1 when there is one variable."""
+    if not min(2, n) <= k <= n:
+        raise ValueError(f"pattern size cap {k} outside {min(2, n)}..{n}")
 
 
 class DynamicHeuristic:
@@ -158,9 +156,9 @@ class DynamicHeuristic:
 
 def default_grouping(n: int) -> list[int]:
     """First ceil(n/2) variables by index in one group, the rest in the
-    other."""
-    if n < 2:
-        raise ValueError("grouping needs at least 2 variables")
+    other; a single variable forms the one group."""
+    if n == 1:
+        return [1]
     half = (n + 1) // 2
     return [mask_of(range(half)), mask_of(range(half, n))]
 
@@ -190,20 +188,13 @@ def parse_grouping(text: str, n: int) -> list[int]:
     groups = []
     for part in text.split(","):
         part = part.strip()
-        idxs = []
-        for piece in part.split():
-            piece = piece.strip()
-            if not piece:
-                continue
-            try:
-                if "-" in piece:
-                    lo, hi = piece.split("-", 1)
-                    idxs.extend(range(int(lo) - 1, int(hi)))
-                else:
-                    idxs.append(int(piece) - 1)
-            except ValueError:
-                raise ValueError(f"--groups: group {part!r} is not a 1-based "
-                                 "index or run like '1-4'") from None
+        if not part:
+            raise ValueError(f"empty group in {text!r}")
+        lo, dash, hi = part.partition("-")
+        if not lo.isdecimal() or dash and not hi.isdecimal():
+            raise ValueError(f"--groups: group {part!r} is not a 1-based "
+                             "index or run like '1-4'")
+        idxs = range(int(lo) - 1, int(hi) if dash else int(lo))
         if not idxs:
             raise ValueError(f"empty group in {text!r}")
         if any(not 0 <= i < n for i in idxs):

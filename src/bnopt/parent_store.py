@@ -8,9 +8,10 @@ the lowest entry not hit by the row of any variable outside U (best_in);
 best_score_naive finds the same entry by a front-to-back scan and is the
 reference the bit queries are tested against.
 
-Every table holds the empty parent set, checked once when the table is
-built (ScoreTable.from_entries). Its bit is set in no row, so it fits every
-pool and no query or cursor can run past it: each has an answer.
+Every table is sorted ascending and holds the empty parent set, both
+checked once when the table is built (ScoreTable.from_entries). The empty
+set's bit is set in no row, so it fits every pool and no query or cursor
+can run past it: each has an answer.
 
 Exclusion cursors serve ordering-based hill climbing: a cursor holds an
 int validity row over a table's entries, excluding a candidate parent
@@ -45,8 +46,9 @@ class ScoreTable:
     per-variable exclusion bit rows.
 
     Bit i of rows[y] is set iff variable y is in entry i's parent set. The
-    empty parent set is always among the entries (from_entries checks it),
-    so every candidate pool has a fitting entry.
+    scores ascend and the empty parent set is among the entries (from_entries
+    checks both), so the first fitting entry of every candidate pool exists
+    and is its best.
     """
 
     variable: int
@@ -63,10 +65,15 @@ class ScoreTable:
         cls, variable: int, n: int, entries: Sequence[tuple[float, int]]
     ) -> "ScoreTable":
         """Build a table from (score, parent mask) pairs kept in the given
-        order (callers pass them already sorted). Raises DataError when the
-        empty parent set (mask 0) is not among them."""
+        order. Raises DataError when the scores are not ascending (ties
+        pass, a NaN does not) or the empty parent set (mask 0) is not among
+        the entries."""
         scores = [float(s) for s, _ in entries]
         parent_sets = [p for _, p in entries]
+        for i in range(1, len(scores)):
+            if not scores[i - 1] <= scores[i]:
+                raise DataError(f"score table of variable {variable} is "
+                                f"not in ascending order at entry {i}")
         if 0 not in parent_sets:
             raise DataError(f"score table of variable {variable} lacks the "
                             "empty parent set")
@@ -205,20 +212,24 @@ def read_score_file(path) -> ScoreSet:
     Syntax errors, an empty header, duplicate variable names, truncated or
     overlong blocks, non-finite scores, parent names that are unknown, the
     block's own variable or repeated within a line, and a parent set listed
-    twice in a block raise ValueError naming the line; a block without the
-    empty parent set raises DataError (ScoreTable.from_entries). Ordering
-    and pruning invariants are the verifier's job.
+    twice in a block raise ValueError naming the line; a block whose scores
+    do not ascend or that lacks the empty parent set raises DataError
+    (ScoreTable.from_entries) naming the block's line and variable. Pruning
+    invariants are the verifier's job.
     """
     with open(path) as f:
         lines = [(no, ln.split()) for no, ln in enumerate(f, 1) if ln.strip()]
     head = lines[0][1] if lines else []
     if not _is_header(head):
         raise ValueError(f"{path}: not a score file (missing 'n <count>' header)")
-    n = int(head[1])
 
     def bad(no: int, what: str) -> ValueError:
         return ValueError(f"{path}: line {no}: {what}")
 
+    # _is_header accepts any str.isdigit token; int() takes only decimals
+    if not head[1].isdecimal():
+        raise bad(lines[0][0], f"variable count {head[1]!r} is not a number")
+    n = int(head[1])
     if n == 0:
         raise bad(lines[0][0], "header declares no variables")
 
@@ -228,7 +239,7 @@ def read_score_file(path) -> ScoreSet:
     bodies: list[list[tuple[int, list[str]]]] = []
     for no, toks in lines[1:]:
         if toks[0] == "var":
-            if len(toks) != 3 or not toks[2].isdigit():
+            if len(toks) != 3 or not toks[2].isdecimal():
                 raise bad(no, "expected 'var <name> <entries>', "
                               f"got {' '.join(toks)!r}")
             if any(toks[1] == nm for _, nm, _ in heads):
@@ -271,5 +282,9 @@ def read_score_file(path) -> ScoreSet:
                 raise bad(eno, f"parent set of line {line_of[pa]} listed again")
             line_of[pa] = eno
             entries.append((score, pa))
-        tables.append(ScoreTable.from_entries(x, n, entries))
+        try:
+            tables.append(ScoreTable.from_entries(x, n, entries))
+        except DataError as e:
+            raise DataError(f"{path}: line {no}: block for {name}: {e}") \
+                from None
     return ScoreSet([nm for _, nm, _ in heads], tables)

@@ -78,23 +78,6 @@ class LearnedNetwork:
     def n(self) -> int:
         return len(self.parents)
 
-    def is_acyclic(self) -> bool:
-        indeg = [popcount(p) for p in self.parents]
-        children: list[list[int]] = [[] for _ in range(self.n)]
-        for x, p in enumerate(self.parents):
-            for y in bits(p):
-                children[y].append(x)
-        queue = [x for x in range(self.n) if indeg[x] == 0]
-        seen = 0
-        while queue:
-            v = queue.pop()
-            seen += 1
-            for c in children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        return seen == self.n
-
 
 class MemoryBudgetError(RuntimeError):
     """Search state outgrew the configured budget; carries stats so far."""

@@ -22,14 +22,11 @@ TOL = 1e-9
 
 
 def check_table_shape(scores: ScoreSet) -> list[str]:
-    """Sortedness and antichain after pruning (ScoreTable.from_entries has
-    checked that the empty parent set is present)."""
+    """Antichain after pruning: no kept set scores no better than one of
+    its subsets (ScoreTable.from_entries has checked the ascending order
+    and the empty parent set when the table was built)."""
     out = []
     for name, t in zip(scores.names, scores.tables):
-        for i in range(1, len(t)):
-            if t.scores[i] < t.scores[i - 1]:
-                out.append(f"table {name}: entries {i - 1},{i} out of order "
-                           f"({t.scores[i - 1]} > {t.scores[i]})")
         for i, pi in enumerate(t.parent_sets):
             for j, pj in enumerate(t.parent_sets):
                 if i != j and pi != pj and is_subset(pi, pj) \
@@ -59,7 +56,6 @@ def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
                for x in range(n)]
     for x, t in enumerate(scores.tables):
         others = [y for y in range(n) if y != x]
-        others_mask = mask_of(others)
         for m in range(1 << len(others)):
             cands = mask_of(others[j] for j in range(len(others)) if m >> j & 1)
             got = best_in(t, cands)
@@ -105,10 +101,8 @@ def check_heuristics(scores: ScoreSet, k_values=(2, 3)) -> list[str]:
     for k in k_values:
         if 2 <= k <= n:
             providers.append((f"dynamic k={k}", DynamicHeuristic(tables, k)))
-    static = None
-    if n >= 2:
-        static = StaticHeuristic(tables, default_grouping(n))
-        providers.append(("static auto", static))
+    static = StaticHeuristic(tables, default_grouping(n))
+    providers.append(("static auto", static))
     for label, h in providers:
         for U in range(1 << n):
             v = h.value(U)
@@ -122,8 +116,7 @@ def check_heuristics(scores: ScoreSet, k_values=(2, 3)) -> list[str]:
                 out.append(f"dominance: {label} below the simple bound at "
                            f"{format_set(U, scores.names)}")
                 break
-    arc_checked = [("simple", simple)] + ([("static auto", static)] if static else [])
-    for label, h in arc_checked:
+    for label, h in [("simple", simple), ("static auto", static)]:
         for U in range(1 << n):
             hu = h.value(U)
             for x in bits(full & ~U):

@@ -81,6 +81,14 @@ def optimal_by_dag_enumeration(rows, arity):
     return best, count
 
 
+def is_acyclic(parents):
+    """Whether per-variable parent bitmasks (a learned network's parents)
+    form a DAG."""
+    n = len(parents)
+    return _is_acyclic([[y for y in range(n) if p >> y & 1] for p in parents],
+                       n)
+
+
 def _is_acyclic(parent_lists, n):
     indeg = [len(p) for p in parent_lists]
     children = [[] for _ in range(n)]

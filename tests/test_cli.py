@@ -122,15 +122,18 @@ def test_verify_synthetic_dataset(tmp_path, capsys):
 
 
 def test_verify_catches_unsorted_score_file(tmp_path, capsys):
+    # rejected when the table is built, before any check runs
     text = GOLDEN_SCORES.read_text().splitlines()
     a0 = text.index("var A 3")
     text[a0 + 1], text[a0 + 2] = text[a0 + 2], text[a0 + 1]
     bad = tmp_path / "bad.scores"
     bad.write_text("\n".join(text) + "\n")
-    assert main(["verify", str(bad)]) == EXIT_VERIFY
-    out = capsys.readouterr().out
-    assert "cursor-equivalence" in out
-    assert "candidates" in out  # counterexample names the failing pool
+    assert main(["verify", str(bad)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and f"{bad}: line {a0 + 1}: block for A:" in err[0]
+    assert "not in ascending order" in err[0]
 
 
 def test_verify_guard_on_large_n(tmp_path, capsys):
@@ -173,9 +176,12 @@ def _edited_golden(tmp_path, old, new):
     ("3 1 B\n", "3 2 B B\n", "line 3: a parent is named twice in '3 2 B B'"),
     ("9.4902249956730635 1 C\n", "9.4902249956730635 1 B\n",
      "line 4: parent set of line 3 listed again"),
+    # str.isdigit holds for '²', int() refuses it
+    ("n 4\n", "n \u00b2\n", "line 1: variable count '\u00b2' is not a number"),
+    ("var A 3\n", "var A \u00b2\n", "line 2: expected 'var <name> <entries>'"),
 ], ids=["unknown-parent", "truncated-block", "self-parent", "no-variables",
         "duplicate-name", "inf-score", "nan-score", "repeated-parent",
-        "repeated-parent-set"])
+        "repeated-parent-set", "superscript-count", "superscript-entries"])
 def test_malformed_score_file(tmp_path, capsys, old, new, message):
     bad = _edited_golden(tmp_path, old, new)
     assert main(["learn", str(bad)]) == EXIT_INPUT
@@ -231,7 +237,26 @@ def test_learn_rejects_unsorted_score_file(tmp_path, capsys, algorithm):
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert captured.out == ""
-    assert len(err) == 1 and "scores of A are not in ascending order" in err[0]
+    assert len(err) == 1 and f"{bad}: line 2: block for A:" in err[0]
+    assert "not in ascending order" in err[0]
+
+
+def test_learn_one_variable(tmp_path, capsys):
+    # the default pattern cap (1) and grouping (one group) fit a single
+    # variable; a cap of 2 does not
+    p = tmp_path / "one.scores"
+    p.write_text("n 1\nvar A 1\n1.0 0\n")
+    setups = [["--algorithm", a, "--heuristic", h] for a in ("astar", "bfbnb")
+              for h in ("simple", "dynamic", "static")]
+    for flags in setups + [["--algorithm", "dp"]]:
+        assert main(["learn", str(p), *flags]) == EXIT_OK, flags
+        report = json.loads(capsys.readouterr().out)
+        assert report["total_score"] == 1.0 and report["parents"] == {"A": []}
+    assert main(["learn", str(p), "--heuristic", "dynamic", "--k", "2"]) \
+        == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("flags", [["--heuristic", "dynamic", "--k", "0"],

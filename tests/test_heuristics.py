@@ -70,10 +70,12 @@ def test_dynamic_pdb_contents_k3(fixture_tables):
 
 
 def test_dynamic_needs_two_variables():
-    # no pattern size cap fits, whichever k is asked for
+    # a cap of 2 needs two variables; one variable takes cap 1, and its
+    # bound holds just the singleton
     tables = [ScoreTable.from_entries(0, 1, [(1.0, 0)])]
-    with pytest.raises(ValueError, match="at least 2 variables"):
+    with pytest.raises(ValueError, match=r"pattern size cap 2 outside 1\.\.1"):
         DynamicHeuristic(tables, 2)
+    assert DynamicHeuristic(tables, 1).size == 1
 
 
 def test_dynamic_diffs_nonnegative():
@@ -171,7 +173,7 @@ def test_parse_grouping():
     assert parse_grouping("1-2,3,4", 4) == [0b0011, 0b0100, 0b1000]
     with pytest.raises(ValueError):
         parse_grouping("1-9", 4)
-    for bad in ("1-a", "x", "-3", "1-2-3"):
+    for bad in ("1-a", "x", "-3", "1-2-3", "1-2 4"):
         with pytest.raises(ValueError, match=f"--groups: group '{bad}' "):
             parse_grouping(f"{bad},4", 4)
 

@@ -57,11 +57,15 @@ def test_cursors_are_persistent(worked_table):
 
 def test_missing_empty_set_raises():
     # a table is checked once, when built (a real error, also under
-    # python -O), so no query can run past its last entry
-    for entries in ([(1.0, 0b010), (2.0, 0b100)], []):
-        with pytest.raises(DataError, match="score table of variable 0 "
-                                            "lacks the empty parent set"):
-            ScoreTable.from_entries(0, 3, entries)
+    # python -O), so no query can run past its last entry or take a first
+    # fit that is not the best
+    for n, entries, what in (
+            (3, [(1.0, 0b010), (2.0, 0b100)], "lacks the empty parent set"),
+            (3, [], "lacks the empty parent set"),
+            (2, [(5.0, 0), (1.0, 0b10)], "is not in ascending order")):
+        with pytest.raises(DataError,
+                           match=f"score table of variable 0 {what}"):
+            ScoreTable.from_entries(0, n, entries)
 
 
 def test_exclude_preconditions(worked_table):
