@@ -2,9 +2,9 @@
 
 Learning is posed as a shortest-path problem over the order graph (the
 lattice of variable subsets): the arc U -> U|{x} costs the best MDL score
-of x with parents drawn from U. A sparse per-variable score store answers
-those arc costs through one int bit row per candidate parent, and additive
-pattern databases tighten the admissible search heuristics. A* and
+of x with parents drawn from U. A sparse per-variable store of sorted
+unique parent sets answers those arc costs by a first-fit scan, and
+additive pattern databases tighten the admissible search heuristics. A* and
 breadth-first branch and bound both return provably optimal networks.
 """
 
@@ -13,9 +13,9 @@ from importlib import import_module
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          default_grouping, parse_grouping, pattern_cost_exact)
 from .parent_store import (DataError, ExclusionCursor, ScoreSet, ScoreTable,
-                           best_in, best_score_naive, cursor_best,
-                           cursor_exclude, cursor_new, format_score_file,
-                           read_score_file, write_score_file)
+                           best_in, cursor_best, cursor_exclude, cursor_new,
+                           format_score_file, read_score_file,
+                           write_score_file)
 from .search import (LearnedNetwork, MemoryBudgetError, SearchStats, astar,
                      bfbnb, dp_oracle, exact_distances_to_goal,
                      initial_upper_bound, reconstruct)
@@ -52,8 +52,8 @@ __all__ = [
     "ScoreSet", "build_score_table", "build_score_tables",
     "format_score_file", "mdl_local_score", "parent_limit", "prune_scores",
     "read_score_file", "write_score_file",
-    "ExclusionCursor", "ScoreTable", "best_in", "best_score_naive",
-    "cursor_best", "cursor_exclude", "cursor_new",
+    "ExclusionCursor", "ScoreTable", "best_in", "cursor_best",
+    "cursor_exclude", "cursor_new",
     "DynamicHeuristic", "SimpleHeuristic", "StaticHeuristic",
     "default_grouping", "parse_grouping", "pattern_cost_exact",
     "LearnedNetwork", "MemoryBudgetError", "SearchStats", "astar", "bfbnb",

@@ -9,7 +9,8 @@ U to the goal:
 * DynamicHeuristic -- exact goal distances for all nodes in the last k
                       layers, stored as patterns keyed by the
                       remaining-variable set and combined greedily per
-                      query by differential cost.
+                      query by differential cost, through one bit vector
+                      of pattern hits per variable.
 * StaticHeuristic  -- a fixed partition of the variables; per group the
                       exact cost of every in-group pattern (keyed by its
                       mask) with out-of-group variables always available,
@@ -109,8 +110,12 @@ class DynamicHeuristic:
     from every immediate sub-pattern's differential (singletons all have
     differential zero and live implicitly in h0). order holds (pattern,
     differential) sorted by descending differential (ties: smaller pattern,
-    then ascending bitmask) for the greedy scan. The greedy cover need not
+    then ascending bitmask) for the greedy cover. The greedy cover need not
     be consistent, so A* may reopen nodes under it.
+
+    Bit vectors index the cover: bit i of _hits[y] is set iff pattern i of
+    order contains y, so the patterns that fit the unsearched set are the
+    bits left after clearing _hits[y] for every y already searched.
     """
 
     def __init__(self, tables: Sequence[ScoreTable], k: int):
@@ -131,23 +136,34 @@ class DynamicHeuristic:
             self.patterns.items(),
             key=lambda it: (-it[1][1], popcount(it[0]), it[0]))]
         self.size = n + len(self.patterns)
-        self._full = full_mask(n)
+        self._hits = [0] * n
+        for i, (P, _) in enumerate(self.order):
+            for y in bits(P):
+                self._hits[y] |= 1 << i
+        self._cover = [(diff, tuple(bits(P))) for P, diff in self.order]
+        self._all = (1 << len(self.order)) - 1
 
     def value(self, U: int) -> float:
-        """Cover the unsearched set with stored patterns, best differential
-        first; anything left is covered by singletons.
+        """Singletons for the unsearched set, added in ascending variable
+        order, plus a greedy cover of it by stored patterns, best
+        differential first.
 
-        One pass over the order suffices: the remaining set only shrinks,
-        so a pattern skipped once can never fit later.
+        The fitting patterns only shrink as the cover grows, so taking the
+        lowest fitting bit each time picks what one pass over order would.
         """
-        remaining = self._full & ~U
-        value = float(sum(self.h0[x] for x in bits(remaining)))
-        for P, diff in self.order:
-            if P & remaining == P:
-                remaining ^= P
-                value += diff
-                if not remaining:
-                    break
+        h0, hits = self.h0, self._hits
+        value = 0.0
+        fit = self._all
+        for y in range(self.n):
+            if U >> y & 1:
+                fit &= ~hits[y]
+            else:
+                value += h0[y]
+        while fit:
+            diff, members = self._cover[(fit & -fit).bit_length() - 1]
+            value += diff
+            for y in members:
+                fit &= ~hits[y]
         return value
 
 

@@ -1,24 +1,23 @@
 """The sparse parent store: per-variable score tables and their queries.
 
-A ScoreTable keeps one variable's possibly-optimal parent sets sorted
-ascending by score, next to one int bit row per variable (bit i set =
-entry i contains that variable). Sortedness makes the first entry whose
-parents fit inside a candidate pool the best one, so BestScore(X, U) is
-the lowest entry not hit by the row of any variable outside U (best_in);
-best_score_naive finds the same entry by a front-to-back scan and is the
-reference the bit queries are tested against.
+A ScoreTable keeps one variable's possibly-optimal parent sets as a list of
+unique bitmasks sorted ascending by score, the sparse representation of
+Yuan & Malone (JAIR 2013). Sortedness makes the first entry whose parents
+fit inside a candidate pool the best one, so BestScore(X, U) is a
+front-to-back first-fit scan (best_in). The paper answers it by OR-ing one
+bit vector per excluded variable; in pure Python on these short tables the
+scan is faster, so no bit vectors are kept.
 
 Every table is sorted ascending and holds the empty parent set, both
 checked once when the table is built (ScoreTable.from_entries). The empty
-set's bit is set in no row, so it fits every pool and no query or cursor
-can run past it: each has an answer.
+set fits every pool, so no query or cursor can run past it: each has an
+answer.
 
-Exclusion cursors serve ordering-based hill climbing: a cursor holds an
-int validity row over a table's entries, excluding a candidate parent
-clears the bits of every entry containing it, and the lowest set bit is
-always the best score over the remaining pool. Cursors are persistent
-values: excluding returns a new cursor and shares the underlying table, so
-sibling search branches can keep a common ancestor.
+Exclusion cursors serve ordering-based hill climbing: a cursor holds the
+mask of candidate parents ruled out so far, excluding a variable returns a
+new cursor that shares the table, and cursor_best is the first entry that
+avoids every excluded variable. Cursors are persistent values, so sibling
+search branches can keep a common ancestor.
 
 A ScoreSet names the tables of one dataset, and the score file is its form
 on disk: write_score_file and read_score_file round-trip it bit for bit.
@@ -29,10 +28,9 @@ loads the ingest and scoring modules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from .bitset import bits, is_subset, mask_of, popcount
+from .bitset import bits, mask_of, popcount
 
 
 class DataError(ValueError):
@@ -40,22 +38,20 @@ class DataError(ValueError):
     tables a search cannot use."""
 
 
-@dataclass(eq=False)
 class ScoreTable:
-    """Sorted unique pruned (score, parent set) list for one variable, with
-    per-variable exclusion bit rows.
+    """Sorted unique pruned (score, parent set) list for one variable.
 
-    Bit i of rows[y] is set iff variable y is in entry i's parent set. The
-    scores ascend and the empty parent set is among the entries (from_entries
-    checks both), so the first fitting entry of every candidate pool exists
-    and is its best.
+    scores ascend and parent_sets holds the parallel bitmasks. The empty
+    parent set is among the entries (from_entries checks both), so the
+    first fitting entry of every candidate pool exists and is its best.
     """
 
-    variable: int
-    n: int
-    scores: list[float] = field(repr=False)      # ascending
-    parent_sets: list[int] = field(repr=False)   # bitmasks, parallel to scores
-    rows: list[int] = field(repr=False)          # one int per variable
+    def __init__(self, variable: int, n: int, scores: list[float],
+                 parent_sets: list[int]):
+        self.variable = variable
+        self.n = n
+        self.scores = scores
+        self.parent_sets = parent_sets
 
     def __len__(self) -> int:
         return len(self.parent_sets)
@@ -77,38 +73,37 @@ class ScoreTable:
         if 0 not in parent_sets:
             raise DataError(f"score table of variable {variable} lacks the "
                             "empty parent set")
-        rows = [0] * n
-        for i, p in enumerate(parent_sets):
-            for y in bits(p):
-                rows[y] |= 1 << i
-        return cls(variable, n, scores, parent_sets, rows)
+        return cls(variable, n, scores, parent_sets)
 
 
-@dataclass
 class ScoreSet:
     """Named score tables for a whole dataset, in variable order."""
 
-    names: list[str]
-    tables: list[ScoreTable]
+    def __init__(self, names: list[str], tables: list[ScoreTable]):
+        self.names = names
+        self.tables = tables
 
     @property
     def n(self) -> int:
         return len(self.names)
 
 
-@dataclass(frozen=True, eq=False)
 class ExclusionCursor:
-    table: ScoreTable
-    valid: int = field(repr=False)  # bit i = entry i usable
-    excluded: int = 0               # variables ruled out so far
+    """A table and the mask of the variables ruled out so far."""
+
+    __slots__ = ("table", "excluded")
+
+    def __init__(self, table: ScoreTable, excluded: int = 0):
+        self.table = table
+        self.excluded = excluded
 
     def __len__(self) -> int:
         return len(self.table)
 
 
 def cursor_new(table: ScoreTable) -> ExclusionCursor:
-    """Fresh cursor with every entry admissible."""
-    return ExclusionCursor(table, (1 << len(table)) - 1, 0)
+    """Fresh cursor with no variable excluded."""
+    return ExclusionCursor(table)
 
 
 def cursor_exclude(c: ExclusionCursor, y: int) -> ExclusionCursor:
@@ -119,46 +114,30 @@ def cursor_exclude(c: ExclusionCursor, y: int) -> ExclusionCursor:
         raise ValueError(f"variable {y} already excluded")
     if not 0 <= y < c.table.n:
         raise ValueError(f"variable index {y} out of range")
-    return ExclusionCursor(c.table, c.valid & ~c.table.rows[y],
-                           c.excluded | 1 << y)
+    return ExclusionCursor(c.table, c.excluded | 1 << y)
 
 
 def cursor_best(c: ExclusionCursor) -> tuple[float, int]:
-    """Entry at the lowest set bit: BestScore over all still-admissible
-    candidate pools. The empty parent set's bit is never cleared."""
-    i = (c.valid & -c.valid).bit_length() - 1
-    return c.table.scores[i], c.table.parent_sets[i]
+    """First entry that avoids every excluded variable: BestScore over all
+    candidate pools the cursor still admits (at the latest the empty
+    parent set)."""
+    excluded = c.excluded
+    for i, pa in enumerate(c.table.parent_sets):
+        if not pa & excluded:
+            return c.table.scores[i], pa
 
 
 def best_in(table: ScoreTable, candidates: int) -> tuple[float, int]:
-    """One-shot BestScore(X, candidates): the rows of every non-candidate
-    OR-ed together mark the inadmissible entries, and the lowest zero bit
-    is the answer (at the latest the empty parent set, which no row hits).
-
-    The table's own variable never appears in any entry, so its (zero) row
-    is OR-ed in harmlessly; callers only guarantee candidates does not
-    contain the variable.
+    """One-shot BestScore(X, candidates): the first entry whose parents
+    all lie inside candidates (at the latest the empty parent set).
+    Raises ValueError when candidates holds the table's own variable.
     """
     if candidates >> table.variable & 1:
         raise ValueError("candidate set must not contain the variable itself")
-    hit = 0
-    for y in bits(((1 << table.n) - 1) & ~candidates):
-        hit |= table.rows[y]
-    i = (~hit & (hit + 1)).bit_length() - 1
-    return table.scores[i], table.parent_sets[i]
-
-
-def best_score_naive(table: ScoreTable, candidates: int) -> tuple[float, int]:
-    """Front-to-back scan: first entry whose parents fit inside candidates.
-
-    Sortedness makes it the minimum; reference implementation for best_in
-    and the cursors.
-    """
-    if candidates >> table.variable & 1:
-        raise ValueError("candidate set must not contain the variable itself")
-    for score, pa in zip(table.scores, table.parent_sets):
-        if is_subset(pa, candidates):
-            return score, pa
+    out = ~candidates
+    for i, pa in enumerate(table.parent_sets):
+        if not pa & out:
+            return table.scores[i], pa
 
 
 # ------------------------------------------------------------- score file IO

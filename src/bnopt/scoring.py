@@ -4,9 +4,9 @@ A score table keeps only the candidate parent sets that can be optimal for
 some candidate pool: supersets whose score is not strictly better than every
 proper subset are dropped, and sets larger than the record-count in-degree
 limit are never scored at all. The kept entries go into a ScoreTable of the
-parent store (sorted ascending by score, with int bit rows), and the tables
-of a dataset into a ScoreSet, which the parent store also writes to and
-reads from score files. Only data-file input needs this module.
+parent store (sorted ascending by score), and the tables of a dataset into
+a ScoreSet, which the parent store also writes to and reads from score
+files. Only data-file input needs this module.
 """
 
 from __future__ import annotations

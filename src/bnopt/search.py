@@ -24,7 +24,6 @@ import heapq
 import math
 import random
 from array import array
-from dataclasses import dataclass
 from typing import Sequence
 
 from .bitset import bits, full_mask, popcount
@@ -51,28 +50,30 @@ def _improves(gc: float, old: float) -> bool:
     return gc < old - G_EPS * max(1.0, abs(old))
 
 
-@dataclass
 class SearchStats:
     """Counters for one solve.
 
     nodes_generated counts successful open-list insertions for A* and
     distinct materialized nodes per layer for BFBnB; expanded never exceeds
-    it.
+    it. forced_skipped counts the successors the forced-arc rule left out.
     """
 
-    nodes_expanded: int = 0
-    nodes_generated: int = 0
-    reopened: int = 0
-    peak_open_size: int = 0
-    forced_skipped: int = 0  # successors left out by the forced-arc rule
+    def __init__(self, nodes_expanded: int = 0, nodes_generated: int = 0,
+                 reopened: int = 0, peak_open_size: int = 0,
+                 forced_skipped: int = 0):
+        self.nodes_expanded = nodes_expanded
+        self.nodes_generated = nodes_generated
+        self.reopened = reopened
+        self.peak_open_size = peak_open_size
+        self.forced_skipped = forced_skipped
 
 
-@dataclass
 class LearnedNetwork:
     """Per-variable chosen parent sets (bitmasks) and the summed score."""
 
-    parents: list[int]
-    total_score: float
+    def __init__(self, parents: list[int], total_score: float):
+        self.parents = parents
+        self.total_score = total_score
 
     @property
     def n(self) -> int:

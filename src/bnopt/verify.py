@@ -13,8 +13,8 @@ from .bitset import bits, format_set, full_mask, is_subset, mask_of
 from .dataset import Dataset
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          default_grouping, pattern_cost_exact)
-from .parent_store import (ScoreSet, best_in, best_score_naive, cursor_best,
-                           cursor_exclude, cursor_new)
+from .parent_store import (ScoreSet, best_in, cursor_best, cursor_exclude,
+                           cursor_new)
 from .scoring import mdl_local_score, parent_limit
 from .search import exact_distances_to_goal
 
@@ -40,9 +40,10 @@ def check_table_shape(scores: ScoreSet) -> list[str]:
 
 def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
                              ) -> list[str]:
-    """For every variable and candidate pool: one-shot bit query == cursor
-    chain (both exclusion orders) == first-hit scan == full-scan minimum,
-    and == brute-force score minimum when the raw data is available."""
+    """For every variable and candidate pool: one-shot query == cursor
+    chain (both exclusion orders), a fitting entry scoring the full-scan
+    minimum, and == brute-force score minimum when the raw data is
+    available."""
     out = []
     n = scores.n
     raw = None
@@ -59,7 +60,6 @@ def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
         for m in range(1 << len(others)):
             cands = mask_of(others[j] for j in range(len(others)) if m >> j & 1)
             got = best_in(t, cands)
-            naive = best_score_naive(t, cands)
             excl = [y for y in others if not cands >> y & 1]
             c_fwd = cursor_new(t)
             for y in excl:
@@ -71,13 +71,13 @@ def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
                            if is_subset(pa, cands))
             where = (f"variable {scores.names[x]}, candidates "
                      f"{format_set(cands, scores.names)}")
-            if not (got == naive == cursor_best(c_fwd) == cursor_best(c_rev)):
+            if not (got == cursor_best(c_fwd) == cursor_best(c_rev)):
                 out.append(f"cursor-equivalence: query paths disagree at {where}: "
-                           f"bit={got} naive={naive} fwd={cursor_best(c_fwd)} "
+                           f"best_in={got} fwd={cursor_best(c_fwd)} "
                            f"rev={cursor_best(c_rev)}")
-            elif got[0] != full_min[0]:
-                out.append(f"cursor-equivalence: first hit {got[0]} is not the "
-                           f"list minimum {full_min[0]} at {where}")
+            elif got[0] != full_min[0] or not is_subset(got[1], cands):
+                out.append(f"cursor-equivalence: first hit {got} is not a "
+                           f"fitting list minimum {full_min[0]} at {where}")
             elif raw is not None:
                 brute = min(s for pa, s in raw[x].items()
                             if is_subset(pa, cands))

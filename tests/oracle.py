@@ -2,8 +2,8 @@
 
 Everything here is written from first principles with plain dicts and
 loops so it shares no code path with the package: entropy-based local
-scores, brute-force best-score queries, subset-lattice shortest paths and
-full DAG enumeration.
+scores, brute-force best-score queries, the one-pass greedy dynamic-PDB
+cover, subset-lattice shortest paths and full DAG enumeration.
 """
 
 import itertools
@@ -105,3 +105,37 @@ def _is_acyclic(parent_lists, n):
             if indeg[c] == 0:
                 queue.append(c)
     return seen == n
+
+
+def fitting_minimum(scores, parent_sets, cands):
+    """Order-independent BestScore: the least (score, parent mask) over
+    every entry whose parents all lie inside the candidate mask."""
+    return min((s, pa) for s, pa in zip(scores, parent_sets)
+               if pa & ~cands == 0)
+
+
+def greedy_order(diffs):
+    """Stored dynamic-PDB patterns (mask -> differential) in greedy order:
+    descending differential, then fewer variables, then ascending mask."""
+    return sorted(diffs.items(),
+                  key=lambda it: (-it[1], bin(it[0]).count("1"), it[0]))
+
+
+def greedy_cover(order, h0, U):
+    """One-pass greedy dynamic-PDB value of node U: the singletons of the
+    variables outside U added in ascending order (as sum() adds them up to
+    Python 3.11), then, in order, the differential of every pattern that
+    still fits inside the uncovered variables."""
+    remaining = 0
+    value = 0.0
+    for x in range(len(h0)):
+        if not U >> x & 1:
+            remaining |= 1 << x
+            value += h0[x]
+    for P, diff in order:
+        if P & remaining == P:
+            remaining ^= P
+            value += diff
+            if not remaining:
+                break
+    return value

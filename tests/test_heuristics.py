@@ -1,13 +1,14 @@
 import pytest
 
+import oracle
 from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
                    StaticHeuristic, best_in, default_grouping,
                    exact_distances_to_goal, parse_grouping,
-                   pattern_cost_exact)
+                   pattern_cost_exact, read_score_file)
 from bnopt.bitset import bits, full_mask, mask_of, popcount
 from bnopt.scoring import build_score_tables
 from bnopt.synth import random_dataset
-from conftest import (GREEDY_K2_AT_START, PAIR_AB_COST, PAIR_AB_DIFF,
+from conftest import (DATA_DIR, GREEDY_K2_AT_START, PAIR_AB_COST, PAIR_AB_DIFF,
                       SIMPLE_H_EMPTY, STATIC_H_AT_START, TRIPLE_ABC_COST,
                       TRIPLE_ABC_DIFF)
 
@@ -106,6 +107,35 @@ def test_greedy_start_node_golden(fixture_tables):
     # at k = 3 the cover is {A, B, C} plus the singleton D
     h3 = DynamicHeuristic(fixture_tables, 3)
     assert h3.value(0) == sum(h3.h0) + TRIPLE_ABC_DIFF
+
+
+def test_greedy_cover_bit_identical_to_one_pass():
+    # the bit-vector cover picks the patterns a pass over order picks, in
+    # the same order, so every value is the same float
+    sets = [read_score_file(DATA_DIR / "fixture4.scores")] + [
+        build_score_tables(random_dataset(n, N, seed=seed))
+        for n, N, seed in ((5, 200, 5), (6, 150, 2), (7, 80, 29),
+                           (8, 200, 4), (9, 300, 4), (10, 200, 7))]
+    for scores in sets:
+        tables = scores.tables
+        n = scores.n
+        for k in sorted({2, 3, n}):
+            h = DynamicHeuristic(tables, k)
+            order = oracle.greedy_order(
+                {P: diff for P, (_, diff) in h.patterns.items()})
+            assert h.order == order
+            assert h.size == n + len(h.patterns)
+            for U in range(1 << n):
+                assert repr(h.value(U)) == repr(
+                    oracle.greedy_cover(order, h.h0, U)), (n, k, U)
+
+
+def test_greedy_order_fixture_golden():
+    scores = read_score_file(DATA_DIR / "fixture4.scores")
+    h2, h3 = (DynamicHeuristic(scores.tables, k) for k in (2, 3))
+    assert (h2.order, h2.size) == ([(A | B, PAIR_AB_DIFF)], 5)
+    assert (h3.order, h3.size) == ([(A | B | C, TRIPLE_ABC_DIFF),
+                                    (A | B, PAIR_AB_DIFF)], 6)
 
 
 def _greedy_reference(R, cost_diff, h0):

@@ -42,10 +42,12 @@ SCORE_FILE_RUNS = {
 }
 
 # runs bnopt the way `python -m bnopt` does, or only imports it when given
-# no arguments, then names the numpy-backed modules it loaded on the last
-# stderr line
+# no arguments, then names on the last stderr line the numpy-backed modules
+# and the slow-to-import stdlib modules (dataclasses pulls in inspect) it
+# newly loaded; what site preloads does not count
 CHILD = """\
 import runpy, sys
+before = set(sys.modules)
 try:
     if len(sys.argv) > 1:
         runpy.run_module("bnopt", run_name="__main__", alter_sys=True)
@@ -53,7 +55,8 @@ try:
         import bnopt
 finally:
     print(" ".join(m for m in ("numpy", "bnopt.dataset", "bnopt.scoring",
-                               "bnopt.synth") if m in sys.modules),
+                               "bnopt.synth", "dataclasses", "inspect")
+                   if m in sys.modules and m not in before),
           file=sys.stderr)
 """
 

@@ -1,8 +1,9 @@
 import pytest
 
-from bnopt import (DataError, ScoreTable, best_in, best_score_naive,
-                   cursor_best, cursor_exclude, cursor_new)
-from bnopt.bitset import bit_string, mask_of
+import oracle
+from bnopt import (DataError, ScoreTable, best_in, cursor_best,
+                   cursor_exclude, cursor_new)
+from bnopt.bitset import mask_of
 from bnopt.scoring import build_score_tables, parent_limit
 from bnopt.synth import random_dataset
 
@@ -16,43 +17,42 @@ def worked_table():
 
 
 def test_fresh_cursor_all_valid(worked_table):
+    # every entry is admissible: the answer over the full pool
     c = cursor_new(worked_table)
-    assert bit_string(c.valid, len(c)) == "1111"
     assert c.excluded == 0
-    assert cursor_best(c) == (5.0, X2 | X3)
+    assert cursor_best(c) == best_in(worked_table, X2 | X3 | X4) \
+        == (5.0, X2 | X3)
 
 
 def test_single_entry_table():
     t = ScoreTable.from_entries(0, 2, [(1.5, 0)])
     c = cursor_new(t)
-    assert bit_string(c.valid, 1) == "1"
-    assert cursor_best(c) == (1.5, 0)
+    assert cursor_best(c) == best_in(t, 0b10) == (1.5, 0)
+    assert cursor_best(cursor_exclude(c, 1)) == best_in(t, 0) == (1.5, 0)
 
 
 def test_exclusion_chain_worked_example(worked_table):
     c = cursor_new(worked_table)
     c3 = cursor_exclude(c, 2)
-    assert bit_string(c3.valid, 4) == "0011"
-    assert cursor_best(c3) == (8.0, X2)
+    assert cursor_best(c3) == best_in(worked_table, X2 | X4) == (8.0, X2)
     c32 = cursor_exclude(c3, 1)
-    assert bit_string(c32.valid, 4) == "0001"
-    assert cursor_best(c32) == (10.0, 0)
+    assert cursor_best(c32) == best_in(worked_table, X4) == (10.0, 0)
     # X4 appears in no retained set, so excluding it changes nothing
     c4 = cursor_exclude(c, 3)
-    assert bit_string(c4.valid, 4) == "1111"
+    assert cursor_best(c4) == best_in(worked_table, X2 | X3) \
+        == cursor_best(c) == (5.0, X2 | X3)
 
 
 def test_cursors_are_persistent(worked_table):
     c = cursor_new(worked_table)
-    snapshot = c.valid
+    snapshot = cursor_best(c)
     c3 = cursor_exclude(c, 2)
-    assert c.valid == snapshot
+    assert cursor_best(c) == snapshot
     assert c.excluded == 0
     # the parent cursor can branch again after a child was derived
     c2 = cursor_exclude(c, 1)
-    assert bit_string(c2.valid, 4) == "0101"
-    assert cursor_best(c2) == (6.0, X3)
-    assert bit_string(c3.valid, 4) == "0011"
+    assert cursor_best(c2) == best_in(worked_table, X3 | X4) == (6.0, X3)
+    assert cursor_best(c3) == best_in(worked_table, X2 | X4) == (8.0, X2)
 
 
 def test_missing_empty_set_raises():
@@ -77,12 +77,20 @@ def test_exclude_preconditions(worked_table):
         cursor_exclude(c3, 2)  # already excluded
 
 
+def _fitting_minimum(t, cands):
+    return oracle.fitting_minimum(t.scores, t.parent_sets, cands)
+
+
 def test_best_in_matches_cursor(worked_table):
     for cands in range(1 << 4):
         if cands & 1:
             continue
+        c = cursor_new(worked_table)
+        for y in range(1, 4):
+            if not cands >> y & 1:
+                c = cursor_exclude(c, y)
         got = best_in(worked_table, cands)
-        assert got == best_score_naive(worked_table, cands)
+        assert got == cursor_best(c) == _fitting_minimum(worked_table, cands)
 
 
 def _equivalence_exhaustive(data, limit):
@@ -93,7 +101,7 @@ def _equivalence_exhaustive(data, limit):
         for m in range(1 << len(others)):
             cands = mask_of(others[j] for j in range(len(others)) if m >> j & 1)
             excl = [y for y in others if not cands >> y & 1]
-            naive = best_score_naive(t, cands)
+            got = best_in(t, cands)
             # any exclusion order must land on the same answer
             fwd = cursor_new(t)
             for y in excl:
@@ -101,9 +109,12 @@ def _equivalence_exhaustive(data, limit):
             rev = cursor_new(t)
             for y in reversed(excl):
                 rev = cursor_exclude(rev, y)
-            assert cursor_best(fwd) == naive
-            assert cursor_best(rev) == naive
-            assert best_in(t, cands) == naive
+            assert cursor_best(fwd) == got
+            assert cursor_best(rev) == got
+            # a fitting entry with the least score (ties may list either
+            # parent set first)
+            assert got[1] & ~cands == 0
+            assert got[0] == _fitting_minimum(t, cands)[0]
 
 
 def test_equivalence_fixture(fixture_data):
@@ -116,18 +127,22 @@ def test_equivalence_random_n8():
 
 
 def test_popcount_never_increases():
+    # excluding variables only shrinks the admissible entries, so the best
+    # score never decreases along a chain
     data = random_dataset(7, 80, seed=2)
     scores = build_score_tables(data)
     for x, t in enumerate(scores.tables):
         c = cursor_new(t)
-        prev = len(t)
+        prev_count, prev_best = len(t), cursor_best(c)[0]
         for y in range(7):
             if y == x:
                 continue
             c = cursor_exclude(c, y)
-            cur = c.valid.bit_count()
-            assert cur <= prev
-            prev = cur
+            count = sum(1 for pa in t.parent_sets if not pa & c.excluded)
+            best = cursor_best(c)[0]
+            assert count <= prev_count
+            assert best >= prev_best
+            prev_count, prev_best = count, best
         assert cursor_best(c) == (float(t.scores[t.parent_sets.index(0)]), 0)
 
 
@@ -142,13 +157,18 @@ def test_irrelevant_exclusion_is_identity():
         for y in range(7):
             if y != x and not in_some_set >> y & 1:
                 c2 = cursor_exclude(c, y)
-                assert c2.valid == c.valid
+                assert cursor_best(c2) == cursor_best(c)
+                # nor does it change the answer over any other pool
+                for cands in range(1 << 7):
+                    if not cands >> x & 1:
+                        assert best_in(t, cands & ~(1 << y)) == \
+                            best_in(t, cands | 1 << y)
 
 
 def test_wide_table_multiple_words():
-    # > 64 entries: rows wider than a machine word
+    # > 64 entries, with the first fit of a sparse pool deep in the list
     entries = [(float(i), mask_of({j for j in range(1, 8) if i >> (j - 1) & 1}))
                for i in range(100)]
     t = ScoreTable.from_entries(0, 8, entries)
     for cands in (0, 0b10, 0b1010100, 0b11111110):
-        assert best_in(t, cands) == best_score_naive(t, cands)
+        assert best_in(t, cands) == _fitting_minimum(t, cands)

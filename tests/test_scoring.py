@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from bnopt import (DataError, Dataset, ScoreTable, best_score_naive,
+from bnopt import (DataError, Dataset, ScoreTable, best_in,
                    build_score_table, build_score_tables, counts,
                    mdl_local_score, parent_limit, prune_scores,
                    read_score_file, write_score_file)
 from bnopt import dataset, scoring
-from bnopt.bitset import bit_string, mask_of
+from bnopt.bitset import mask_of
 from bnopt.synth import random_dataset
 from conftest import SCORE_C_GIVEN_A
 
@@ -185,26 +185,28 @@ def test_prune_worked_example():
 
 
 def test_worked_example_exclusion_rows():
+    # excluding one variable: X2 rules out {X2,X3} and {X2}, X3 rules out
+    # {X2,X3} and {X3}, and X4 rules out nothing
+    x2, x3, x4 = 0b0010, 0b0100, 0b1000
+    t = ScoreTable.from_entries(0, 4, [(5.0, x2 | x3), (6.0, x3),
+                                       (8.0, x2), (10.0, 0)])
+    assert best_in(t, x3 | x4) == (6.0, x3)
+    assert best_in(t, x2 | x4) == (8.0, x2)
+    assert best_in(t, x2 | x3) == (5.0, x2 | x3)
+
+
+def test_best_in_worked_example():
     x2, x3 = 0b0010, 0b0100
     t = ScoreTable.from_entries(0, 4, [(5.0, x2 | x3), (6.0, x3),
                                        (8.0, x2), (10.0, 0)])
-    assert bit_string(t.rows[1], len(t)) == "1010"
-    assert bit_string(t.rows[2], len(t)) == "1100"
-    assert bit_string(t.rows[3], len(t)) == "0000"
+    assert best_in(t, 0b1110) == (5.0, x2 | x3)
+    assert best_in(t, 0b1010) == (8.0, x2)
+    assert best_in(t, 0) == (10.0, 0)
 
 
-def test_best_score_naive_worked_example():
-    x2, x3 = 0b0010, 0b0100
-    t = ScoreTable.from_entries(0, 4, [(5.0, x2 | x3), (6.0, x3),
-                                       (8.0, x2), (10.0, 0)])
-    assert best_score_naive(t, 0b1110) == (5.0, x2 | x3)
-    assert best_score_naive(t, 0b1010) == (8.0, x2)
-    assert best_score_naive(t, 0) == (10.0, 0)
-
-
-def test_best_score_naive_rejects_self(fixture_tables):
+def test_best_in_rejects_self(fixture_tables):
     with pytest.raises(ValueError):
-        best_score_naive(fixture_tables[0], 0b0001)
+        best_in(fixture_tables[0], 0b0001)
 
 
 def _exhaustive_check(data, limit):
@@ -219,7 +221,7 @@ def _exhaustive_check(data, limit):
         for m in range(1 << len(others)):
             cands = frozenset(others[j] for j in range(len(others))
                               if m >> j & 1)
-            got = best_score_naive(table, mask_of(cands))[0]
+            got = best_in(table, mask_of(cands))[0]
             brute = oracle.best_score(raw, cands)
             assert got == pytest.approx(brute, abs=1e-12), \
                 f"x={x} cands={sorted(cands)}"
@@ -291,7 +293,9 @@ def test_score_file_roundtrip(tmp_path, fixture_scores):
     for t1, t2 in zip(fixture_scores.tables, back.tables):
         assert np.array_equal(t1.scores, t2.scores)  # bit identical
         assert t1.parent_sets == t2.parent_sets
-        assert t1.rows == t2.rows
+        for cands in range(1 << back.n):
+            if not cands >> t1.variable & 1:
+                assert best_in(t1, cands) == best_in(t2, cands)
 
 
 def test_score_file_roundtrip_random(tmp_path):
