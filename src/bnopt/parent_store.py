@@ -91,14 +91,9 @@ class ScoreSet:
 class ExclusionCursor:
     """A table and the mask of the variables ruled out so far."""
 
-    __slots__ = ("table", "excluded")
-
     def __init__(self, table: ScoreTable, excluded: int = 0):
         self.table = table
         self.excluded = excluded
-
-    def __len__(self) -> int:
-        return len(self.table)
 
 
 def cursor_new(table: ScoreTable) -> ExclusionCursor:
