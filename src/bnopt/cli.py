@@ -139,28 +139,31 @@ def _load_input(args) -> tuple[ScoreSet | None, Dataset | None]:
 
 
 def cmd_learn(args) -> int:
+    dp = args.algorithm == "dp"
     if args.k is not None and args.heuristic != "dynamic":
         raise UsageError("--k only makes sense with --heuristic dynamic")
     if args.groups is not None and args.heuristic != "static":
         raise UsageError("--groups only makes sense with --heuristic static")
-    if args.algorithm == "dp" and (args.k, args.groups) != (None, None):
+    if dp and (args.k, args.groups) != (None, None):
         raise UsageError("--k and --groups have no effect with --algorithm dp")
     if args.restarts < 1:
         raise UsageError(f"--restarts {args.restarts}: need at least one")
     mem_budget = _mem_budget(args)
     scores, data = _load_input(args)
     n = scores.n if data is None else data.n
-    k = args.k if args.k is not None else min(3, n)
-    grouping = None
-    if args.algorithm != "dp":
-        # checked before scoring, so a typo costs no scoring run
-        try:
-            if args.heuristic == "static":
-                grouping = parse_grouping(args.groups or "auto", n)
-            elif args.heuristic == "dynamic":
-                check_pattern_cap(k, n)
-        except ValueError as e:
-            raise UsageError(str(e)) from e
+    # dp builds no heuristic; k and groups belong to their own heuristic
+    heuristic = None if dp else args.heuristic
+    k = None
+    if heuristic == "dynamic":
+        k = args.k if args.k is not None else min(3, n)
+    groups = (args.groups or "auto") if heuristic == "static" else None
+    # checked before scoring, so a typo costs no scoring run
+    try:
+        if k is not None:
+            check_pattern_cap(k, n)
+        grouping = None if groups is None else parse_grouping(groups, n)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     N = limit = None
     if data is not None:
         from .scoring import build_score_tables, parent_limit
@@ -171,44 +174,40 @@ def cmd_learn(args) -> int:
     tables = scores.tables
 
     t0 = time.perf_counter()
-    heuristic = None
-    if args.algorithm != "dp":
-        if args.heuristic == "simple":
-            heuristic = SimpleHeuristic(tables)
-        elif args.heuristic == "dynamic":
-            heuristic = DynamicHeuristic(tables, k)
-        else:
-            heuristic = StaticHeuristic(tables, grouping)
+    h = None
+    if heuristic == "simple":
+        h = SimpleHeuristic(tables)
+    elif heuristic == "dynamic":
+        h = DynamicHeuristic(tables, k)
+    elif heuristic == "static":
+        h = StaticHeuristic(tables, grouping)
     pdb_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if args.algorithm == "dp":
+    if dp:
         net, _ = dp_oracle(tables)
         stats = SearchStats(nodes_expanded=1 << scores.n,
                             nodes_generated=1 << scores.n)
     elif args.algorithm == "astar":
-        net, stats = astar(tables, heuristic, mem_budget=mem_budget)
+        net, stats = astar(tables, h, mem_budget=mem_budget)
     else:
         incumbent = initial_upper_bound(tables, args.seed, args.restarts)
-        net, stats = bfbnb(tables, heuristic, incumbent,
-                           mem_budget=mem_budget)
+        net, stats = bfbnb(tables, h, incumbent, mem_budget=mem_budget)
     search_time = time.perf_counter() - t0
     print(f"# pdb build {pdb_time:.3f}s, search {search_time:.3f}s",
           file=sys.stderr)
 
     config = {
         "algorithm": args.algorithm,
-        "heuristic": args.heuristic if args.algorithm != "dp" else None,
-        "k": k if args.heuristic == "dynamic"
-             and args.algorithm != "dp" else None,
-        "groups": (args.groups or "auto") if args.heuristic == "static"
-                  and args.algorithm != "dp" else None,
+        "heuristic": heuristic,
+        "k": k,
+        "groups": groups,
         "seed": args.seed,
         "restarts": args.restarts,
         "parent_limit": limit,
     }
     text = _build_report(scores, net, stats, config, N,
-                         heuristic.size if heuristic else None)
+                         h.size if h else None)
     sys.stdout.write(text)
     if args.out:
         with open(args.out, "w") as f:

@@ -66,7 +66,8 @@ def load_delimited(
     """Read a delimited text file into a RawTable.
 
     Tokens in missing_tokens become absent cells. A row whose cell count
-    differs from the header is rejected with its 1-based record number.
+    differs from the header is rejected with its 1-based record number, and
+    a header that names a column twice is rejected with the name.
     """
     with open(path, newline="") as f:
         records = list(csv.reader(f, delimiter=delimiter))
@@ -75,6 +76,9 @@ def load_delimited(
         raise DataError(f"{path}: no records")
     if header:
         names = [t.strip() for t in records[0]]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise DataError(f"{path}: header names column {name!r} twice")
         body = records[1:]
         offset = 2
     else:

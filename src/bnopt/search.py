@@ -143,7 +143,7 @@ def _successors(best: Sequence[int], U: int, rest: int,
 
 def astar(
     tables: Sequence[ScoreTable], heuristic,
-    mem_budget: int | None = DEFAULT_MEM_BUDGET,
+    mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> tuple[LearnedNetwork, SearchStats]:
     """Best-first search from the empty set to the full set.
 
@@ -185,8 +185,7 @@ def astar(
             stats.nodes_generated += 1
         if len(open_heap) > stats.peak_open_size:
             stats.peak_open_size = len(open_heap)
-        if mem_budget is not None and \
-                (len(open_heap) + len(g_best)) * NODE_BYTES > mem_budget:
+        if (len(open_heap) + len(g_best)) * NODE_BYTES > mem_budget:
             raise MemoryBudgetError(
                 f"open/closed structures passed the {mem_budget}-byte budget",
                 stats)
@@ -196,7 +195,7 @@ def astar(
 def bfbnb(
     tables: Sequence[ScoreTable], heuristic,
     incumbent: LearnedNetwork | None = None,
-    mem_budget: int | None = DEFAULT_MEM_BUDGET,
+    mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> tuple[LearnedNetwork, SearchStats]:
     """Layered breadth-first sweep with bound pruning.
 
@@ -239,8 +238,7 @@ def bfbnb(
         layer = nxt
         if len(nxt) > stats.peak_open_size:
             stats.peak_open_size = len(nxt)
-        if mem_budget is not None and \
-                (1 + len(pred)) * NODE_BYTES > mem_budget:
+        if (1 + len(pred)) * NODE_BYTES > mem_budget:
             raise MemoryBudgetError(
                 f"layer storage passed the {mem_budget}-byte budget", stats)
     if full in layer and (incumbent is None or layer[full] < bound):

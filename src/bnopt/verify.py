@@ -7,9 +7,9 @@ violations with a concrete counterexample instead of raising.
 
 from __future__ import annotations
 
-from itertools import combinations
+from array import array
 
-from .bitset import bits, format_set, full_mask, is_subset, mask_of
+from .bitset import bits, format_set, full_mask, is_subset, popcount
 from .dataset import Dataset
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          default_grouping, pattern_cost_exact)
@@ -19,6 +19,7 @@ from .scoring import mdl_local_score, parent_limit
 from .search import exact_distances_to_goal
 
 TOL = 1e-9
+DYNAMIC_K = (2, 3)
 
 
 def check_table_shape(scores: ScoreSet) -> list[str]:
@@ -40,55 +41,52 @@ def check_table_shape(scores: ScoreSet) -> list[str]:
 
 def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
                              ) -> list[str]:
-    """For every variable and candidate pool: one-shot query == cursor
-    chain (both exclusion orders), a fitting entry scoring the full-scan
+    """For every variable and candidate pool, in ascending mask order:
+    one-shot query == cursor chain, a fitting entry scoring the full-scan
     minimum, and == brute-force score minimum when the raw data is
     available."""
     out = []
     n = scores.n
+    where = lambda x, cands: (f"variable {scores.names[x]}, candidates "
+                              f"{format_set(cands, scores.names)}")
     raw = None
-    limit = None
     if data is not None:
         limit = parent_limit(data.N)
-        raw = [{pa: mdl_local_score(data, x, pa)
-                for k in range(min(limit, n - 1) + 1)
-                for pa in map(mask_of, combinations(
-                    [y for y in range(n) if y != x], k))}
+        raw = [{pa: mdl_local_score(data, x, pa) for pa in range(1 << n)
+                if not pa >> x & 1 and popcount(pa) <= limit}
                for x in range(n)]
     for x, t in enumerate(scores.tables):
-        others = [y for y in range(n) if y != x]
-        for m in range(1 << len(others)):
-            cands = mask_of(others[j] for j in range(len(others)) if m >> j & 1)
+        rest = full_mask(n) & ~(1 << x)
+        pools = [c for c in range(1 << n) if not c >> x & 1]
+        # cursors are persistent: a pool's chain is that of the pool keeping
+        # its highest excluded variable, plus one step excluding it
+        chain = {rest: cursor_new(t)}
+        for cands in reversed(pools[:-1]):
+            y = (rest ^ cands).bit_length() - 1
+            chain[cands] = cursor_exclude(chain[cands | 1 << y], y)
+        for cands in pools:
             got = best_in(t, cands)
-            excl = [y for y in others if not cands >> y & 1]
-            c_fwd = cursor_new(t)
-            for y in excl:
-                c_fwd = cursor_exclude(c_fwd, y)
-            c_rev = cursor_new(t)
-            for y in reversed(excl):
-                c_rev = cursor_exclude(c_rev, y)
-            full_min = min((s, pa) for s, pa in zip(t.scores, t.parent_sets)
+            hit = cursor_best(chain[cands])
+            full_min = min(s for s, pa in zip(t.scores, t.parent_sets)
                            if is_subset(pa, cands))
-            where = (f"variable {scores.names[x]}, candidates "
-                     f"{format_set(cands, scores.names)}")
-            if not (got == cursor_best(c_fwd) == cursor_best(c_rev)):
-                out.append(f"cursor-equivalence: query paths disagree at {where}: "
-                           f"best_in={got} fwd={cursor_best(c_fwd)} "
-                           f"rev={cursor_best(c_rev)}")
-            elif got[0] != full_min[0] or not is_subset(got[1], cands):
+            if got != hit:
+                out.append(f"cursor-equivalence: query paths disagree at "
+                           f"{where(x, cands)}: best_in={got} fwd={hit}")
+            elif got[0] != full_min or not is_subset(got[1], cands):
                 out.append(f"cursor-equivalence: first hit {got} is not a "
-                           f"fitting list minimum {full_min[0]} at {where}")
+                           f"fitting list minimum {full_min} at "
+                           f"{where(x, cands)}")
             elif raw is not None:
                 brute = min(s for pa, s in raw[x].items()
                             if is_subset(pa, cands))
                 if abs(got[0] - brute) > TOL:
                     out.append(f"cursor-equivalence: sparse store gives "
                                f"{got[0]}, exhaustive rescoring gives {brute} "
-                               f"at {where}")
+                               f"at {where(x, cands)}")
     return out
 
 
-def check_heuristics(scores: ScoreSet, k_values=(2, 3)) -> list[str]:
+def check_heuristics(scores: ScoreSet) -> list[str]:
     """Admissibility, dominance over the simple bound, arc consistency of
     the simple and static bounds, and exact pattern costs."""
     out = []
@@ -96,42 +94,37 @@ def check_heuristics(scores: ScoreSet, k_values=(2, 3)) -> list[str]:
     n = scores.n
     full = full_mask(n)
     dist = exact_distances_to_goal(tables)
-    simple = SimpleHeuristic(tables)
-    providers: list[tuple[str, object]] = [("simple", simple)]
-    for k in k_values:
-        if 2 <= k <= n:
-            providers.append((f"dynamic k={k}", DynamicHeuristic(tables, k)))
-    static = StaticHeuristic(tables, default_grouping(n))
-    providers.append(("static auto", static))
-    for label, h in providers:
+    dynamic = [(f"dynamic k={k}", DynamicHeuristic(tables, k))
+               for k in DYNAMIC_K if k <= n]
+    bounds = [("simple", SimpleHeuristic(tables)), *dynamic,
+              ("static auto", StaticHeuristic(tables, default_grouping(n)))]
+    values = [(label, array("d", map(h.value, range(1 << n))))
+              for label, h in bounds]
+    for label, hv in values:
         for U in range(1 << n):
-            v = h.value(U)
-            if v > dist[U] + TOL:
+            if hv[U] > dist[U] + TOL:
                 out.append(f"admissibility: {label} overestimates at "
-                           f"{format_set(U, scores.names)}: {v} > {dist[U]}")
+                           f"{format_set(U, scores.names)}: {hv[U]} > "
+                           f"{dist[U]}")
                 break
-    for label, h in providers[1:]:
+    simple = values[0][1]
+    for label, hv in values[1:]:
         for U in range(1 << n):
-            if h.value(U) < simple.value(U) - TOL:
+            if hv[U] < simple[U] - TOL:
                 out.append(f"dominance: {label} below the simple bound at "
                            f"{format_set(U, scores.names)}")
                 break
-    for label, h in [("simple", simple), ("static auto", static)]:
+    for label, hv in (values[0], values[-1]):
         for U in range(1 << n):
-            hu = h.value(U)
             for x in bits(full & ~U):
-                arc = best_in(tables[x], U)[0]
-                if hu > arc + h.value(U | 1 << x) + TOL:
+                if hv[U] > best_in(tables[x], U)[0] + hv[U | 1 << x] + TOL:
                     out.append(f"consistency: {label} violates the arc "
                                f"inequality at {format_set(U, scores.names)} "
                                f"+ {scores.names[x]}")
-    for label, h in providers[1:]:
-        if not isinstance(h, DynamicHeuristic):
-            continue
+    for label, h in dynamic:
         for P, (cost, _) in h.patterns.items():
             exact = pattern_cost_exact(P, tables)
-            direct = dist[full & ~P]
-            if abs(cost - exact) > TOL or abs(cost - direct) > TOL:
+            if abs(cost - exact) > TOL:
                 out.append(f"pattern cost: {label} stores {cost} for "
                            f"{format_set(P, scores.names)}, exact {exact}")
     return out

@@ -147,12 +147,154 @@ def test_verify_guard_on_large_n(tmp_path, capsys):
     assert main(["verify", str(p), "--max-n", "15"]) == EXIT_OK
 
 
+def _verify_out(capsys, path):
+    """(exit code, stdout lines) of `bnopt verify path`."""
+    rc = main(["verify", str(path)])
+    return rc, capsys.readouterr().out.splitlines()
+
+
+def test_verify_fails_table_shape(tmp_path, capsys):
+    # {B} scores worse than {} yet is kept: the store's answers stay right,
+    # only the table-shape check objects
+    p = tmp_path / "shape.scores"
+    p.write_text("n 2\nvar A 2\n1.0 0\n2.0 1 B\nvar B 1\n1.0 0\n")
+    assert _verify_out(capsys, p) == (EXIT_VERIFY, [
+        "FAIL table shape (1 violation(s))",
+        "  table A: {B} kept although subset {} scores no worse",
+        "PASS cursor equivalence",
+        "PASS heuristics"])
+
+
+def test_verify_fails_cursor_disagreement(capsys, monkeypatch):
+    from bnopt import parent_store, verify
+
+    def off_by_one(c):
+        s, pa = parent_store.cursor_best(c)
+        return s + 1.0, pa
+    monkeypatch.setattr(verify, "cursor_best", off_by_one)
+    rc, out = _verify_out(capsys, GOLDEN_SCORES)
+    assert rc == EXIT_VERIFY
+    assert out[:2] == ["PASS table shape",
+                       "FAIL cursor equivalence (32 violation(s))"]
+    assert len(out) == 2 + 20 + 1 and out[-1] == "PASS heuristics"
+    # only up to the best_in= field: the rest names the cursor chains
+    assert out[2].startswith(
+        "  cursor-equivalence: query paths disagree at variable A, "
+        "candidates {}: best_in=(9.5, 0) ")
+    assert out[21].startswith(
+        "  cursor-equivalence: query paths disagree at variable C, "
+        "candidates {A,B}: best_in=(9.490224995673064, 1) ")
+
+
+def test_verify_fails_first_hit_not_minimal(capsys, monkeypatch):
+    # both query paths agree on the last fitting entry instead of the first
+    from bnopt import verify
+
+    def last_fit(t, cands):
+        return max((s, pa) for s, pa in zip(t.scores, t.parent_sets)
+                   if pa & ~cands == 0)
+    monkeypatch.setattr(verify, "best_in", last_fit)
+    monkeypatch.setattr(verify, "cursor_best",
+                        lambda c: last_fit(c.table, ~c.excluded))
+    rc, out = _verify_out(capsys, GOLDEN_SCORES)
+    assert rc == EXIT_VERIFY
+    assert out[:4] == [
+        "PASS table shape",
+        "FAIL cursor equivalence (18 violation(s))",
+        "  cursor-equivalence: first hit (9.5, 0) is not a fitting list "
+        "minimum 3.0 at variable A, candidates {B}",
+        "  cursor-equivalence: first hit (9.5, 0) is not a fitting list "
+        "minimum 9.490224995673064 at variable A, candidates {C}"]
+    assert out[19] == ("  cursor-equivalence: first hit (9.5, 0) is not a "
+                       "fitting list minimum 9.490224995673064 at variable "
+                       "C, candidates {A,B,D}")
+    assert out[20:] == ["PASS heuristics"]
+
+
+def test_verify_fails_rescoring(capsys, monkeypatch):
+    from bnopt import scoring, verify
+    monkeypatch.setattr(verify, "mdl_local_score",
+                        lambda d, x, pa: scoring.mdl_local_score(d, x, pa) - 1.0)
+    rc, out = _verify_out(capsys, FIXTURE_CSV)
+    assert rc == EXIT_VERIFY
+    assert out[:4] == [
+        "PASS table shape",
+        "FAIL cursor equivalence (32 violation(s))",
+        "  cursor-equivalence: sparse store gives 9.5, exhaustive rescoring "
+        "gives 8.5 at variable A, candidates {}",
+        "  cursor-equivalence: sparse store gives 3.0, exhaustive rescoring "
+        "gives 2.0 at variable A, candidates {B}"]
+    assert len(out) == 2 + 20 + 1 and out[-1] == "PASS heuristics"
+
+
+def test_verify_fails_admissibility(capsys, monkeypatch):
+    from bnopt import verify
+
+    class Inflated(verify.StaticHeuristic):
+        def value(self, U):
+            return super().value(U) + 1.0
+    monkeypatch.setattr(verify, "StaticHeuristic", Inflated)
+    assert _verify_out(capsys, GOLDEN_SCORES) == (EXIT_VERIFY, [
+        "PASS table shape",
+        "PASS cursor equivalence",
+        "FAIL heuristics (1 violation(s))",
+        "  admissibility: static auto overestimates at {}: "
+        "32.48044999134613 > 31.490224995673064"])
+
+
+def test_verify_fails_dominance_and_consistency(capsys, monkeypatch):
+    # a dip at {A}: still admissible, but below the simple bound there and
+    # too far below h({}) for the arc from {} to {A}
+    from bnopt import verify
+
+    class Dip(verify.StaticHeuristic):
+        def value(self, U):
+            return super().value(U) - (100.0 if U == 0b1 else 0.0)
+    monkeypatch.setattr(verify, "StaticHeuristic", Dip)
+    assert _verify_out(capsys, GOLDEN_SCORES) == (EXIT_VERIFY, [
+        "PASS table shape",
+        "PASS cursor equivalence",
+        "FAIL heuristics (2 violation(s))",
+        "  dominance: static auto below the simple bound at {A}",
+        "  consistency: static auto violates the arc inequality at {} + A"])
+
+
+def test_verify_fails_pattern_cost(capsys, monkeypatch):
+    from bnopt import heuristics, verify
+    monkeypatch.setattr(verify, "pattern_cost_exact",
+                        lambda P, t: heuristics.pattern_cost_exact(P, t) + 0.5)
+    assert _verify_out(capsys, GOLDEN_SCORES) == (EXIT_VERIFY, [
+        "PASS table shape",
+        "PASS cursor equivalence",
+        "FAIL heuristics (3 violation(s))",
+        "  pattern cost: dynamic k=2 stores 12.490224995673064 for {A,B}, "
+        "exact 12.990224995673064",
+        "  pattern cost: dynamic k=3 stores 12.490224995673064 for {A,B}, "
+        "exact 12.990224995673064",
+        "  pattern cost: dynamic k=3 stores 21.990224995673064 for {A,B,C}, "
+        "exact 22.490224995673064"])
+
+
 def test_input_errors(tmp_path, capsys):
     assert main(["learn", str(tmp_path / "nope.csv")]) == EXIT_INPUT
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("a,b\n1\n")
     assert main(["score", str(ragged)]) == EXIT_INPUT
     assert "row 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["score", "learn", "verify"])
+def test_duplicate_csv_column_rejected(tmp_path, capsys, command):
+    # a repeated name used to drop a variable from the learned parents, and
+    # score wrote a file that its own reader rejects
+    csv = tmp_path / "dup.csv"
+    csv.write_text("A,A,B\n" + "".join(f"{i % 2},{i // 2 % 2},{i % 3 % 2}\n"
+                                       for i in range(12)))
+    assert main([command, str(csv)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"bnopt: {csv}: header names column 'A' twice"]
 
 
 def _edited_golden(tmp_path, old, new):

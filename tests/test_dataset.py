@@ -35,6 +35,15 @@ def test_ragged_row_names_record(tmp_path):
         load_delimited(p)
 
 
+def test_duplicate_header_name_rejected(tmp_path):
+    p = write(tmp_path, "A, B ,A\n1,2,3\n")
+    with pytest.raises(DataError, match="header names column 'A' twice"):
+        load_delimited(p)
+    # stripped names are compared
+    with pytest.raises(DataError, match="column 'B' twice"):
+        load_delimited(write(tmp_path, "B, B,A\n1,2,3\n"))
+
+
 def test_headerless_names(tmp_path):
     p = write(tmp_path, "1,2\n3,4\n")
     raw = load_delimited(p, header=False)
