@@ -66,7 +66,7 @@ def _mem_budget(args) -> int:
 def emit_dot(net: LearnedNetwork, names: list[str]) -> str:
     """DOT text with one edge per parent relation; nodes and edges in
     ascending index order, no layout hints."""
-    q = lambda s: '"' + s.replace('"', '\\"') + '"'
+    q = lambda s: '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
     lines = ["digraph bn {"]
     lines += [f"  {q(nm)};" for nm in names]
     for x in range(net.n):
@@ -153,10 +153,11 @@ def cmd_learn(args) -> int:
     n = scores.n if data is None else data.n
     # dp builds no heuristic; k and groups belong to their own heuristic
     heuristic = None if dp else args.heuristic
-    k = None
+    k = groups = None
     if heuristic == "dynamic":
         k = args.k if args.k is not None else min(3, n)
-    groups = (args.groups or "auto") if heuristic == "static" else None
+    elif heuristic == "static":
+        groups = "auto" if args.groups is None else args.groups
     # checked before scoring, so a typo costs no scoring run
     try:
         if k is not None:
@@ -222,13 +223,15 @@ def cmd_verify(args) -> int:
     from .verify import run_all
 
     scores, data = _load_input(args)
+    n = scores.n if data is None else data.n
+    # checked before scoring, so a refused data file costs no scoring run
+    if n > args.max_n:
+        raise UsageError(f"{n} variables exceed the exhaustive-check guard "
+                         f"{args.max_n}; raise --max-n to force")
     if data is not None:
         from .scoring import build_score_tables
         scores = build_score_tables(data)
-    try:
-        ok, lines = run_all(scores, data, max_n=args.max_n)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    ok, lines = run_all(scores, data)
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_VERIFY

@@ -80,6 +80,8 @@ def load_delimited(
             if name in names[:i]:
                 raise DataError(f"{path}: header names column {name!r} twice")
         body = records[1:]
+        if not body:
+            raise DataError(f"{path}: no records")
         offset = 2
     else:
         names = [f"X{i + 1}" for i in range(len(records[0]))]

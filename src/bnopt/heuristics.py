@@ -5,7 +5,8 @@ __init__ and answers value(U), a lower bound on the distance from the node
 U to the goal:
 
 * SimpleHeuristic  -- every remaining variable takes its unconstrained
-                      best score; ignores acyclicity entirely.
+                      best score, ignoring acyclicity: the dynamic PDB
+                      at k = 1, which stores no pattern.
 * DynamicHeuristic -- exact goal distances for all nodes in the last k
                       layers, stored as patterns keyed by the
                       remaining-variable set and combined greedily per
@@ -30,18 +31,6 @@ from .parent_store import ScoreTable, best_in
 
 # largest static group: its table holds 2^size entries
 GROUP_CAP = 25
-
-
-class SimpleHeuristic:
-    def __init__(self, tables: Sequence[ScoreTable]):
-        self.n = tables[0].n
-        self.h0 = [t.scores[0] for t in tables]
-        self.size = self.n
-        self._full = full_mask(self.n)
-
-    def value(self, U: int) -> float:
-        """Sum of unconstrained best scores over the variables not yet in U."""
-        return float(sum(self.h0[x] for x in bits(self._full & ~U)))
 
 
 def pattern_cost_exact(P: int, tables: Sequence[ScoreTable]) -> float:
@@ -94,8 +83,8 @@ def pattern_costs(
 
 
 def check_pattern_cap(k: int, n: int) -> None:
-    """Raise ValueError unless a dynamic PDB over n variables can take
-    pattern size cap k: 2..n, or 1 when there is one variable."""
+    """Raise ValueError unless --k may be k over n variables: 2..n, or 1
+    when there is one variable (otherwise k = 1 is --heuristic simple)."""
     if not min(2, n) <= k <= n:
         raise ValueError(f"pattern size cap {k} outside {min(2, n)}..{n}")
 
@@ -120,7 +109,8 @@ class DynamicHeuristic:
 
     def __init__(self, tables: Sequence[ScoreTable], k: int):
         n = tables[0].n
-        check_pattern_cap(k, n)
+        if not 1 <= k <= n:
+            raise ValueError(f"pattern size cap {k} outside 1..{n}")
         self.n = n
         self.h0 = [t.scores[0] for t in tables]
         diffs: dict[int, float] = {}
@@ -165,6 +155,14 @@ class DynamicHeuristic:
             for y in members:
                 fit &= ~hits[y]
         return value
+
+
+class SimpleHeuristic(DynamicHeuristic):
+    """The dynamic PDB at k = 1: no pattern is stored, so a query is the
+    sum of h0 over the unsearched set, added in ascending order."""
+
+    def __init__(self, tables: Sequence[ScoreTable]):
+        super().__init__(tables, 1)
 
 
 # ------------------------------------------------------------- static PDBs

@@ -131,12 +131,8 @@ def check_heuristics(scores: ScoreSet) -> list[str]:
 
 
 def run_all(scores: ScoreSet, data: Dataset | None = None,
-            max_n: int = 10) -> tuple[bool, list[str]]:
+            ) -> tuple[bool, list[str]]:
     """All exhaustive checks; (ok, report lines)."""
-    if scores.n > max_n:
-        raise ValueError(
-            f"{scores.n} variables exceed the exhaustive-check guard "
-            f"{max_n}; raise --max-n to force")
     lines = []
     ok = True
     checks = [("table shape", check_table_shape(scores)),

@@ -147,6 +147,19 @@ def test_verify_guard_on_large_n(tmp_path, capsys):
     assert main(["verify", str(p), "--max-n", "15"]) == EXIT_OK
 
 
+def test_verify_guard_checked_before_scoring(capsys, monkeypatch):
+    # a data file above the guard is refused on its header, unscored
+    from bnopt import scoring
+    monkeypatch.setattr(scoring, "build_score_tables",
+                        lambda *a, **kw: pytest.fail("scored a refused file"))
+    assert main(["verify", str(FIXTURE_CSV), "--max-n", "3"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "bnopt: 4 variables exceed the exhaustive-check guard 3; raise "
+        "--max-n to force"]
+
+
 def _verify_out(capsys, path):
     """(exit code, stdout lines) of `bnopt verify path`."""
     rc = main(["verify", str(path)])
@@ -297,6 +310,17 @@ def test_duplicate_csv_column_rejected(tmp_path, capsys, command):
         f"bnopt: {csv}: header names column 'A' twice"]
 
 
+@pytest.mark.parametrize("command", ["score", "learn", "verify"])
+def test_header_only_csv_has_no_records(tmp_path, capsys, command):
+    # the message an empty file gets, not "all records incomplete"
+    csv = tmp_path / "header.csv"
+    csv.write_text("A,B\n")
+    assert main([command, str(csv)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"bnopt: {csv}: no records"]
+
+
 def _edited_golden(tmp_path, old, new):
     """The golden score file with its first `old` replaced by `new`, or
     just `new` when `old` is None."""
@@ -436,7 +460,7 @@ def test_out_of_range_flag_is_usage_error(capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("groups", ["1-a,3-4", "1-2", "1-2,3-5"])
+@pytest.mark.parametrize("groups", ["1-a,3-4", "1-2", "1-2,3-5", ""])
 def test_bad_groups_rejected_before_scoring(capsys, groups):
     # a CSV input: the grouping is checked once the header gives n, so the
     # only stderr line is the usage error, not "# scoring ..." before it
@@ -514,6 +538,10 @@ def test_emit_dot_shapes():
         'digraph bn {\n  "A";\n  "B";\n}\n')
     assert emit_dot(LearnedNetwork([0, 1], 0.0), ["A", "B"]) == (
         'digraph bn {\n  "A";\n  "B";\n  "A" -> "B";\n}\n')
+    # a backslash is escaped before a quote, so neither ends the string
+    dot = emit_dot(LearnedNetwork([0, 1], 0.0), ["A\\", 'B"'])
+    assert dot.splitlines() == ["digraph bn {", r'  "A\\";', r'  "B\"";',
+                                r'  "A\\" -> "B\"";', "}"]
 
 
 def _run_cli(args):

@@ -15,19 +15,32 @@ from conftest import (DATA_DIR, GREEDY_K2_AT_START, PAIR_AB_COST, PAIR_AB_DIFF,
 A, B, C, D = 1, 2, 4, 8
 
 
-def test_simple_h_boundaries(fixture_tables):
+@pytest.fixture(scope="module")
+def random_score_sets():
+    """Score sets of random data, n = 5..10."""
+    return [build_score_tables(random_dataset(n, N, seed=seed))
+            for n, N, seed in ((5, 200, 5), (6, 150, 2), (7, 80, 29),
+                               (8, 200, 4), (9, 300, 4), (10, 200, 7))]
+
+
+def test_simple_h_boundaries(fixture_tables, random_score_sets):
     h = SimpleHeuristic(fixture_tables)
     assert h.value(0b1111) == 0.0
     for x in range(4):
         assert h.value(0b1111 ^ (1 << x)) == h.h0[x]
     assert h.value(0) == SIMPLE_H_EMPTY
     # the sum of the unsearched variables' heads, in ascending index order
-    for U in range(1 << 4):
-        expect = 0.0
-        for x in range(4):
-            if not U >> x & 1:
-                expect += h.h0[x]
-        assert h.value(U) == expect
+    for tables in [fixture_tables] + [s.tables for s in random_score_sets]:
+        n = tables[0].n
+        h = SimpleHeuristic(tables)
+        assert h.size == n
+        h0 = [t.scores[0] for t in tables]
+        for U in range(1 << n):
+            expect = 0.0
+            for x in range(n):
+                if not U >> x & 1:
+                    expect += h0[x]
+            assert repr(h.value(U)) == repr(expect), (n, U)
 
 
 def test_pattern_cost_singleton(fixture_tables):
@@ -109,13 +122,10 @@ def test_greedy_start_node_golden(fixture_tables):
     assert h3.value(0) == sum(h3.h0) + TRIPLE_ABC_DIFF
 
 
-def test_greedy_cover_bit_identical_to_one_pass():
+def test_greedy_cover_bit_identical_to_one_pass(random_score_sets):
     # the bit-vector cover picks the patterns a pass over order picks, in
     # the same order, so every value is the same float
-    sets = [read_score_file(DATA_DIR / "fixture4.scores")] + [
-        build_score_tables(random_dataset(n, N, seed=seed))
-        for n, N, seed in ((5, 200, 5), (6, 150, 2), (7, 80, 29),
-                           (8, 200, 4), (9, 300, 4), (10, 200, 7))]
+    sets = [read_score_file(DATA_DIR / "fixture4.scores"), *random_score_sets]
     for scores in sets:
         tables = scores.tables
         n = scores.n
