@@ -29,15 +29,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
-def is_subset(a: int, b: int) -> bool:
-    """True iff every bit of a is set in b."""
-    return a & ~b == 0
-
-
 def format_set(mask: int, names: list[str]) -> str:
     return "{" + ",".join(names[i] for i in bits(mask)) + "}"
 

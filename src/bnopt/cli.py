@@ -222,6 +222,8 @@ def cmd_learn(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_all
 
+    if args.max_n < 1:
+        raise UsageError(f"--max-n {args.max_n}: need at least 1")
     scores, data = _load_input(args)
     n = scores.n if data is None else data.n
     # checked before scoring, so a refused data file costs no scoring run

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitset import bits, popcount
-from .parent_store import DataError
+from .bitset import bits
+from .parent_store import DataError, undecodable
 
 DEFAULT_MISSING_TOKENS = frozenset({"?", ""})
 
@@ -66,11 +66,15 @@ def load_delimited(
     """Read a delimited text file into a RawTable.
 
     Tokens in missing_tokens become absent cells. A row whose cell count
-    differs from the header is rejected with its 1-based record number, and
-    a header that names a column twice is rejected with the name.
+    differs from the header is rejected with its 1-based record number, a
+    header that names a column twice with the name, and bytes that are not
+    text with the path.
     """
-    with open(path, newline="") as f:
-        records = list(csv.reader(f, delimiter=delimiter))
+    try:
+        with open(path, newline="") as f:
+            records = list(csv.reader(f, delimiter=delimiter))
+    except UnicodeDecodeError as e:
+        raise undecodable(path, e) from None
     records = [r for r in records if r]  # ignore fully blank lines
     if not records:
         raise DataError(f"{path}: no records")
@@ -172,7 +176,7 @@ def check_cell_limit(x: int, pa: int, cells: int) -> None:
     CELL_LIMIT cells."""
     if cells > CELL_LIMIT:
         raise DataError(
-            f"contingency table for X{x} given {popcount(pa)} parents needs "
+            f"contingency table for X{x} given {pa.bit_count()} parents needs "
             f"{cells} cells, over the limit {CELL_LIMIT}")
 
 

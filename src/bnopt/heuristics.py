@@ -23,13 +23,15 @@ pattern_costs.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Sequence
 
-from .bitset import bits, full_mask, mask_of, popcount
+from .bitset import bits, full_mask, mask_of
 from .parent_store import ScoreTable, best_in
 
-# largest static group: its table holds 2^size entries
+# largest static group: its table holds 2^size entries; a dynamic PDB may
+# price no more patterns than that
 GROUP_CAP = 25
 
 
@@ -82,11 +84,17 @@ def pattern_costs(
     return cost
 
 
-def check_pattern_cap(k: int, n: int) -> None:
-    """Raise ValueError unless --k may be k over n variables: 2..n, or 1
-    when there is one variable (otherwise k = 1 is --heuristic simple)."""
-    if not min(2, n) <= k <= n:
-        raise ValueError(f"pattern size cap {k} outside {min(2, n)}..{n}")
+def check_pattern_cap(k: int, n: int, least: int = 2) -> None:
+    """Raise ValueError unless k may cap the pattern size over n variables:
+    min(least, n)..n, pricing at most 2^GROUP_CAP patterns. --k keeps the
+    default least = 2, since k = 1 is --heuristic simple."""
+    least = min(least, n)
+    if not least <= k <= n:
+        raise ValueError(f"pattern size cap {k} outside {least}..{n}")
+    count = sum(math.comb(n, i) for i in range(k + 1))
+    if count > 1 << GROUP_CAP:
+        raise ValueError(f"pattern size cap {k} over {n} variables prices "
+                         f"{count} patterns, over the cap 2^{GROUP_CAP}")
 
 
 class DynamicHeuristic:
@@ -109,8 +117,7 @@ class DynamicHeuristic:
 
     def __init__(self, tables: Sequence[ScoreTable], k: int):
         n = tables[0].n
-        if not 1 <= k <= n:
-            raise ValueError(f"pattern size cap {k} outside 1..{n}")
+        check_pattern_cap(k, n, least=1)
         self.n = n
         self.h0 = [t.scores[0] for t in tables]
         diffs: dict[int, float] = {}
@@ -119,12 +126,12 @@ class DynamicHeuristic:
         for P, cost in pattern_costs(tables, full_mask(n), k).items():
             diff = cost - sum(self.h0[x] for x in bits(P))
             diffs[P] = diff
-            if popcount(P) >= 2 and diff > 0.0 and all(
+            if P.bit_count() >= 2 and diff > 0.0 and all(
                     diff != diffs[P ^ (1 << x)] for x in bits(P)):
                 self.patterns[P] = (cost, diff)
         self.order = [(P, diff) for P, (_, diff) in sorted(
             self.patterns.items(),
-            key=lambda it: (-it[1][1], popcount(it[0]), it[0]))]
+            key=lambda it: (-it[1][1], it[0].bit_count(), it[0]))]
         self.size = n + len(self.patterns)
         self._hits = [0] * n
         for i, (P, _) in enumerate(self.order):
@@ -184,14 +191,15 @@ def _check_grouping(grouping: Sequence[int], n: int) -> None:
     total = 0
     for g in grouping:
         union |= g
-        total += popcount(g)
+        total += g.bit_count()
     if union != full_mask(n) or total != n:
         raise ValueError(f"groups do not partition the {n} variables")
     for g in grouping:
-        if popcount(g) > GROUP_CAP:
+        size = g.bit_count()
+        if size > GROUP_CAP:
             raise ValueError(
-                f"group of {popcount(g)} variables exceeds the size cap "
-                f"{GROUP_CAP} (2^{popcount(g)} table entries)")
+                f"group of {size} variables exceeds the size cap "
+                f"{GROUP_CAP} (2^{size} table entries)")
 
 
 def parse_grouping(text: str, n: int) -> list[int]:
@@ -230,7 +238,7 @@ class StaticHeuristic:
         self.n = n
         self.groups = list(grouping)
         # one pattern-cost sweep per group over its full subset lattice
-        self.costs = [pattern_costs(tables, g, popcount(g))
+        self.costs = [pattern_costs(tables, g, g.bit_count())
                       for g in self.groups]
         self.size = sum(len(c) for c in self.costs)
 

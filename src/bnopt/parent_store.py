@@ -9,9 +9,9 @@ bit vector per excluded variable; in pure Python on these short tables the
 scan is faster, so no bit vectors are kept.
 
 Every table is sorted ascending and holds the empty parent set, both
-checked once when the table is built (ScoreTable.from_entries). The empty
-set fits every pool, so no query or cursor can run past it: each has an
-answer.
+checked by the ScoreTable constructor, the one way to build a table. The
+empty set fits every pool, so no query or cursor can run past it: each has
+an answer.
 
 Exclusion cursors serve ordering-based hill climbing: a cursor holds the
 mask of candidate parents ruled out so far, excluding a variable returns a
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .bitset import bits, mask_of, popcount
+from .bitset import bits, mask_of
 
 
 class DataError(ValueError):
@@ -41,39 +41,29 @@ class DataError(ValueError):
 class ScoreTable:
     """Sorted unique pruned (score, parent set) list for one variable.
 
-    scores ascend and parent_sets holds the parallel bitmasks. The empty
-    parent set is among the entries (from_entries checks both), so the
-    first fitting entry of every candidate pool exists and is its best.
+    Built from (score, parent mask) pairs kept in the given order: scores
+    ascend and parent_sets holds the parallel bitmasks. Raises DataError
+    when the scores are not ascending (ties pass, a NaN does not) or the
+    empty parent set (mask 0) is not among the entries, so the first
+    fitting entry of every candidate pool exists and is its best.
     """
 
-    def __init__(self, variable: int, n: int, scores: list[float],
-                 parent_sets: list[int]):
+    def __init__(self, variable: int, n: int,
+                 entries: Sequence[tuple[float, int]]):
         self.variable = variable
         self.n = n
-        self.scores = scores
-        self.parent_sets = parent_sets
+        self.scores = [float(s) for s, _ in entries]
+        self.parent_sets = [p for _, p in entries]
+        for i in range(1, len(self.scores)):
+            if not self.scores[i - 1] <= self.scores[i]:
+                raise DataError(f"score table of variable {variable} is "
+                                f"not in ascending order at entry {i}")
+        if 0 not in self.parent_sets:
+            raise DataError(f"score table of variable {variable} lacks the "
+                            "empty parent set")
 
     def __len__(self) -> int:
         return len(self.parent_sets)
-
-    @classmethod
-    def from_entries(
-        cls, variable: int, n: int, entries: Sequence[tuple[float, int]]
-    ) -> "ScoreTable":
-        """Build a table from (score, parent mask) pairs kept in the given
-        order. Raises DataError when the scores are not ascending (ties
-        pass, a NaN does not) or the empty parent set (mask 0) is not among
-        the entries."""
-        scores = [float(s) for s, _ in entries]
-        parent_sets = [p for _, p in entries]
-        for i in range(1, len(scores)):
-            if not scores[i - 1] <= scores[i]:
-                raise DataError(f"score table of variable {variable} is "
-                                f"not in ascending order at entry {i}")
-        if 0 not in parent_sets:
-            raise DataError(f"score table of variable {variable} lacks the "
-                            "empty parent set")
-        return cls(variable, n, scores, parent_sets)
 
 
 class ScoreSet:
@@ -152,7 +142,7 @@ def format_score_file(scores: ScoreSet) -> str:
         chunks.append(f"var {name} {len(table)}\n")
         for i, pa in enumerate(table.parent_sets):
             parents = " ".join(scores.names[y] for y in bits(pa))
-            k = popcount(pa)
+            k = pa.bit_count()
             chunks.append(f"{table.scores[i]:.17g} {k}" +
                           (f" {parents}\n" if k else "\n"))
     return "".join(chunks)
@@ -163,13 +153,18 @@ def write_score_file(path, scores: ScoreSet) -> None:
         f.write(format_score_file(scores))
 
 
+def undecodable(path, e: UnicodeDecodeError) -> DataError:
+    """The one-line error for a file whose bytes are not text."""
+    return DataError(f"{path}: not {e.encoding} text ({e.reason})")
+
+
 def _is_header(toks: list[str]) -> bool:
     return len(toks) == 2 and toks[0] == "n" and toks[1].isdigit()
 
 
 def is_score_file(path) -> bool:
     """Whether the first non-blank line of path is a score-file header; a
-    file that cannot be opened raises DataError naming path."""
+    file that cannot be opened or decoded raises DataError naming path."""
     try:
         with open(path) as f:
             for line in f:
@@ -177,22 +172,29 @@ def is_score_file(path) -> bool:
                     return _is_header(line.split())
     except OSError as e:
         raise DataError(f"{path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise undecodable(path, e) from None
     return False
 
 
 def read_score_file(path) -> ScoreSet:
     """Parse a score file back into tables.
 
-    Syntax errors, an empty header, duplicate variable names, truncated or
-    overlong blocks, non-finite scores, parent names that are unknown, the
-    block's own variable or repeated within a line, and a parent set listed
-    twice in a block raise ValueError naming the line; a block whose scores
-    do not ascend or that lacks the empty parent set raises DataError
-    (ScoreTable.from_entries) naming the block's line and variable. Pruning
+    Undecodable bytes raise DataError naming path. Syntax errors, an empty
+    header, duplicate variable names, truncated or overlong blocks,
+    non-finite scores, parent names that are unknown, the block's own
+    variable or repeated within a line, and a parent set listed twice in a
+    block raise ValueError naming the line; a block whose scores do not
+    ascend or that lacks the empty parent set raises DataError (the
+    ScoreTable constructor) naming the block's line and variable. Pruning
     invariants are the verifier's job.
     """
-    with open(path) as f:
-        lines = [(no, ln.split()) for no, ln in enumerate(f, 1) if ln.strip()]
+    try:
+        with open(path) as f:
+            lines = [(no, ln.split()) for no, ln in enumerate(f, 1)
+                     if ln.strip()]
+    except UnicodeDecodeError as e:
+        raise undecodable(path, e) from None
     head = lines[0][1] if lines else []
     if not _is_header(head):
         raise ValueError(f"{path}: not a score file (missing 'n <count>' header)")
@@ -250,14 +252,14 @@ def read_score_file(path) -> ScoreSet:
                 if t == name:
                     raise bad(eno, f"{name} listed as its own parent")
             pa = mask_of(index[t] for t in toks[2:])
-            if popcount(pa) != k:
+            if pa.bit_count() != k:
                 raise bad(eno, f"a parent is named twice in {' '.join(toks)!r}")
             if pa in line_of:
                 raise bad(eno, f"parent set of line {line_of[pa]} listed again")
             line_of[pa] = eno
             entries.append((score, pa))
         try:
-            tables.append(ScoreTable.from_entries(x, n, entries))
+            tables.append(ScoreTable(x, n, entries))
         except DataError as e:
             raise DataError(f"{path}: line {no}: block for {name}: {e}") \
                 from None

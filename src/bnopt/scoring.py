@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .bitset import bits, popcount
+from .bitset import bits
 from .dataset import Dataset, check_cell_limit, counts
 from .parent_store import ScoreSet, ScoreTable
 
@@ -59,7 +59,7 @@ def parent_limit(N: int) -> int:
 
 def _entry_sort_key(score: float, pa: int):
     # equal scores: smaller set first, then ascending bitmask
-    return (score, popcount(pa), pa)
+    return (score, pa.bit_count(), pa)
 
 
 def prune_scores(raw: dict[int, float]) -> list[tuple[float, int]]:
@@ -72,7 +72,7 @@ def prune_scores(raw: dict[int, float]) -> list[tuple[float, int]]:
     """
     best: dict[int, float] = {}
     kept: list[tuple[float, int]] = []
-    for pa in sorted(raw, key=popcount):
+    for pa in sorted(raw, key=int.bit_count):
         s = raw[pa]
         best_sub = math.inf
         for y in bits(pa):
@@ -137,8 +137,8 @@ def score_parent_sets(data: Dataset, x: int, limit: int) -> dict[int, float]:
 def build_score_table(data: Dataset, x: int, limit: int) -> ScoreTable:
     """Score all parent sets of x up to the in-degree limit and keep the
     possibly-optimal ones (see prune_scores)."""
-    return ScoreTable.from_entries(
-        x, data.n, prune_scores(score_parent_sets(data, x, limit)))
+    return ScoreTable(x, data.n,
+                      prune_scores(score_parent_sets(data, x, limit)))
 
 
 def build_score_tables(

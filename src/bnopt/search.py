@@ -26,7 +26,7 @@ import random
 from array import array
 from typing import Sequence
 
-from .bitset import bits, full_mask, popcount
+from .bitset import bits, full_mask
 from .heuristics import pattern_costs
 from .parent_store import (ScoreTable, best_in, cursor_best, cursor_exclude,
                            cursor_new)
@@ -136,7 +136,7 @@ def _successors(best: Sequence[int], U: int, rest: int,
     arc, counted in stats), else all of rest in ascending order."""
     for x in bits(rest):
         if best[x] & ~U == 0:
-            stats.forced_skipped += popcount(rest) - 1
+            stats.forced_skipped += rest.bit_count() - 1
             return (x,)
     return bits(rest)
 
@@ -162,8 +162,8 @@ def astar(
     while open_heap:
         f, neg_g, U = heapq.heappop(open_heap)
         g = -neg_g
-        if g > g_best[U] or U in closed:
-            continue  # stale entry
+        if g > g_best[U]:
+            continue  # stale: a strictly smaller g was pushed since
         if U == full:
             net = reconstruct(tables, _order_from_preds(pred.get, full), g)
             return net, stats
@@ -276,7 +276,6 @@ def initial_upper_bound(
         perm = list(range(n))
         rng.shuffle(perm)
         scores = _ordering_scores(tables, perm)
-        total = sum(scores)
         improved = True
         while improved:
             improved = False
@@ -288,10 +287,10 @@ def initial_upper_bound(
                 if nb + na < scores[i] + scores[i + 1]:
                     perm[i], perm[i + 1] = b, a
                     scores[i], scores[i + 1] = nb, na
-                    total = sum(scores)
                     improved = True
                     break
                 prefix |= 1 << a
+        total = sum(scores)
         if total < best_total:
             best_total = total
             best_perm = list(perm)

@@ -8,15 +8,19 @@ violations with a concrete counterexample instead of raising.
 from __future__ import annotations
 
 from array import array
+from typing import TYPE_CHECKING
 
-from .bitset import bits, format_set, full_mask, is_subset, popcount
-from .dataset import Dataset
+from .bitset import bits, format_set, full_mask
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          default_grouping, pattern_cost_exact)
 from .parent_store import (ScoreSet, best_in, cursor_best, cursor_exclude,
                            cursor_new)
-from .scoring import mdl_local_score, parent_limit
 from .search import exact_distances_to_goal
+
+# dataset and scoring load numpy; only a data-file check imports them, so
+# verifying a score file never loads numpy
+if TYPE_CHECKING:
+    from .dataset import Dataset
 
 TOL = 1e-9
 DYNAMIC_K = (2, 3)
@@ -24,13 +28,13 @@ DYNAMIC_K = (2, 3)
 
 def check_table_shape(scores: ScoreSet) -> list[str]:
     """Antichain after pruning: no kept set scores no better than one of
-    its subsets (ScoreTable.from_entries has checked the ascending order
-    and the empty parent set when the table was built)."""
+    its subsets (the ScoreTable constructor has checked the ascending
+    order and the empty parent set)."""
     out = []
     for name, t in zip(scores.names, scores.tables):
         for i, pi in enumerate(t.parent_sets):
             for j, pj in enumerate(t.parent_sets):
-                if i != j and pi != pj and is_subset(pi, pj) \
+                if i != j and pi != pj and pi & ~pj == 0 \
                         and t.scores[i] <= t.scores[j]:
                     out.append(
                         f"table {name}: {format_set(pj, scores.names)} kept "
@@ -51,9 +55,10 @@ def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
                               f"{format_set(cands, scores.names)}")
     raw = None
     if data is not None:
+        from .scoring import mdl_local_score, parent_limit
         limit = parent_limit(data.N)
         raw = [{pa: mdl_local_score(data, x, pa) for pa in range(1 << n)
-                if not pa >> x & 1 and popcount(pa) <= limit}
+                if not pa >> x & 1 and pa.bit_count() <= limit}
                for x in range(n)]
     for x, t in enumerate(scores.tables):
         rest = full_mask(n) & ~(1 << x)
@@ -68,17 +73,17 @@ def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
             got = best_in(t, cands)
             hit = cursor_best(chain[cands])
             full_min = min(s for s, pa in zip(t.scores, t.parent_sets)
-                           if is_subset(pa, cands))
+                           if pa & ~cands == 0)
             if got != hit:
                 out.append(f"cursor-equivalence: query paths disagree at "
                            f"{where(x, cands)}: best_in={got} fwd={hit}")
-            elif got[0] != full_min or not is_subset(got[1], cands):
+            elif got[0] != full_min or got[1] & ~cands:
                 out.append(f"cursor-equivalence: first hit {got} is not a "
                            f"fitting list minimum {full_min} at "
                            f"{where(x, cands)}")
             elif raw is not None:
                 brute = min(s for pa, s in raw[x].items()
-                            if is_subset(pa, cands))
+                            if pa & ~cands == 0)
                 if abs(got[0] - brute) > TOL:
                     out.append(f"cursor-equivalence: sparse store gives "
                                f"{got[0]}, exhaustive rescoring gives {brute} "

@@ -19,7 +19,7 @@ from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
                    cursor_new, default_grouping, dp_oracle,
                    exact_distances_to_goal, initial_upper_bound,
                    load_dataset, mdl_local_score, parent_limit)
-from bnopt.bitset import bits, full_mask, mask_of, popcount
+from bnopt.bitset import bits, full_mask, mask_of
 from bnopt.synth import prefix_dataset, random_dataset
 from conftest import FIXTURE_CSV
 
@@ -105,7 +105,7 @@ def test_c04_pattern_cost_equality():
         for P, (cost, _) in DynamicHeuristic(tables, 3).patterns.items():
             assert cost == pytest.approx(float(dist[full & ~P]), abs=ABS_TOL)
         for P in range(1, 1 << n):
-            if popcount(P) <= 3:
+            if P.bit_count() <= 3:
                 assert pattern_cost_exact(P, tables) == pytest.approx(
                     float(dist[full & ~P]), abs=ABS_TOL)
     _report("PASS criterion 4: stored pattern costs equal exact reverse "
@@ -143,8 +143,8 @@ def test_c05_sparse_store_equivalence():
                 assert got[0] == pytest.approx(brute, abs=ABS_TOL)
     # the worked four-variable example, bit-exact
     x2, x3 = 0b0010, 0b0100
-    t = ScoreTable.from_entries(0, 4, [(5.0, x2 | x3), (6.0, x3),
-                                       (8.0, x2), (10.0, 0)])
+    t = ScoreTable(0, 4, [(5.0, x2 | x3), (6.0, x3),
+                          (8.0, x2), (10.0, 0)])
     assert list(t.scores) == [5.0, 6.0, 8.0, 10.0]
     assert best_in(t, x3 | 0b1000) == (6.0, x3)
     assert best_in(t, x2 | 0b1000) == (8.0, x2)

@@ -1,10 +1,11 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from bnopt import LearnedNetwork, read_score_file
+from bnopt import DataError, LearnedNetwork, read_score_file
 from bnopt.cli import (EXIT_INPUT, EXIT_MEMORY, EXIT_OK, EXIT_USAGE,
                        EXIT_VERIFY, emit_dot, main)
 from bnopt.synth import random_dataset
@@ -160,6 +161,15 @@ def test_verify_guard_checked_before_scoring(capsys, monkeypatch):
         "--max-n to force"]
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_verify_max_n_below_one(capsys, max_n):
+    # a guard below 1 would refuse every input; the flag itself is wrong
+    assert main(["verify", str(FIXTURE_CSV), "--max-n", max_n]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bnopt: --max-n {max_n}: need at least 1\n"
+
+
 def _verify_out(capsys, path):
     """(exit code, stdout lines) of `bnopt verify path`."""
     rc = main(["verify", str(path)])
@@ -225,9 +235,11 @@ def test_verify_fails_first_hit_not_minimal(capsys, monkeypatch):
 
 
 def test_verify_fails_rescoring(capsys, monkeypatch):
-    from bnopt import scoring, verify
-    monkeypatch.setattr(verify, "mdl_local_score",
-                        lambda d, x, pa: scoring.mdl_local_score(d, x, pa) - 1.0)
+    from bnopt import scoring
+    # verify imports the rescoring function when it checks a data file
+    real = scoring.mdl_local_score
+    monkeypatch.setattr(scoring, "mdl_local_score",
+                        lambda d, x, pa: real(d, x, pa) - 1.0)
     rc, out = _verify_out(capsys, FIXTURE_CSV)
     assert rc == EXIT_VERIFY
     assert out[:4] == [
@@ -319,6 +331,35 @@ def test_header_only_csv_has_no_records(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"bnopt: {csv}: no records"]
+
+
+@pytest.mark.parametrize("command", ["score", "learn", "verify"])
+def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"\xffA,B\n0,1\n1,0\n")
+    assert main([command, str(bad)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"bnopt: {bad}: not utf-8 text (invalid start byte)"]
+
+
+def test_readers_reject_non_utf8(tmp_path):
+    from bnopt.dataset import load_delimited
+    from bnopt.parent_store import is_score_file
+    bad = tmp_path / "bad.scores"
+    bad.write_bytes(b"\xff")
+    for read in (is_score_file, load_delimited, read_score_file):
+        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: not "
+                                            "utf-8 text"):
+            read(bad)
+    # past is_score_file's first chunk, only read_score_file decodes it
+    late = tmp_path / "late.scores"
+    late.write_bytes(b"n 1\n" + b"\n" * 10000 + b"var A 1\n1.0 0 \xff\n")
+    assert is_score_file(late)
+    with pytest.raises(DataError,
+                       match=f"^{re.escape(str(late))}: not utf-8 text"):
+        read_score_file(late)
 
 
 def _edited_golden(tmp_path, old, new):
@@ -425,6 +466,30 @@ def test_learn_one_variable(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_dynamic_pattern_cap_before_search(tmp_path, capsys, monkeypatch):
+    # every table only {}: k = 30 would price 2^30 patterns, so it is
+    # refused at once; k = 3 prices 4,525 and learns
+    from bnopt import heuristics
+    names = [f"X{i}" for i in range(1, 31)]
+    p = tmp_path / "wide.scores"
+    p.write_text("n 30\n" + "".join(f"var {nm} 1\n1.0 0\n" for nm in names))
+    monkeypatch.setattr(heuristics, "pattern_costs",
+                        lambda *a: pytest.fail("pattern sweep started"))
+    assert main(["learn", str(p), "--heuristic", "dynamic", "--k", "30"]) \
+        == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "bnopt: pattern size cap 30 over 30 variables prices 1073741824 "
+        "patterns, over the cap 2^25"]
+    monkeypatch.undo()
+    assert main(["learn", str(p), "--heuristic", "dynamic", "--k", "3"]) \
+        == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["total_score"] == 30.0
+    assert report["parents"] == {nm: [] for nm in names}
+
+
 @pytest.mark.parametrize("flags", [["--heuristic", "dynamic", "--k", "0"],
                                    ["--algorithm", "bfbnb", "--restarts", "0"]],
                          ids=["k", "restarts"])
@@ -450,9 +515,12 @@ def test_learn_zero_flag_is_usage_error(capsys, flags):
      "--groups", "1-99"],
     ["learn", str(FIXTURE_CSV), "--algorithm", "dp", "--heuristic", "static",
      "--groups", "1-2,3-4"],
+    ["verify", str(FIXTURE_CSV), "--max-n", "0"],
+    ["verify", str(FIXTURE_CSV), "--max-n", "-1"],
 ], ids=["max-parents-negative", "mem-budget-negative", "mem-budget-zero",
         "delimiter-empty", "delimiter-two-chars", "dp-k-out-of-range",
-        "dp-k-valid", "dp-groups-out-of-range", "dp-groups-valid"])
+        "dp-k-valid", "dp-groups-out-of-range", "dp-groups-valid",
+        "verify-max-n-zero", "verify-max-n-negative"])
 def test_out_of_range_flag_is_usage_error(capsys, argv):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -5,7 +5,9 @@ from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
                    StaticHeuristic, best_in, default_grouping,
                    exact_distances_to_goal, parse_grouping,
                    pattern_cost_exact, read_score_file)
-from bnopt.bitset import bits, full_mask, mask_of, popcount
+from bnopt import heuristics
+from bnopt.bitset import bits, full_mask, mask_of
+from bnopt.heuristics import check_pattern_cap
 from bnopt.scoring import build_score_tables
 from bnopt.synth import random_dataset
 from conftest import (DATA_DIR, GREEDY_K2_AT_START, PAIR_AB_COST, PAIR_AB_DIFF,
@@ -86,7 +88,7 @@ def test_dynamic_pdb_contents_k3(fixture_tables):
 def test_dynamic_needs_two_variables():
     # a cap of 2 needs two variables; one variable takes cap 1, and its
     # bound holds just the singleton
-    tables = [ScoreTable.from_entries(0, 1, [(1.0, 0)])]
+    tables = [ScoreTable(0, 1, [(1.0, 0)])]
     with pytest.raises(ValueError, match=r"pattern size cap 2 outside 1\.\.1"):
         DynamicHeuristic(tables, 2)
     assert DynamicHeuristic(tables, 1).size == 1
@@ -153,7 +155,7 @@ def _greedy_reference(R, cost_diff, h0):
     value = sum(h0[x] for x in bits(R))
     remaining = R
     while True:
-        fits = [(d, popcount(p), p) for p, d in cost_diff.items()
+        fits = [(d, p.bit_count(), p) for p, d in cost_diff.items()
                 if p & ~remaining == 0]
         if not fits:
             break
@@ -169,7 +171,7 @@ def test_greedy_pruning_safe(fixture_tables):
     h = DynamicHeuristic(fixture_tables, 3)
     unpruned = {}
     for P in range(1, 1 << 4):
-        if 2 <= popcount(P) <= 3:
+        if 2 <= P.bit_count() <= 3:
             cost = pattern_cost_exact(P, fixture_tables)
             diff = cost - sum(h0[x] for x in bits(P))
             if diff > 0.0:
@@ -189,7 +191,7 @@ def test_greedy_pruning_safe_k4_random():
     h = DynamicHeuristic(tables, 4)
     unpruned = {}
     for P in range(1, 1 << 6):
-        if 2 <= popcount(P) <= 4:
+        if 2 <= P.bit_count() <= 4:
             cost = pattern_cost_exact(P, tables)
             diff = cost - sum(h0[x] for x in bits(P))
             if diff > 0.0:
@@ -203,7 +205,7 @@ def test_greedy_pruning_safe_k4_random():
 def test_default_grouping():
     assert default_grouping(8) == [0x0F, 0xF0]
     g = default_grouping(29)
-    assert popcount(g[0]) == 15 and popcount(g[1]) == 14
+    assert g[0].bit_count() == 15 and g[1].bit_count() == 14
     assert default_grouping(2) == [1, 2]
 
 
@@ -251,9 +253,23 @@ def test_static_pdb_basics(fixture_tables):
 
 def test_static_pdb_group_cap():
     # one 26-variable group: refused before its 2^26-entry sweep starts
-    tables = [ScoreTable.from_entries(x, 26, [(0.0, 0)]) for x in range(26)]
+    tables = [ScoreTable(x, 26, [(0.0, 0)]) for x in range(26)]
     with pytest.raises(ValueError, match="cap"):
         StaticHeuristic(tables, [full_mask(26)])
+
+
+def test_dynamic_pdb_pattern_cap(monkeypatch):
+    # k = 30 over 30 variables would price 2^30 patterns: refused before
+    # the sweep starts, like a static group above GROUP_CAP
+    tables = [ScoreTable(x, 30, [(0.0, 0)]) for x in range(30)]
+    monkeypatch.setattr(heuristics, "pattern_costs",
+                        lambda *a: pytest.fail("pattern sweep started"))
+    for k in (30, 10):
+        with pytest.raises(ValueError, match=f"pattern size cap {k} over "
+                                             r"30 variables prices \d+ "
+                                             r"patterns, over the cap 2\^25"):
+            DynamicHeuristic(tables, k)
+    check_pattern_cap(9, 30)  # 22,964,087 patterns fit under 2^25
 
 
 def test_static_h_fixture(fixture_tables):

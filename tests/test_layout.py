@@ -82,6 +82,14 @@ def test_score_file_learn_loads_no_numpy(capsys, flags):
     assert report == capsys.readouterr().out
 
 
+def test_score_file_verify_loads_no_numpy(capsys):
+    argv = ["verify", str(DATA_DIR / "fixture4.scores")]
+    report, loaded = _child(argv)
+    assert loaded == []
+    assert main(argv) == EXIT_OK
+    assert report == capsys.readouterr().out
+
+
 def test_public_names_resolve():
     for name in bnopt.__all__:
         value = getattr(bnopt, name)

@@ -1,8 +1,8 @@
 import pytest
 
 import oracle
-from bnopt import (DataError, ScoreTable, best_in, cursor_best,
-                   cursor_exclude, cursor_new)
+from bnopt import (DataError, ScoreTable, SimpleHeuristic, astar, best_in,
+                   cursor_best, cursor_exclude, cursor_new, dp_oracle)
 from bnopt.bitset import mask_of
 from bnopt.scoring import build_score_tables, parent_limit
 from bnopt.synth import random_dataset
@@ -12,8 +12,8 @@ X2, X3, X4 = 0b0010, 0b0100, 0b1000
 
 @pytest.fixture
 def worked_table():
-    return ScoreTable.from_entries(0, 4, [(5.0, X2 | X3), (6.0, X3),
-                                          (8.0, X2), (10.0, 0)])
+    return ScoreTable(0, 4, [(5.0, X2 | X3), (6.0, X3),
+                             (8.0, X2), (10.0, 0)])
 
 
 def test_fresh_cursor_all_valid(worked_table):
@@ -25,7 +25,7 @@ def test_fresh_cursor_all_valid(worked_table):
 
 
 def test_single_entry_table():
-    t = ScoreTable.from_entries(0, 2, [(1.5, 0)])
+    t = ScoreTable(0, 2, [(1.5, 0)])
     c = cursor_new(t)
     assert cursor_best(c) == best_in(t, 0b10) == (1.5, 0)
     assert cursor_best(cursor_exclude(c, 1)) == best_in(t, 0) == (1.5, 0)
@@ -65,7 +65,19 @@ def test_missing_empty_set_raises():
             (2, [(5.0, 0), (1.0, 0b10)], "is not in ascending order")):
         with pytest.raises(DataError,
                            match=f"score table of variable 0 {what}"):
-            ScoreTable.from_entries(0, n, entries)
+            ScoreTable(0, n, entries)
+
+
+def test_constructor_rejects_unsorted_table():
+    # read as given, variable 0's first entry would be its best for every
+    # pool and A* would return 7.0; sorted, A* finds the optimum 2.0
+    entries = [(6.0, 0b10), (1.0, 0)]
+    with pytest.raises(DataError, match="score table of variable 0 is not "
+                                        "in ascending order at entry 1"):
+        ScoreTable(0, 2, entries)
+    tables = [ScoreTable(0, 2, sorted(entries)), ScoreTable(1, 2, [(1.0, 0)])]
+    net, _ = astar(tables, SimpleHeuristic(tables))
+    assert net.total_score == dp_oracle(tables)[1] == 2.0
 
 
 def test_exclude_preconditions(worked_table):
@@ -169,6 +181,6 @@ def test_wide_table_multiple_words():
     # > 64 entries, with the first fit of a sparse pool deep in the list
     entries = [(float(i), mask_of({j for j in range(1, 8) if i >> (j - 1) & 1}))
                for i in range(100)]
-    t = ScoreTable.from_entries(0, 8, entries)
+    t = ScoreTable(0, 8, entries)
     for cands in (0, 0b10, 0b1010100, 0b11111110):
         assert best_in(t, cands) == _fitting_minimum(t, cands)

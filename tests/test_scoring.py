@@ -188,8 +188,8 @@ def test_worked_example_exclusion_rows():
     # excluding one variable: X2 rules out {X2,X3} and {X2}, X3 rules out
     # {X2,X3} and {X3}, and X4 rules out nothing
     x2, x3, x4 = 0b0010, 0b0100, 0b1000
-    t = ScoreTable.from_entries(0, 4, [(5.0, x2 | x3), (6.0, x3),
-                                       (8.0, x2), (10.0, 0)])
+    t = ScoreTable(0, 4, [(5.0, x2 | x3), (6.0, x3),
+                          (8.0, x2), (10.0, 0)])
     assert best_in(t, x3 | x4) == (6.0, x3)
     assert best_in(t, x2 | x4) == (8.0, x2)
     assert best_in(t, x2 | x3) == (5.0, x2 | x3)
@@ -197,8 +197,8 @@ def test_worked_example_exclusion_rows():
 
 def test_best_in_worked_example():
     x2, x3 = 0b0010, 0b0100
-    t = ScoreTable.from_entries(0, 4, [(5.0, x2 | x3), (6.0, x3),
-                                       (8.0, x2), (10.0, 0)])
+    t = ScoreTable(0, 4, [(5.0, x2 | x3), (6.0, x3),
+                          (8.0, x2), (10.0, 0)])
     assert best_in(t, 0b1110) == (5.0, x2 | x3)
     assert best_in(t, 0b1010) == (8.0, x2)
     assert best_in(t, 0) == (10.0, 0)

@@ -8,7 +8,7 @@ from bnopt import (DynamicHeuristic, MemoryBudgetError, SimpleHeuristic,
                    StaticHeuristic, astar, best_in, bfbnb, default_grouping,
                    dp_oracle, exact_distances_to_goal, initial_upper_bound,
                    pattern_cost_exact, reconstruct)
-from bnopt.bitset import bits, full_mask, popcount
+from bnopt.bitset import bits, full_mask
 from bnopt.dataset import Dataset
 from bnopt.scoring import build_score_tables, parent_limit
 from bnopt.search import G_EPS
@@ -94,7 +94,7 @@ def test_exact_distances(fixture_tables):
     _, opt = dp_oracle(fixture_tables)
     assert float(dist[0]) == pytest.approx(opt, abs=1e-12)
     for P in range(1, 1 << 4):
-        if popcount(P) <= 3:
+        if P.bit_count() <= 3:
             assert pattern_cost_exact(P, fixture_tables) == pytest.approx(
                 float(dist[0b1111 & ~P]), abs=1e-9)
 
