@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,6 +57,17 @@ class Dataset:
     def N(self) -> int:
         return int(self.rows.shape[0])
 
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct records as an (n, D) array of contiguous columns,
+        and each one's multiplicity as float64 bincount weights (they sum
+        to N). Computed on first use, once per dataset."""
+        ordered = self.rows[np.lexsort(self.rows.T)]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
+        weights = np.diff(np.append(starts, self.N)).astype(np.float64)
+        return np.ascontiguousarray(ordered[starts].T), weights
+
 
 def load_delimited(
     path,
@@ -98,29 +110,25 @@ def load_delimited(
             raise DataError(
                 f"{path}: row {i + offset} has {len(rec)} cells, expected {ncol}"
             )
-        cells.append([None if t.strip() in missing_tokens else t.strip() for t in rec])
+        cells.append([None if t in missing_tokens else t
+                      for t in map(str.strip, rec)])
     return RawTable(names, cells)
 
 
 def drop_incomplete(raw: RawTable) -> RawTable:
     """Keep only rows with no absent cells, preserving order."""
-    kept = [row for row in raw.cells if all(c is not None for c in row)]
+    kept = [row for row in raw.cells if None not in row]
     if not kept:
         raise DataError("all records incomplete: empty dataset")
     return RawTable(list(raw.column_names), kept)
 
 
 def _parse_numeric(col: list[str]) -> list[float] | None:
-    vals = []
-    for tok in col:
-        try:
-            v = float(tok)
-        except ValueError:
-            return None
-        if not math.isfinite(v):
-            return None
-        vals.append(v)
-    return vals
+    try:
+        vals = list(map(float, col))
+    except ValueError:
+        return None
+    return vals if all(map(math.isfinite, vals)) else None
 
 
 def binarize_mean(raw: RawTable) -> Dataset:
@@ -138,7 +146,7 @@ def binarize_mean(raw: RawTable) -> Dataset:
     arity = []
     for j in range(ncol):
         col = [row[j] for row in raw.cells]
-        if any(c is None for c in col):
+        if None in col:
             raise DataError(f"column {raw.column_names[j]!r} has missing cells; "
                             "drop_incomplete first")
         vals = _parse_numeric(col)
@@ -166,9 +174,14 @@ def load_dataset(
     missing_tokens=DEFAULT_MISSING_TOKENS,
     header: bool = True,
 ) -> Dataset:
-    """load_delimited + drop_incomplete + binarize_mean."""
-    return binarize_mean(drop_incomplete(load_delimited(
-        path, delimiter=delimiter, missing_tokens=missing_tokens, header=header)))
+    """load_delimited + drop_incomplete + binarize_mean; every DataError
+    names the file."""
+    raw = load_delimited(path, delimiter=delimiter,
+                         missing_tokens=missing_tokens, header=header)
+    try:
+        return binarize_mean(drop_incomplete(raw))
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def check_cell_limit(x: int, pa: int, cells: int) -> None:

@@ -92,7 +92,9 @@ def score_parent_sets(data: Dataset, x: int, limit: int) -> dict[int, float]:
 
     The sets are walked depth first, adding parents in ascending index
     order, so a set's joint codes are its prefix's codes plus one column
-    times the prefix's cell count: the mixed-radix order of counts(). Count
+    times the prefix's cell count: the mixed-radix order of counts(). The
+    codes run over the distinct records, each counted with its multiplicity
+    as a bincount weight; float64 sums of integer weights are exact. Count
     tables are queued by shape and scored BATCH_CELLS cells at a time.
     """
     if not 0 <= x < data.n:
@@ -102,6 +104,7 @@ def score_parent_sets(data: Dataset, x: int, limit: int) -> dict[int, float]:
     others = [y for y in range(data.n) if y != x]
     limit = min(limit, len(others))
     rx = data.arity[x]
+    cols, weights = data.distinct
     penalty_per_config = math.log2(data.N) / 2.0 * (rx - 1)
     raw: dict[int, float] = {}
     queued: dict[int, tuple[list[int], list[np.ndarray]]] = {}
@@ -115,7 +118,8 @@ def score_parent_sets(data: Dataset, x: int, limit: int) -> dict[int, float]:
               size: int) -> None:
         masks, joints = queued.setdefault(npa, ([], []))
         masks.append(pa)
-        joints.append(np.bincount(codes, minlength=npa * rx).reshape(npa, rx))
+        joints.append(np.bincount(codes, weights, minlength=npa * rx)
+                      .reshape(npa, rx))
         if len(masks) * npa * rx >= BATCH_CELLS:
             flush(npa)
         if size == limit:
@@ -124,11 +128,11 @@ def score_parent_sets(data: Dataset, x: int, limit: int) -> dict[int, float]:
             y = others[j]
             child = pa | 1 << y
             check_cell_limit(x, child, npa * data.arity[y] * rx)
-            visit(child, codes + data.rows[:, y] * (npa * rx),
+            visit(child, codes + cols[y] * (npa * rx),
                   npa * data.arity[y], j + 1, size + 1)
 
     check_cell_limit(x, 0, rx)
-    visit(0, data.rows[:, x], 1, 0, 0)
+    visit(0, cols[x], 1, 0, 0)
     for npa in list(queued):
         flush(npa)
     return raw

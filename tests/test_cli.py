@@ -344,6 +344,20 @@ def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
         f"bnopt: {bad}: not utf-8 text (invalid start byte)"]
 
 
+@pytest.mark.parametrize("command", ["score", "learn", "verify"])
+@pytest.mark.parametrize("body, message", [
+    ("?,1\n1,?\n", "all records incomplete: empty dataset"),
+    ("5,1\n5,0\n5,1\n", "column 'A' is constant"),
+], ids=["all-incomplete", "constant-column"])
+def test_ingest_errors_name_the_file(tmp_path, capsys, command, body, message):
+    csv = tmp_path / "bad.csv"
+    csv.write_text("A,B\n" + body)
+    assert main([command, str(csv)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"bnopt: {csv}: {message}"]
+
+
 def test_readers_reject_non_utf8(tmp_path):
     from bnopt.dataset import load_delimited
     from bnopt.parent_store import is_score_file

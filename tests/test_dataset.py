@@ -91,6 +91,32 @@ def test_binarize_constant_column_errors(tmp_path):
         binarize_mean(drop_incomplete(load_delimited(p)))
 
 
+@pytest.mark.parametrize("odd", ["1e400", "nan", "inf"])
+def test_non_finite_column_is_categorical(tmp_path, odd):
+    # a token that parses as a float but not a finite one keeps the
+    # column out of the mean split
+    p = write(tmp_path, f"a,pad\n1,0\n{odd},1\n3,0\n1,1\n")
+    data = load_dataset(p)
+    assert list(data.rows[:, 0]) == [0, 1, 2, 0]
+    assert data.arity[0] == 3
+
+
+def test_cells_stripped_before_missing_test(tmp_path):
+    p = write(tmp_path, "a,b\n 1 , ? \n x ,2\n")
+    assert load_delimited(p).cells == [["1", None], ["x", "2"]]
+
+
+@pytest.mark.parametrize("body, message", [
+    ("?,1\n1,?\n", "all records incomplete: empty dataset"),
+    ("5,1\n5,2\n5,3\n", "column 'a' is constant"),
+], ids=["all-incomplete", "constant-column"])
+def test_load_dataset_errors_name_the_file(tmp_path, body, message):
+    p = write(tmp_path, "a,b\n" + body)
+    with pytest.raises(DataError) as e:
+        load_dataset(p)
+    assert str(e.value) == f"{p}: {message}"
+
+
 def test_binarize_row_order_invariant(tmp_path):
     rows = ["1,x", "2,y", "3,x", "7,y", "5,x"]
     p1 = write(tmp_path, "a,b\n" + "\n".join(rows) + "\n", "d1.csv")

@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import oracle
 from bnopt import (DataError, Dataset, ScoreTable, best_in,
                    build_score_table, build_score_tables, counts,
-                   mdl_local_score, parent_limit, prune_scores,
-                   read_score_file, write_score_file)
+                   format_score_file, mdl_local_score, parent_limit,
+                   prune_scores, read_score_file, write_score_file)
 from bnopt import dataset, scoring
 from bnopt.bitset import mask_of
 from bnopt.synth import random_dataset
@@ -119,6 +119,77 @@ def test_batched_scores_bit_identical(data, draw):
             assert mdl_local_score(data, x, pa) == s, (x, bin(pa))
         assert list(zip(table.scores, table.parent_sets)) == \
             prune_scores(expect)
+
+
+def _all_scores_match(data):
+    limit = parent_limit(data.N)
+    for x in range(data.n):
+        raw = scoring.score_parent_sets(data, x, limit)
+        others = [y for y in range(data.n) if y != x]
+        assert len(raw) == sum(math.comb(len(others), k)
+                               for k in range(min(limit, len(others)) + 1))
+        for pa, s in raw.items():
+            expect = sequential_score(data, x, pa)
+            assert s == expect, (x, bin(pa), s.hex(), expect.hex())
+
+
+def duplicate_heavy_data(N=3000, seed=11):
+    # 2 * 3 * 4 * 2 * 3 = 144 possible records, so most of the N repeat
+    arity = [2, 3, 4, 2, 3]
+    rng = np.random.default_rng(seed)
+    rows = np.column_stack([rng.integers(0, r, size=N) for r in arity])
+    return Dataset([f"X{i}" for i in range(5)], arity, rows.astype(np.int64))
+
+
+def test_weighted_scores_bit_identical_on_duplicates():
+    data = duplicate_heavy_data()
+    assert data.distinct[0].shape[1] <= 144 < data.N
+    _all_scores_match(data)
+
+
+def test_weighted_scores_bit_identical_all_distinct():
+    # every record of the 2 * 3 * 2 * 4 grid once, in shuffled order
+    arity = [2, 3, 2, 4]
+    grid = np.array(list(product(*(range(r) for r in arity))), dtype=np.int64)
+    rows = grid[np.random.default_rng(3).permutation(len(grid))]
+    data = Dataset(["A", "B", "C", "D"], arity, rows)
+    cols, weights = data.distinct
+    assert cols.shape == (4, 48) and weights.tolist() == [1.0] * 48
+    _all_scores_match(data)
+
+
+def test_distinct_weights_reproduce_counts():
+    data = duplicate_heavy_data(seed=5)
+    cols, weights = data.distinct
+    assert data.distinct is data.distinct  # computed once per dataset
+    assert weights.dtype == np.float64 and weights.sum() == data.N
+    assert cols.flags.c_contiguous and cols.shape[0] == data.n
+    # the distinct records are distinct and cover every record
+    assert len({tuple(r) for r in cols.T.tolist()}) == cols.shape[1]
+    assert {tuple(r) for r in cols.T.tolist()} == \
+        {tuple(r) for r in data.rows.tolist()}
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        x = int(rng.integers(data.n))
+        pa = int(rng.integers(1 << data.n)) & ~(1 << x)
+        codes = np.zeros(cols.shape[1], dtype=np.int64)
+        stride = 1
+        for y in range(data.n):
+            if pa >> y & 1:
+                codes += cols[y] * stride
+                stride *= data.arity[y]
+        rx = data.arity[x]
+        table = np.bincount(codes * rx + cols[x], weights,
+                            minlength=stride * rx).reshape(stride, rx).T
+        assert np.array_equal(table, counts(data, x, pa)), (x, bin(pa))
+
+
+def test_score_file_independent_of_record_order():
+    data = duplicate_heavy_data(N=2000, seed=8)
+    shuffled = Dataset(list(data.names), list(data.arity), data.rows[
+        np.random.default_rng(4).permutation(data.N)])
+    assert format_score_file(build_score_tables(shuffled)) == \
+        format_score_file(build_score_tables(data))
 
 
 def test_batched_scores_cell_limit():
