@@ -25,8 +25,8 @@ from .search import (LearnedNetwork, MemoryBudgetError, SearchStats, astar,
 _LAZY_MODULES = {
     "dataset": ("Dataset", "RawTable", "binarize_mean", "counts",
                 "drop_incomplete", "load_dataset", "load_delimited"),
-    "scoring": ("build_score_table", "build_score_tables", "mdl_local_score",
-                "parent_limit", "prune_scores"),
+    "scoring": ("build_score_tables", "mdl_local_score", "parent_limit",
+                "prune_scores"),
     "synth": ("prefix_dataset", "random_dataset"),
 }
 _LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items()
@@ -49,7 +49,7 @@ using_numba = False
 __all__ = [
     "DataError", "Dataset", "RawTable", "binarize_mean", "counts",
     "drop_incomplete", "load_dataset", "load_delimited",
-    "ScoreSet", "build_score_table", "build_score_tables",
+    "ScoreSet", "build_score_tables",
     "format_score_file", "mdl_local_score", "parent_limit", "prune_scores",
     "read_score_file", "write_score_file",
     "ExclusionCursor", "ScoreTable", "best_in", "cursor_best",

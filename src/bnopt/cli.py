@@ -16,8 +16,9 @@ import time
 from typing import TYPE_CHECKING
 
 from .bitset import bits
-from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
-                         check_pattern_cap, parse_grouping)
+from .heuristics import (PDB_ENTRY_BYTES, DynamicHeuristic, SimpleHeuristic,
+                         StaticHeuristic, check_pattern_cap, parse_grouping,
+                         pattern_count)
 from .parent_store import (DataError, ScoreSet, format_score_file,
                            is_score_file, read_score_file, write_score_file)
 from .search import (DEFAULT_MEM_BUDGET, LearnedNetwork, MemoryBudgetError,
@@ -165,6 +166,15 @@ def cmd_learn(args) -> int:
         grouping = None if groups is None else parse_grouping(groups, n)
     except ValueError as e:
         raise UsageError(str(e)) from e
+    # the PDB is priced against the budget before it is built, and before
+    # scoring; the simple bound keeps only n floats
+    entries = (pattern_count(n, k) if k is not None else
+               sum(1 << g.bit_count() for g in grouping or ()))
+    if entries * PDB_ENTRY_BYTES > mem_budget:
+        raise MemoryBudgetError(
+            f"the {heuristic} pattern database prices {entries} patterns, "
+            f"~{entries * PDB_ENTRY_BYTES} bytes, over the {mem_budget}-byte "
+            "budget")
     N = limit = None
     if data is not None:
         from .scoring import build_score_tables, parent_limit
@@ -299,8 +309,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except MemoryBudgetError as e:
         s = e.stats
-        print(f"bnopt: {e} (expanded {s.nodes_expanded}, generated "
-              f"{s.nodes_generated})", file=sys.stderr)
+        counts = (f" (expanded {s.nodes_expanded}, generated "
+                  f"{s.nodes_generated})" if s else "")
+        print(f"bnopt: {e}{counts}", file=sys.stderr)
         return EXIT_MEMORY
 
 

@@ -151,7 +151,12 @@ def binarize_mean(raw: RawTable) -> Dataset:
                             "drop_incomplete first")
         vals = _parse_numeric(col)
         if vals is not None:
-            mean = sum(vals) / nrow
+            # one term at a time in row order: sum() of floats
+            # compensates rounding on Python 3.12+
+            total = 0.0
+            for v in vals:
+                total += v
+            mean = total / nrow
             codes = [0 if v < mean else 1 for v in vals]
         else:
             seen: dict[str, int] = {}

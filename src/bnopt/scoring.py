@@ -3,15 +3,20 @@
 A score table keeps only the candidate parent sets that can be optimal for
 some candidate pool: supersets whose score is not strictly better than every
 proper subset are dropped, and sets larger than the record-count in-degree
-limit are never scored at all. The kept entries go into a ScoreTable of the
-parent store (sorted ascending by score), and the tables of a dataset into
-a ScoreSet, which the parent store also writes to and reads from score
-files. Only data-file input needs this module.
+limit are never scored at all. One pass counts each variable set once and
+scores from that table the family of every member x with the other members
+as parents; each family is pruned as it arrives, against the kept families
+of its subsets, so no unpruned score is held. The kept entries go into a
+ScoreTable of the parent store (sorted ascending by score), and the tables
+of a dataset into a ScoreSet, which the parent store also writes to and
+reads from score files. Only data-file input needs this module.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
+from typing import Iterator
 
 import numpy as np
 
@@ -86,75 +91,98 @@ def prune_scores(raw: dict[int, float]) -> list[tuple[float, int]]:
     return kept
 
 
-def score_parent_sets(data: Dataset, x: int, limit: int) -> dict[int, float]:
-    """MDL score of every parent set of x up to the in-degree limit, as a
-    (parent mask -> score) map; each equals mdl_local_score's bit for bit.
+def family_scores(data: Dataset,
+                  limit: int) -> Iterator[tuple[int, int, float]]:
+    """Yield (x, pa, score) for every family of x with pa of at most limit
+    parents; each score equals mdl_local_score's bit for bit, and each
+    family comes after the families of x with every proper subset of pa.
 
-    The sets are walked depth first, adding parents in ascending index
-    order, so a set's joint codes are its prefix's codes plus one column
-    times the prefix's cell count: the mixed-radix order of counts(). The
-    codes run over the distinct records, each counted with its multiplicity
-    as a bincount weight; float64 sums of integer weights are exact. Count
-    tables are queued by shape and scored BATCH_CELLS cells at a time.
+    The variable sets S of 1..limit + 1 variables are walked depth first
+    in increasing mask order: a child adds a variable y below S's lowest,
+    and its codes over the distinct records are y's column plus y's arity
+    times S's codes, so the lowest variable counts least, as in counts().
+    Each S is counted once, with the multiplicities as bincount weights
+    (float64 sums of integer weights are exact), and its table is queued
+    by shape. When a queue holds BATCH_CELLS cells, every queue is scored,
+    smaller sets first: per member x, the tables are laid out again as
+    (configuration of S\\{x}, x) and their entropies evaluated together.
     """
-    if not 0 <= x < data.n:
-        raise ValueError(f"variable index {x} out of range")
     if limit < 0:
         raise ValueError("negative parent limit")
-    others = [y for y in range(data.n) if y != x]
-    limit = min(limit, len(others))
-    rx = data.arity[x]
     cols, weights = data.distinct
-    penalty_per_config = math.log2(data.N) / 2.0 * (rx - 1)
-    raw: dict[int, float] = {}
-    queued: dict[int, tuple[list[int], list[np.ndarray]]] = {}
+    arity = data.arity
+    half_log_n = math.log2(data.N) / 2.0
+    max_size = min(limit, data.n - 1) + 1
+    # shape (arities, lowest variable first) -> each set's mask and
+    # members (ascending), and its count table
+    queued: dict[tuple[int, ...], tuple[list[tuple[int, tuple[int, ...]]],
+                                        list[np.ndarray]]] = {}
 
-    def flush(npa: int) -> None:
-        masks, joints = queued.pop(npa)
-        for pa, nh in zip(masks, _nh_bits(np.stack(joints)).tolist()):
-            raw[pa] = nh + penalty_per_config * npa
+    def flush() -> list[tuple[int, int, float]]:
+        families = []
+        for shape in sorted(queued, key=len):
+            sets, tables = queued[shape]
+            m, size = len(sets), len(shape)
+            stacked = np.stack(tables).reshape(m, *shape[::-1])
+            for i, rx in enumerate(shape):
+                axes = list(range(size + 1))
+                axes.append(axes.pop(size - i))  # x's axis last
+                joints = stacked.transpose(axes).reshape(m, -1, rx)
+                penalty = half_log_n * (rx - 1) * joints.shape[1]
+                for (S, members), nh in zip(sets, _nh_bits(joints).tolist()):
+                    x = members[i]
+                    families.append((x, S ^ 1 << x, nh + penalty))
+        queued.clear()
+        return families
 
-    def visit(pa: int, codes: np.ndarray, npa: int, start: int,
-              size: int) -> None:
-        masks, joints = queued.setdefault(npa, ([], []))
-        masks.append(pa)
-        joints.append(np.bincount(codes, weights, minlength=npa * rx)
-                      .reshape(npa, rx))
-        if len(masks) * npa * rx >= BATCH_CELLS:
-            flush(npa)
-        if size == limit:
+    def visit(S: int, members: tuple[int, ...], codes: np.ndarray,
+              shape: tuple[int, ...], cells: int):
+        sets, tables = queued.setdefault(shape, ([], []))
+        sets.append((S, members))
+        tables.append(np.bincount(codes, weights, minlength=cells))
+        if len(sets) * cells >= BATCH_CELLS:
+            yield flush()
+        if len(members) == max_size:
             return
-        for j in range(start, len(others)):
-            y = others[j]
-            child = pa | 1 << y
-            check_cell_limit(x, child, npa * data.arity[y] * rx)
-            visit(child, codes + cols[y] * (npa * rx),
-                  npa * data.arity[y], j + 1, size + 1)
+        for y in range(members[0]):
+            r = arity[y]
+            check_cell_limit(y, S, cells * r)
+            yield from visit(S | 1 << y, (y, *members), codes * r + cols[y],
+                             (r, *shape), cells * r)
 
-    check_cell_limit(x, 0, rx)
-    visit(0, cols[x], 1, 0, 0)
-    for npa in list(queued):
-        flush(npa)
-    return raw
-
-
-def build_score_table(data: Dataset, x: int, limit: int) -> ScoreTable:
-    """Score all parent sets of x up to the in-degree limit and keep the
-    possibly-optimal ones (see prune_scores)."""
-    return ScoreTable(x, data.n,
-                      prune_scores(score_parent_sets(data, x, limit)))
+    for y in range(data.n):
+        check_cell_limit(y, 0, arity[y])
+        for families in visit(1 << y, (y,), cols[y], (arity[y],), arity[y]):
+            yield from families
+    yield from flush()
 
 
 def build_score_tables(
     data: Dataset, max_parents: int | None = None
 ) -> ScoreSet:
     """Score tables for every variable; the in-degree limit defaults to
-    parent_limit(N) and may only be tightened."""
+    parent_limit(N) and may only be tightened.
+
+    A family joins its variable's kept list only when its score is
+    strictly below the first kept subset's (the best, as in best_in).
+    family_scores delivers every subset first, so the lists equal
+    prune_scores over all families without any raw score being held.
+    """
     limit = parent_limit(data.N)
     if max_parents is not None:
         if max_parents > limit:
             raise ValueError(
                 f"max parents {max_parents} above the record-count limit {limit}")
         limit = max_parents
-    tables = [build_score_table(data, x, limit) for x in range(data.n)]
+    kept: list[list[tuple[float, int, int]]] = [[] for _ in range(data.n)]
+    for x, pa, score in family_scores(data, limit):
+        for best, _, sub in kept[x]:
+            if sub & pa == sub:
+                break
+        else:
+            best = math.inf
+        if score < best:
+            insort(kept[x], _entry_sort_key(score, pa))
+    tables = [ScoreTable(x, data.n, [(s, pa) for s, _, pa in entries])
+              for x, entries in enumerate(kept)]
     return ScoreSet(list(data.names), tables)

@@ -81,9 +81,10 @@ class LearnedNetwork:
 
 
 class MemoryBudgetError(RuntimeError):
-    """Search state outgrew the configured budget; carries stats so far."""
+    """Search state outgrew the configured budget, or a pattern database
+    would; a search carries its stats so far."""
 
-    def __init__(self, msg: str, stats: SearchStats):
+    def __init__(self, msg: str, stats: SearchStats | None = None):
         super().__init__(msg)
         self.stats = stats
 
@@ -290,7 +291,10 @@ def initial_upper_bound(
                     improved = True
                     break
                 prefix |= 1 << a
-        total = sum(scores)
+        # one term at a time in addition order, as in reconstruct
+        total = 0.0
+        for s in scores:
+            total += s
         if total < best_total:
             best_total = total
             best_perm = list(perm)

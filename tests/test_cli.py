@@ -604,6 +604,54 @@ def test_memory_budget_exit(tmp_path, capsys, monkeypatch):
     assert main(["learn", str(csv)]) == EXIT_MEMORY
 
 
+def test_pdb_counted_against_budget_before_scoring(capsys, monkeypatch):
+    from bnopt import heuristics
+    monkeypatch.setattr(heuristics, "pattern_costs",
+                        lambda *a: pytest.fail("pattern sweep started"))
+    # the fixture's auto groups price 2 * 2^2 patterns, k = 2 prices
+    # 1 + 4 + 6; one byte short of either is refused before scoring
+    for flags, entries in ((["--heuristic", "static"], 8),
+                           (["--heuristic", "dynamic", "--k", "2"], 11)):
+        need = entries * heuristics.PDB_ENTRY_BYTES
+        assert main(["learn", str(FIXTURE_CSV), *flags, "--mem-budget",
+                     str(need - 1)]) == EXIT_MEMORY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"bnopt: the {flags[1]} pattern database prices {entries} "
+            f"patterns, ~{need} bytes, over the {need - 1}-byte budget"]
+    monkeypatch.undo()
+    assert main(["learn", str(FIXTURE_CSV), "--heuristic", "static",
+                 "--mem-budget", str(1 << 20)]) == EXIT_OK
+
+
+def test_largest_static_groups_refused_under_default_budget(tmp_path, capsys,
+                                                           monkeypatch):
+    # two groups at the size cap 25 would price 2^26 patterns, ~14.8 GB
+    from bnopt import heuristics
+    names = [f"X{i}" for i in range(1, 51)]
+    p = tmp_path / "wide.scores"
+    p.write_text("n 50\n" + "".join(f"var {nm} 1\n1.0 0\n" for nm in names))
+    monkeypatch.setattr(heuristics, "pattern_costs",
+                        lambda *a: pytest.fail("pattern sweep started"))
+    assert main(["learn", str(p), "--heuristic", "static",
+                 "--groups", "1-25,26-50"]) == EXIT_MEMORY
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "prices 67108864 patterns" in err[0], err
+
+
+def test_dynamic_counts_pinned_on_every_python(capsys):
+    # gen14.scores: perfbench/gen.py's model (model seed 503, n = 14), the
+    # N = 2,000 records of seed 1, scored with --max-parents 4. Sums of
+    # floats are taken one term at a time, so every Python gives these
+    # counts; the compensated sum() of 3.12+ gave 114, 1,631 and 20
+    assert main(["learn", str(DATA_DIR / "gen14.scores"), "--heuristic",
+                 "dynamic", "--k", "3"]) == EXIT_OK
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert (stats["pdb_size"], stats["nodes_expanded"], stats["reopened"]) \
+        == (113, 1627, 4)
+
+
 def test_score_ingestion_flags(tmp_path, capsys):
     p = tmp_path / "odd.tsv"
     p.write_text("1\tNA\n2\t1\n3\t2\n4\t1\n")

@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from bnopt import (DataError, Dataset, binarize_mean, counts,
+from bnopt import (DataError, Dataset, RawTable, binarize_mean, counts,
                    dataset, drop_incomplete, load_dataset, load_delimited)
 from conftest import FIXTURE_CSV
 
@@ -76,6 +76,14 @@ def test_binarize_mean_boundary(tmp_path):
     p = write(tmp_path, "a,pad\n1,0\n2,1\n3,0\n")
     data = binarize_mean(drop_incomplete(load_delimited(p)))
     assert list(data.rows[:, 0]) == [0, 1, 1]
+
+
+def test_binarize_mean_summed_in_row_order():
+    # 0.1 + 0.2 + 0.3 summed left to right is 0.6000000000000001, so 0.2 is
+    # below the mean; the compensated sum() of Python 3.12+ gives 0.6 and
+    # would put 0.2 at the mean, coding it 1
+    data = binarize_mean(RawTable(["a"], [["0.1"], ["0.2"], ["0.3"]]))
+    assert data.rows[:, 0].tolist() == [0, 0, 1]
 
 
 def test_binarize_categorical_first_appearance(tmp_path):

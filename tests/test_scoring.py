@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 import oracle
 from bnopt import (DataError, Dataset, ScoreTable, best_in,
-                   build_score_table, build_score_tables, counts,
-                   format_score_file, mdl_local_score, parent_limit,
-                   prune_scores, read_score_file, write_score_file)
+                   build_score_tables, counts, format_score_file,
+                   mdl_local_score, parent_limit, prune_scores,
+                   read_score_file, write_score_file)
 from bnopt import dataset, scoring
 from bnopt.bitset import mask_of
 from bnopt.synth import random_dataset
@@ -99,36 +99,68 @@ def mixed_arity_data(draw):
     return Dataset([f"X{i}" for i in range(n)], arity, rows.astype(np.int64))
 
 
+def streamed_scores(data, limit):
+    """family_scores as one (mask -> score) map per variable, checking that
+    each family arrives once and after every family of a proper subset."""
+    raw = [{} for _ in range(data.n)]
+    for x, pa, s in scoring.family_scores(data, limit):
+        assert pa not in raw[x] and not pa >> x & 1, (x, bin(pa))
+        assert all(pa ^ 1 << y in raw[x] for y in range(data.n)
+                   if pa >> y & 1), (x, bin(pa))
+        raw[x][pa] = s
+    return raw
+
+
+def _assert_tables_are_pruned(scores, raw):
+    for x, table in enumerate(scores.tables):
+        assert list(zip(table.scores, table.parent_sets)) == \
+            prune_scores(raw[x]), x
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(data=mixed_arity_data(), draw=st.data())
 def test_batched_scores_bit_identical(data, draw):
     limit = draw.draw(st.integers(0, parent_limit(data.N)), label="limit")
     # any batch size, so that flushes fall mid-walk as well as at its end
     batch = draw.draw(st.integers(1, 2 * scoring.BATCH_CELLS), label="batch")
+    with mock.patch.object(scoring, "BATCH_CELLS", batch):
+        raw = streamed_scores(data, limit)
+        scores = build_score_tables(data, max_parents=limit)
     for x in range(data.n):
         others = [y for y in range(data.n) if y != x]
         expect = {mask_of(c): sequential_score(data, x, mask_of(c))
                   for k in range(min(limit, len(others)) + 1)
                   for c in combinations(others, k)}
-        with mock.patch.object(scoring, "BATCH_CELLS", batch):
-            raw = scoring.score_parent_sets(data, x, limit)
-            table = build_score_table(data, x, limit)
-        assert raw.keys() == expect.keys()
+        assert raw[x].keys() == expect.keys()
         for pa, s in expect.items():
-            assert raw[pa] == s, (x, bin(pa), raw[pa].hex(), s.hex())
+            assert raw[x][pa] == s, (x, bin(pa), raw[x][pa].hex(), s.hex())
             assert mdl_local_score(data, x, pa) == s, (x, bin(pa))
-        assert list(zip(table.scores, table.parent_sets)) == \
-            prune_scores(expect)
+    _assert_tables_are_pruned(scores, raw)
+
+
+def test_streamed_tables_equal_pruning_for_every_batch_size():
+    # mixed arities give tables of 2 to 48 cells; every batch size up to
+    # past the largest moves the flushes, and with them the arrival order
+    arity = [2, 3, 2, 4]
+    rng = np.random.default_rng(12)
+    data = Dataset(list("ABCD"), arity, np.column_stack(
+        [rng.integers(0, r, size=40) for r in arity]).astype(np.int64))
+    limit = parent_limit(data.N)
+    for batch in range(1, 101):
+        with mock.patch.object(scoring, "BATCH_CELLS", batch):
+            raw = streamed_scores(data, limit)
+            scores = build_score_tables(data)
+        _assert_tables_are_pruned(scores, raw)
 
 
 def _all_scores_match(data):
     limit = parent_limit(data.N)
+    raw = streamed_scores(data, limit)
     for x in range(data.n):
-        raw = scoring.score_parent_sets(data, x, limit)
         others = [y for y in range(data.n) if y != x]
-        assert len(raw) == sum(math.comb(len(others), k)
-                               for k in range(min(limit, len(others)) + 1))
-        for pa, s in raw.items():
+        assert len(raw[x]) == sum(math.comb(len(others), k)
+                                  for k in range(min(limit, len(others)) + 1))
+        for pa, s in raw[x].items():
             expect = sequential_score(data, x, pa)
             assert s == expect, (x, bin(pa), s.hex(), expect.hex())
 
@@ -193,20 +225,31 @@ def test_score_file_independent_of_record_order():
 
 
 def test_batched_scores_cell_limit():
-    data = Dataset(["A", "B", "C"], [2, 4, 3],
-                   np.array([[0, 1, 2], [1, 3, 0], [1, 0, 1]], dtype=np.int64))
-    # A given {B, C} needs 2 * 4 * 3 = 24 cells, every smaller set at most 8
+    data = Dataset(["A", "B", "C"], [2, 4, 3], np.array(
+        [[0, 1, 2], [1, 3, 0], [1, 0, 1], [0, 2, 1]], dtype=np.int64))
+    # one family of {A, B, C} needs 2 * 4 * 3 = 24 cells, of {B, C} 12, of
+    # {A, B} 8 and of {A, C} 6
     with mock.patch.object(dataset, "CELL_LIMIT", 24):
-        assert len(scoring.score_parent_sets(data, 0, 2)) == 4
-    with mock.patch.object(dataset, "CELL_LIMIT", 8):
-        assert len(scoring.score_parent_sets(data, 0, 1)) == 3
+        assert sum(map(len, streamed_scores(data, 2))) == 12
+        build_score_tables(data, max_parents=2)
+    with mock.patch.object(dataset, "CELL_LIMIT", 12):
+        assert sum(map(len, streamed_scores(data, 1))) == 9
+        build_score_tables(data, max_parents=1)
     with mock.patch.object(dataset, "CELL_LIMIT", 23), \
-            pytest.raises(DataError, match="given 2 parents needs 24 cells, "
-                                           "over the limit 23"):
-        build_score_table(data, 0, 2)
+            pytest.raises(DataError, match="X0 given 2 parents needs 24 "
+                                           "cells, over the limit 23"):
+        build_score_tables(data, max_parents=2)
     with mock.patch.object(dataset, "CELL_LIMIT", 1), \
-            pytest.raises(DataError, match="given 0 parents needs 2 cells"):
-        build_score_table(data, 0, 0)
+            pytest.raises(DataError, match="X0 given 0 parents needs 2 cells"):
+        build_score_tables(data, max_parents=0)
+    # {B, C} and {A, B, C} are both over: the set of lower mask is counted
+    # first, and the error names its lowest member with the others as
+    # parents
+    with mock.patch.object(dataset, "CELL_LIMIT", 11), \
+            pytest.raises(DataError, match="^contingency table for X1 given 1 "
+                                           "parents needs 12 cells, over the "
+                                           "limit 11$"):
+        build_score_tables(data, max_parents=2)
 
 
 def test_mdl_self_parent_rejected(fixture_data):
@@ -284,9 +327,9 @@ def _exhaustive_check(data, limit):
     """Pruning safety and monotonicity against brute force."""
     rows = [tuple(r) for r in data.rows]
     n = data.n
-    for x in range(n):
+    tables = build_score_tables(data, max_parents=limit).tables
+    for x, table in enumerate(tables):
         raw = oracle.all_scores(rows, data.arity, x, limit)
-        table = build_score_table(data, x, limit)
         others = [y for y in range(n) if y != x]
         pools = []
         for m in range(1 << len(others)):

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from bnopt import (DynamicHeuristic, MemoryBudgetError, SimpleHeuristic,
-                   StaticHeuristic, astar, best_in, bfbnb, default_grouping,
-                   dp_oracle, exact_distances_to_goal, initial_upper_bound,
-                   pattern_cost_exact, reconstruct)
+from bnopt import (DynamicHeuristic, MemoryBudgetError, ScoreTable,
+                   SimpleHeuristic, StaticHeuristic, astar, best_in, bfbnb,
+                   default_grouping, dp_oracle, exact_distances_to_goal,
+                   initial_upper_bound, pattern_cost_exact, reconstruct,
+                   search)
 from bnopt.bitset import bits, full_mask
 from bnopt.dataset import Dataset
 from bnopt.scoring import build_score_tables, parent_limit
@@ -143,6 +144,19 @@ def test_hill_climb_golden_seed(fixture_tables):
     # global optimum of the 4-variable fixture
     net = initial_upper_bound(fixture_tables, seed=42, restarts=8)
     assert net.total_score == OPT_SCORE
+
+
+def test_hill_climb_totals_summed_in_order(monkeypatch):
+    # every order scores 0.1 + 0.2 + 0.3, which the compensated sum() of
+    # Python 3.12+ rounds to 0.6 for all of them; summed in addition order
+    # only orders that end in 0.1 reach 0.6, so seed 0 keeps a later restart
+    tables = [ScoreTable(x, 3, [(s, 0)]) for x, s in enumerate((0.1, 0.2, 0.3))]
+    orders = []
+    real = search.reconstruct
+    monkeypatch.setattr(search, "reconstruct", lambda t, order, *a: (
+        orders.append(list(order)) or real(t, order, *a)))
+    initial_upper_bound(tables, seed=0, restarts=8)
+    assert orders == [[2, 1, 0]]
 
 
 def test_hill_climb_deterministic(fixture_tables):
