@@ -1,16 +1,12 @@
-"""Variable sets as plain int bitmasks (bit i = variable i, n <= 64)."""
+"""Variable sets as plain int bitmasks (bit i = variable i) of any width."""
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-MAX_VARS = 64
-
 
 def full_mask(n: int) -> int:
     """Mask with all n variables set."""
-    if not 0 <= n <= MAX_VARS:
-        raise ValueError(f"variable count {n} outside supported range 0..{MAX_VARS}")
     return (1 << n) - 1
 
 

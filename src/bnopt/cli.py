@@ -22,7 +22,8 @@ from .heuristics import (PDB_ENTRY_BYTES, DynamicHeuristic, SimpleHeuristic,
 from .parent_store import (DataError, ScoreSet, format_score_file,
                            is_score_file, read_score_file, write_score_file)
 from .search import (DEFAULT_MEM_BUDGET, LearnedNetwork, MemoryBudgetError,
-                     SearchStats, astar, bfbnb, dp_oracle, initial_upper_bound)
+                     SearchStats, astar, bfbnb, check_exhaustive, dp_oracle,
+                     initial_upper_bound)
 
 # dataset, scoring and verify load numpy; they are imported inside the
 # branches that read a data file, so a score-file learn run never loads them
@@ -101,14 +102,16 @@ def _build_report(scores: ScoreSet, net: LearnedNetwork, stats: SearchStats,
 
 
 def cmd_score(args) -> int:
-    from .dataset import DEFAULT_MISSING_TOKENS, load_dataset
-    from .scoring import build_score_tables, parent_limit
-
     if args.max_parents is not None and args.max_parents < 0:
         raise UsageError(f"--max-parents {args.max_parents}: need 0 or more")
     if len(args.delimiter) != 1:
         raise UsageError(f"--delimiter {args.delimiter!r}: need exactly one "
                          "character")
+    if is_score_file(args.input):
+        raise DataError(f"{args.input}: already a score file; score reads a "
+                        "data file")
+    from .dataset import DEFAULT_MISSING_TOKENS, load_dataset
+    from .scoring import build_score_tables, parent_limit
     missing = (frozenset(args.missing_token) if args.missing_token
                else DEFAULT_MISSING_TOKENS)
     data = load_dataset(args.input, delimiter=args.delimiter,
@@ -161,20 +164,23 @@ def cmd_learn(args) -> int:
         groups = "auto" if args.groups is None else args.groups
     # checked before scoring, so a typo costs no scoring run
     try:
+        if dp:
+            check_exhaustive(n)
         if k is not None:
             check_pattern_cap(k, n)
         grouping = None if groups is None else parse_grouping(groups, n)
     except ValueError as e:
         raise UsageError(str(e)) from e
     # the PDB is priced against the budget before it is built, and before
-    # scoring; the simple bound keeps only n floats
+    # scoring; the simple bound keeps only n floats. The search gets the rest
     entries = (pattern_count(n, k) if k is not None else
                sum(1 << g.bit_count() for g in grouping or ()))
-    if entries * PDB_ENTRY_BYTES > mem_budget:
+    pdb_bytes = entries * PDB_ENTRY_BYTES
+    if pdb_bytes > mem_budget:
         raise MemoryBudgetError(
             f"the {heuristic} pattern database prices {entries} patterns, "
-            f"~{entries * PDB_ENTRY_BYTES} bytes, over the {mem_budget}-byte "
-            "budget")
+            f"~{pdb_bytes} bytes, over the {mem_budget}-byte budget")
+    mem_budget -= pdb_bytes
     N = limit = None
     if data is not None:
         from .scoring import build_score_tables, parent_limit
@@ -237,6 +243,10 @@ def cmd_verify(args) -> int:
     scores, data = _load_input(args)
     n = scores.n if data is None else data.n
     # checked before scoring, so a refused data file costs no scoring run
+    try:
+        check_exhaustive(n)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     if n > args.max_n:
         raise UsageError(f"{n} variables exceed the exhaustive-check guard "
                          f"{args.max_n}; raise --max-n to force")

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .bitset import bits
-from .parent_store import DataError, undecodable
+from .parent_store import DataError, ordered_sum, undecodable
 
 DEFAULT_MISSING_TOKENS = frozenset({"?", ""})
 
@@ -151,12 +151,7 @@ def binarize_mean(raw: RawTable) -> Dataset:
                             "drop_incomplete first")
         vals = _parse_numeric(col)
         if vals is not None:
-            # one term at a time in row order: sum() of floats
-            # compensates rounding on Python 3.12+
-            total = 0.0
-            for v in vals:
-                total += v
-            mean = total / nrow
+            mean = ordered_sum(vals) / nrow  # in row order
             codes = [0 if v < mean else 1 for v in vals]
         else:
             seen: dict[str, int] = {}

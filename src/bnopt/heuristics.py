@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .bitset import bits, full_mask, mask_of
-from .parent_store import ScoreTable, best_in
+from .parent_store import ScoreTable, best_in, ordered_sum
 
 # largest static group: its table holds 2^size entries; a dynamic PDB may
 # price no more patterns than that
@@ -136,12 +136,7 @@ class DynamicHeuristic:
         self.patterns: dict[int, tuple[float, float]] = {}
         # ascending size: immediate sub-patterns' differentials come first
         for P, cost in pattern_costs(tables, full_mask(n), k).items():
-            # one term at a time in ascending variable order: sum() of
-            # floats compensates rounding on Python 3.12+
-            singles = 0.0
-            for x in bits(P):
-                singles += self.h0[x]
-            diff = cost - singles
+            diff = cost - ordered_sum(self.h0[x] for x in bits(P))
             diffs[P] = diff
             if P.bit_count() >= 2 and diff > 0.0 and all(
                     diff != diffs[P ^ (1 << x)] for x in bits(P)):
@@ -201,9 +196,9 @@ def default_grouping(n: int) -> list[int]:
     return [mask_of(range(half)), mask_of(range(half, n))]
 
 
-def _check_grouping(grouping: Sequence[int], n: int) -> None:
-    """Raise ValueError unless the groups partition the n variables and
-    each fits under GROUP_CAP."""
+def _check_grouping(grouping: Sequence[int], n: int) -> Sequence[int]:
+    """grouping, after raising ValueError unless the groups partition the
+    n variables and each fits under GROUP_CAP."""
     union = 0
     total = 0
     for g in grouping:
@@ -217,13 +212,14 @@ def _check_grouping(grouping: Sequence[int], n: int) -> None:
             raise ValueError(
                 f"group of {size} variables exceeds the size cap "
                 f"{GROUP_CAP} (2^{size} table entries)")
+    return grouping
 
 
 def parse_grouping(text: str, n: int) -> list[int]:
-    """Parse CLI grouping syntax: 'auto' or comma-separated 1-based runs
-    and indices like '1-4,5-8', and check the result with _check_grouping."""
+    """Parse CLI grouping syntax, 'auto' (default_grouping) or 1-based
+    runs and indices like '1-4,5-8', and check it with _check_grouping."""
     if text == "auto":
-        return default_grouping(n)
+        return _check_grouping(default_grouping(n), n)
     groups = []
     for part in text.split(","):
         part = part.strip()
@@ -239,8 +235,7 @@ def parse_grouping(text: str, n: int) -> list[int]:
         if any(not 0 <= i < n for i in idxs):
             raise ValueError(f"group {part!r} has variables outside 1..{n}")
         groups.append(mask_of(idxs))
-    _check_grouping(groups, n)
-    return groups
+    return _check_grouping(groups, n)
 
 
 class StaticHeuristic:
@@ -251,9 +246,8 @@ class StaticHeuristic:
 
     def __init__(self, tables: Sequence[ScoreTable], grouping: Sequence[int]):
         n = tables[0].n
-        _check_grouping(grouping, n)
         self.n = n
-        self.groups = list(grouping)
+        self.groups = list(_check_grouping(grouping, n))
         # one pattern-cost sweep per group over its full subset lattice
         self.costs = [pattern_costs(tables, g, g.bit_count())
                       for g in self.groups]

@@ -15,9 +15,12 @@ an answer.
 
 Exclusion cursors serve ordering-based hill climbing: a cursor holds the
 mask of candidate parents ruled out so far, excluding a variable returns a
-new cursor that shares the table, and cursor_best is the first entry that
-avoids every excluded variable. Cursors are persistent values, so sibling
-search branches can keep a common ancestor.
+new cursor that shares the table, and cursor_best is best_in over the pool
+the cursor still admits. Cursors are persistent values, so sibling search
+branches can keep a common ancestor.
+
+Scores are added by ordered_sum, left to right from 0.0: sum() compensates
+rounding on Python 3.12+, which would make reports differ between versions.
 
 A ScoreSet names the tables of one dataset, and the score file is its form
 on disk: write_score_file and read_score_file round-trip it bit for bit.
@@ -28,9 +31,9 @@ loads the ingest and scoring modules.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .bitset import bits, mask_of
+from .bitset import bits, full_mask, mask_of
 
 
 class DataError(ValueError):
@@ -64,6 +67,14 @@ class ScoreTable:
 
     def __len__(self) -> int:
         return len(self.parent_sets)
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """values added one at a time, left to right, from 0.0."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 class ScoreSet:
@@ -103,13 +114,9 @@ def cursor_exclude(c: ExclusionCursor, y: int) -> ExclusionCursor:
 
 
 def cursor_best(c: ExclusionCursor) -> tuple[float, int]:
-    """First entry that avoids every excluded variable: BestScore over all
-    candidate pools the cursor still admits (at the latest the empty
-    parent set)."""
-    excluded = c.excluded
-    for i, pa in enumerate(c.table.parent_sets):
-        if not pa & excluded:
-            return c.table.scores[i], pa
+    """BestScore over the pool the cursor still admits (best_in)."""
+    t = c.table
+    return best_in(t, full_mask(t.n) & ~c.excluded & ~(1 << t.variable))
 
 
 def best_in(table: ScoreTable, candidates: int) -> tuple[float, int]:

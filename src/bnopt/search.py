@@ -29,7 +29,7 @@ from typing import Sequence
 from .bitset import bits, full_mask
 from .heuristics import pattern_costs
 from .parent_store import (ScoreTable, best_in, cursor_best, cursor_exclude,
-                           cursor_new)
+                           cursor_new, ordered_sum)
 
 DP_MAX_VARS = 20
 
@@ -48,6 +48,13 @@ G_EPS = 1e-12
 
 def _improves(gc: float, old: float) -> bool:
     return gc < old - G_EPS * max(1.0, abs(old))
+
+
+def check_exhaustive(n: int) -> None:
+    """Raise ValueError when n exceeds DP_MAX_VARS (read at each call)."""
+    if n > DP_MAX_VARS:
+        raise ValueError(f"{n} variables exceed the exhaustive limit "
+                         f"{DP_MAX_VARS}")
 
 
 class SearchStats:
@@ -100,21 +107,16 @@ def reconstruct(
         raise ValueError("addition order must list every variable exactly once")
     parents = [0] * n
     scores = [0.0] * n
-    path_total = 0.0
     prefix = 0
     for x in order:
         scores[x], parents[x] = best_in(tables[x], prefix)
-        path_total += scores[x]
         prefix |= 1 << x
+    path_total = ordered_sum(scores[x] for x in order)
     if expected_g is not None and abs(path_total - expected_g) > 1e-9:
         raise AssertionError(
             f"reconstructed path score {path_total} != search g {expected_g}")
-    # canonical summation order: ascending variable index (not sum(), which
-    # compensates rounding on Python 3.12+)
-    total = 0.0
-    for s in scores:
-        total += s
-    return LearnedNetwork(parents, total)
+    # the canonical total adds in ascending variable index
+    return LearnedNetwork(parents, ordered_sum(scores))
 
 
 def _order_from_preds(pred_of, full: int) -> list[int]:
@@ -291,10 +293,7 @@ def initial_upper_bound(
                     improved = True
                     break
                 prefix |= 1 << a
-        # one term at a time in addition order, as in reconstruct
-        total = 0.0
-        for s in scores:
-            total += s
+        total = ordered_sum(scores)  # in addition order
         if total < best_total:
             best_total = total
             best_perm = list(perm)
@@ -304,8 +303,7 @@ def initial_upper_bound(
 def dp_oracle(tables: Sequence[ScoreTable]) -> tuple[LearnedNetwork, float]:
     """Forward dynamic programming over all 2^n nodes; exact optimum."""
     n = tables[0].n
-    if n > DP_MAX_VARS:
-        raise ValueError(f"dp oracle limited to {DP_MAX_VARS} variables")
+    check_exhaustive(n)
     size = 1 << n
     dist = array("d", [math.inf]) * size
     dist[0] = 0.0
@@ -328,8 +326,7 @@ def exact_distances_to_goal(tables: Sequence[ScoreTable]) -> list[float]:
     """Backward DP; entry [U] is the shortest distance from node U to the
     goal (indexed by bitmask), i.e. the cost of the pattern V\\U."""
     n = tables[0].n
-    if n > DP_MAX_VARS:
-        raise ValueError(f"exact distances limited to {DP_MAX_VARS} variables")
+    check_exhaustive(n)
     full = full_mask(n)
     cost = pattern_costs(tables, full, n)
     return [cost[full ^ U] for U in range(1 << n)]

@@ -625,19 +625,115 @@ def test_pdb_counted_against_budget_before_scoring(capsys, monkeypatch):
                  "--mem-budget", str(1 << 20)]) == EXIT_OK
 
 
+def _flat_score_file(tmp_path, n):
+    """A score file of n variables whose tables hold only the empty set."""
+    p = tmp_path / f"flat{n}.scores"
+    p.write_text(f"n {n}\n" + "".join(f"var X{i} 1\n1.0 0\n"
+                                      for i in range(1, n + 1)))
+    return p
+
+
 def test_largest_static_groups_refused_under_default_budget(tmp_path, capsys,
                                                            monkeypatch):
     # two groups at the size cap 25 would price 2^26 patterns, ~14.8 GB
     from bnopt import heuristics
-    names = [f"X{i}" for i in range(1, 51)]
-    p = tmp_path / "wide.scores"
-    p.write_text("n 50\n" + "".join(f"var {nm} 1\n1.0 0\n" for nm in names))
+    p = _flat_score_file(tmp_path, 50)
     monkeypatch.setattr(heuristics, "pattern_costs",
                         lambda *a: pytest.fail("pattern sweep started"))
     assert main(["learn", str(p), "--heuristic", "static",
                  "--groups", "1-25,26-50"]) == EXIT_MEMORY
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "prices 67108864 patterns" in err[0], err
+
+
+@pytest.mark.parametrize("flags", [["--groups", "1-26,27-52"], [],
+                                   ["--mem-budget", "100000000000"]],
+                         ids=["explicit", "auto", "auto-large-budget"])
+def test_auto_groups_checked_like_explicit_ones(tmp_path, capsys,
+                                                monkeypatch, flags):
+    # auto halves 52 variables into two groups of 26, over the size cap
+    from bnopt import heuristics
+    monkeypatch.setattr(heuristics, "pattern_costs",
+                        lambda *a: pytest.fail("pattern sweep started"))
+    p = _flat_score_file(tmp_path, 52)
+    assert main(["learn", str(p), "--heuristic", "static",
+                 *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "bnopt: group of 26 variables exceeds the size cap 25 (2^26 table "
+        "entries)"]
+
+
+@pytest.mark.parametrize("algorithm", ["astar", "bfbnb"])
+def test_search_budget_is_what_the_pdb_leaves(capsys, monkeypatch,
+                                              algorithm):
+    from bnopt import cli, heuristics
+    real = getattr(cli, algorithm)
+    budgets = []
+
+    def spy(*args, mem_budget):
+        budgets.append(mem_budget)
+        return real(*args, mem_budget=mem_budget)
+    monkeypatch.setattr(cli, algorithm, spy)
+    # the fixture's auto groups price 2 * 2^2 patterns
+    assert main(["learn", str(GOLDEN_SCORES), "--algorithm", algorithm,
+                 "--heuristic", "static", "--mem-budget",
+                 str(1 << 20)]) == EXIT_OK
+    assert budgets == [(1 << 20) - 8 * heuristics.PDB_ENTRY_BYTES]
+
+
+@pytest.mark.parametrize("algorithm", ["astar", "bfbnb"])
+def test_learn_past_64_variables(tmp_path, capsys, algorithm):
+    # masks are Python ints, so no variable count is too wide for them
+    p = _flat_score_file(tmp_path, 65)
+    assert main(["learn", str(p), "--algorithm", algorithm]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["dataset"]["n"] == 65
+    assert report["total_score"] == 65.0
+    assert all(pa == [] for pa in report["parents"].values())
+
+
+def test_dp_limit_checked_before_scoring(capsys, monkeypatch):
+    from bnopt import scoring, search
+    monkeypatch.setattr(search, "DP_MAX_VARS", 3)
+    monkeypatch.setattr(scoring, "build_score_tables",
+                        lambda *a, **kw: pytest.fail("scored a refused file"))
+    assert main(["learn", str(FIXTURE_CSV), "--algorithm", "dp"]) \
+        == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "bnopt: 4 variables exceed the exhaustive limit 3"]
+
+
+@pytest.mark.parametrize("path", [FIXTURE_CSV, GOLDEN_SCORES],
+                         ids=["csv", "scores"])
+def test_verify_limit_checked_before_any_check(capsys, monkeypatch, path):
+    # a higher --max-n does not lift the limit of the exhaustive sweeps
+    from bnopt import scoring, search, verify
+    monkeypatch.setattr(search, "DP_MAX_VARS", 3)
+    monkeypatch.setattr(scoring, "build_score_tables",
+                        lambda *a, **kw: pytest.fail("scored a refused file"))
+    monkeypatch.setattr(verify, "run_all",
+                        lambda *a: pytest.fail("checks ran"))
+    assert main(["verify", str(path), "--max-n", "30"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "bnopt: 4 variables exceed the exhaustive limit 3"]
+
+
+def test_score_refuses_a_score_file(capsys, monkeypatch):
+    from bnopt import scoring
+    monkeypatch.setattr(scoring, "build_score_tables",
+                        lambda *a, **kw: pytest.fail("scored a score file"))
+    assert main(["score", str(GOLDEN_SCORES)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"bnopt: {GOLDEN_SCORES}: already a score file; score reads a data "
+        "file"]
 
 
 def test_dynamic_counts_pinned_on_every_python(capsys):

@@ -33,6 +33,15 @@ def test_numpy_only_in_ingest_scoring_and_synth():
     assert importers == NUMPY_MODULES
 
 
+def test_no_assert_statements_in_package():
+    # assert vanishes under python -O; invariants raise real exceptions
+    src = Path(bnopt.__file__).parent
+    holders = {p.name for p in src.glob("*.py")
+               if any(isinstance(node, ast.Assert)
+                      for node in ast.walk(ast.parse(p.read_text())))}
+    assert holders == set()
+
+
 # the report of each score-file run is compared with the in-process CLI
 SCORE_FILE_RUNS = {
     "astar-simple": ["--algorithm", "astar", "--heuristic", "simple"],

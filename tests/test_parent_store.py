@@ -4,6 +4,7 @@ import oracle
 from bnopt import (DataError, ScoreTable, SimpleHeuristic, astar, best_in,
                    cursor_best, cursor_exclude, cursor_new, dp_oracle)
 from bnopt.bitset import mask_of
+from bnopt.parent_store import ordered_sum
 from bnopt.scoring import build_score_tables, parent_limit
 from bnopt.synth import random_dataset
 
@@ -184,3 +185,10 @@ def test_wide_table_multiple_words():
     t = ScoreTable(0, 8, entries)
     for cands in (0, 0b10, 0b1010100, 0b11111110):
         assert best_in(t, cands) == _fitting_minimum(t, cands)
+
+
+def test_ordered_sum_adds_left_to_right():
+    # a compensated sum (math.fsum, or sum() on Python 3.12+) gives 1.0
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
+    assert ordered_sum(x / 10 for x in (1, 2, 3)) == 0.1 + 0.2 + 0.3
+    assert ordered_sum([]) == 0.0
