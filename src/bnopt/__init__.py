@@ -12,8 +12,7 @@ from importlib import import_module
 
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          default_grouping, parse_grouping, pattern_cost_exact)
-from .parent_store import (DataError, ExclusionCursor, ScoreSet, ScoreTable,
-                           best_in, cursor_best, cursor_exclude, cursor_new,
+from .parent_store import (DataError, ScoreSet, ScoreTable, best_in,
                            format_score_file, read_score_file,
                            write_score_file)
 from .search import (LearnedNetwork, MemoryBudgetError, SearchStats, astar,
@@ -51,9 +50,7 @@ __all__ = [
     "drop_incomplete", "load_dataset", "load_delimited",
     "ScoreSet", "build_score_tables",
     "format_score_file", "mdl_local_score", "parent_limit", "prune_scores",
-    "read_score_file", "write_score_file",
-    "ExclusionCursor", "ScoreTable", "best_in", "cursor_best",
-    "cursor_exclude", "cursor_new",
+    "read_score_file", "write_score_file", "ScoreTable", "best_in",
     "DynamicHeuristic", "SimpleHeuristic", "StaticHeuristic",
     "default_grouping", "parse_grouping", "pattern_cost_exact",
     "LearnedNetwork", "MemoryBudgetError", "SearchStats", "astar", "bfbnb",

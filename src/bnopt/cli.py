@@ -36,6 +36,9 @@ EXIT_USAGE = 3
 EXIT_MEMORY = 4
 EXIT_VERIFY = 5
 
+# dp_oracle's array('d') distance and array('b') predecessor of a node
+DP_NODE_BYTES = 9
+
 
 class UsageError(Exception):
     pass
@@ -181,6 +184,10 @@ def cmd_learn(args) -> int:
             f"the {heuristic} pattern database prices {entries} patterns, "
             f"~{pdb_bytes} bytes, over the {mem_budget}-byte budget")
     mem_budget -= pdb_bytes
+    if dp and DP_NODE_BYTES << n > mem_budget:
+        raise MemoryBudgetError(
+            f"the dp oracle prices {1 << n} nodes, ~{DP_NODE_BYTES << n} "
+            f"bytes, over the {mem_budget}-byte budget")
     N = limit = None
     if data is not None:
         from .scoring import build_score_tables, parent_limit

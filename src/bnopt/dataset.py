@@ -80,10 +80,10 @@ def load_delimited(
     Tokens in missing_tokens become absent cells. A row whose cell count
     differs from the header is rejected with its 1-based record number, a
     header that names a column twice with the name, and bytes that are not
-    text with the path.
+    text with the path. A leading UTF-8 byte-order mark is skipped.
     """
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             records = list(csv.reader(f, delimiter=delimiter))
     except UnicodeDecodeError as e:
         raise undecodable(path, e) from None

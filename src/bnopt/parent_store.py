@@ -171,9 +171,10 @@ def _is_header(toks: list[str]) -> bool:
 
 def is_score_file(path) -> bool:
     """Whether the first non-blank line of path is a score-file header; a
-    file that cannot be opened or decoded raises DataError naming path."""
+    file that cannot be opened or decoded raises DataError naming path.
+    Like every reader here, it skips a leading UTF-8 byte-order mark."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8-sig") as f:
             for line in f:
                 if line.strip():
                     return _is_header(line.split())
@@ -197,7 +198,7 @@ def read_score_file(path) -> ScoreSet:
     invariants are the verifier's job.
     """
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8-sig") as f:
             lines = [(no, ln.split()) for no, ln in enumerate(f, 1)
                      if ln.strip()]
     except UnicodeDecodeError as e:

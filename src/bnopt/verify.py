@@ -13,8 +13,7 @@ from typing import TYPE_CHECKING
 from .bitset import bits, format_set, full_mask
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          default_grouping, pattern_cost_exact)
-from .parent_store import (ScoreSet, best_in, cursor_best, cursor_exclude,
-                           cursor_new)
+from .parent_store import ScoreSet, best_in
 from .search import exact_distances_to_goal
 
 # dataset and scoring load numpy; only a data-file check imports them, so
@@ -46,9 +45,8 @@ def check_table_shape(scores: ScoreSet) -> list[str]:
 def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
                              ) -> list[str]:
     """For every variable and candidate pool, in ascending mask order:
-    one-shot query == cursor chain, a fitting entry scoring the full-scan
-    minimum, and == brute-force score minimum when the raw data is
-    available."""
+    best_in answers a fitting entry scoring the full-scan minimum, and the
+    brute-force score minimum when the raw data is available."""
     out = []
     n = scores.n
     where = lambda x, cands: (f"variable {scores.names[x]}, candidates "
@@ -61,23 +59,13 @@ def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
                 if not pa >> x & 1 and pa.bit_count() <= limit}
                for x in range(n)]
     for x, t in enumerate(scores.tables):
-        rest = full_mask(n) & ~(1 << x)
-        pools = [c for c in range(1 << n) if not c >> x & 1]
-        # cursors are persistent: a pool's chain is that of the pool keeping
-        # its highest excluded variable, plus one step excluding it
-        chain = {rest: cursor_new(t)}
-        for cands in reversed(pools[:-1]):
-            y = (rest ^ cands).bit_length() - 1
-            chain[cands] = cursor_exclude(chain[cands | 1 << y], y)
-        for cands in pools:
+        for cands in range(1 << n):
+            if cands >> x & 1:
+                continue
             got = best_in(t, cands)
-            hit = cursor_best(chain[cands])
             full_min = min(s for s, pa in zip(t.scores, t.parent_sets)
                            if pa & ~cands == 0)
-            if got != hit:
-                out.append(f"cursor-equivalence: query paths disagree at "
-                           f"{where(x, cands)}: best_in={got} fwd={hit}")
-            elif got[0] != full_min or got[1] & ~cands:
+            if got[0] != full_min or got[1] & ~cands:
                 out.append(f"cursor-equivalence: first hit {got} is not a "
                            f"fitting list minimum {full_min} at "
                            f"{where(x, cands)}")

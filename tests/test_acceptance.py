@@ -15,11 +15,11 @@ import pytest
 import oracle
 from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
                    StaticHeuristic, astar, best_in, bfbnb,
-                   build_score_tables, cursor_best, cursor_exclude,
-                   cursor_new, default_grouping, dp_oracle,
+                   build_score_tables, default_grouping, dp_oracle,
                    exact_distances_to_goal, initial_upper_bound,
                    load_dataset, mdl_local_score, parent_limit)
 from bnopt.bitset import bits, full_mask, mask_of
+from bnopt.parent_store import cursor_best, cursor_exclude, cursor_new
 from bnopt.synth import prefix_dataset, random_dataset
 from conftest import FIXTURE_CSV
 

@@ -188,37 +188,14 @@ def test_verify_fails_table_shape(tmp_path, capsys):
         "PASS heuristics"])
 
 
-def test_verify_fails_cursor_disagreement(capsys, monkeypatch):
-    from bnopt import parent_store, verify
-
-    def off_by_one(c):
-        s, pa = parent_store.cursor_best(c)
-        return s + 1.0, pa
-    monkeypatch.setattr(verify, "cursor_best", off_by_one)
-    rc, out = _verify_out(capsys, GOLDEN_SCORES)
-    assert rc == EXIT_VERIFY
-    assert out[:2] == ["PASS table shape",
-                       "FAIL cursor equivalence (32 violation(s))"]
-    assert len(out) == 2 + 20 + 1 and out[-1] == "PASS heuristics"
-    # only up to the best_in= field: the rest names the cursor chains
-    assert out[2].startswith(
-        "  cursor-equivalence: query paths disagree at variable A, "
-        "candidates {}: best_in=(9.5, 0) ")
-    assert out[21].startswith(
-        "  cursor-equivalence: query paths disagree at variable C, "
-        "candidates {A,B}: best_in=(9.490224995673064, 1) ")
-
-
 def test_verify_fails_first_hit_not_minimal(capsys, monkeypatch):
-    # both query paths agree on the last fitting entry instead of the first
+    # best_in answers the last fitting entry instead of the first
     from bnopt import verify
 
     def last_fit(t, cands):
         return max((s, pa) for s, pa in zip(t.scores, t.parent_sets)
                    if pa & ~cands == 0)
     monkeypatch.setattr(verify, "best_in", last_fit)
-    monkeypatch.setattr(verify, "cursor_best",
-                        lambda c: last_fit(c.table, ~c.excluded))
     rc, out = _verify_out(capsys, GOLDEN_SCORES)
     assert rc == EXIT_VERIFY
     assert out[:4] == [
@@ -374,6 +351,22 @@ def test_readers_reject_non_utf8(tmp_path):
     with pytest.raises(DataError,
                        match=f"^{re.escape(str(late))}: not utf-8 text"):
         read_score_file(late)
+
+
+@pytest.mark.parametrize("source", [GOLDEN_SCORES, FIXTURE_CSV],
+                         ids=["score-file", "csv"])
+def test_byte_order_mark_changes_nothing(tmp_path, capsys, source):
+    # a leading UTF-8 BOM neither hides the score-file header nor joins the
+    # first column's name
+    marked = tmp_path / ("bom" + source.suffix)
+    marked.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+    outputs = []
+    for path in (source, marked):
+        dot = tmp_path / f"{path.name}.dot"
+        assert main(["learn", str(path), "--dot", str(dot)]) == EXIT_OK
+        outputs.append((capsys.readouterr().out, dot.read_text()))
+    assert outputs[1] == outputs[0]
+    assert '"A"' in outputs[0][1]
 
 
 def _edited_golden(tmp_path, old, new):
@@ -623,6 +616,24 @@ def test_pdb_counted_against_budget_before_scoring(capsys, monkeypatch):
     monkeypatch.undo()
     assert main(["learn", str(FIXTURE_CSV), "--heuristic", "static",
                  "--mem-budget", str(1 << 20)]) == EXIT_OK
+
+
+def test_dp_counted_against_budget_before_scoring(capsys, monkeypatch):
+    from bnopt import scoring
+    real = scoring.build_score_tables
+    monkeypatch.setattr(scoring, "build_score_tables",
+                        lambda *a: pytest.fail("scoring started"))
+    # dp keeps 9 bytes for each of the fixture's 2^4 nodes
+    assert main(["learn", str(FIXTURE_CSV), "--algorithm", "dp",
+                 "--mem-budget", "143"]) == EXIT_MEMORY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "bnopt: the dp oracle prices 16 nodes, ~144 bytes, over the "
+        "143-byte budget"]
+    monkeypatch.setattr(scoring, "build_score_tables", real)
+    assert main(["learn", str(FIXTURE_CSV), "--algorithm", "dp",
+                 "--mem-budget", "144"]) == EXIT_OK
 
 
 def _flat_score_file(tmp_path, n):

@@ -42,6 +42,27 @@ def test_no_assert_statements_in_package():
     assert holders == set()
 
 
+def test_no_unused_imports_in_package():
+    # every imported name is read in its module or re-exported by __all__
+    src = Path(bnopt.__file__).parent
+    unused = {}
+    for p in src.glob("*.py"):
+        imported, read = set(), set()
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0]
+                             for a in node.names}
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        exported = set(bnopt.__all__) if p.name == "__init__.py" else set()
+        if imported - read - exported:
+            unused[p.name] = sorted(imported - read - exported)
+    assert unused == {}
+
+
 # the report of each score-file run is compared with the in-process CLI
 SCORE_FILE_RUNS = {
     "astar-simple": ["--algorithm", "astar", "--heuristic", "simple"],

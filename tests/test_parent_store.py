@@ -2,9 +2,10 @@ import pytest
 
 import oracle
 from bnopt import (DataError, ScoreTable, SimpleHeuristic, astar, best_in,
-                   cursor_best, cursor_exclude, cursor_new, dp_oracle)
+                   dp_oracle)
 from bnopt.bitset import mask_of
-from bnopt.parent_store import ordered_sum
+from bnopt.parent_store import (cursor_best, cursor_exclude, cursor_new,
+                                ordered_sum)
 from bnopt.scoring import build_score_tables, parent_limit
 from bnopt.synth import random_dataset
 
