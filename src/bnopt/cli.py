@@ -19,8 +19,9 @@ from .bitset import bits
 from .heuristics import (PDB_ENTRY_BYTES, DynamicHeuristic, SimpleHeuristic,
                          StaticHeuristic, check_pattern_cap, parse_grouping,
                          pattern_count)
-from .parent_store import (DataError, ScoreSet, format_score_file,
-                           is_score_file, read_score_file, write_score_file)
+from .parent_store import (DataError, ScoreSet, check_names,
+                           format_score_file, is_score_file, read_score_file,
+                           write_score_file)
 from .search import (DEFAULT_MEM_BUDGET, LearnedNetwork, MemoryBudgetError,
                      SearchStats, astar, bfbnb, check_exhaustive, dp_oracle,
                      initial_upper_bound)
@@ -104,22 +105,45 @@ def _build_report(scores: ScoreSet, net: LearnedNetwork, stats: SearchStats,
     return json.dumps(report, indent=2) + "\n"
 
 
+def _add_ingest_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--delimiter", help="one character (default ',')")
+    p.add_argument("--missing-token", action="append", default=None,
+                   help="token treated as a missing cell (repeatable; "
+                        "replaces the default set of '?' and empty)")
+    p.add_argument("--no-header", action="store_true",
+                   help="headerless input; variables named X1..Xn")
+
+
+def _ingest_options(args) -> dict:
+    """load_dataset keyword arguments for the ingest flags given; empty
+    when none is."""
+    options = {}
+    if args.delimiter is not None:
+        if len(args.delimiter) != 1:
+            raise UsageError(f"--delimiter {args.delimiter!r}: need exactly "
+                             "one character")
+        options["delimiter"] = args.delimiter
+    if args.missing_token:
+        options["missing_tokens"] = frozenset(args.missing_token)
+    if args.no_header:
+        options["header"] = False
+    return options
+
+
 def cmd_score(args) -> int:
     if args.max_parents is not None and args.max_parents < 0:
         raise UsageError(f"--max-parents {args.max_parents}: need 0 or more")
-    if len(args.delimiter) != 1:
-        raise UsageError(f"--delimiter {args.delimiter!r}: need exactly one "
-                         "character")
+    options = _ingest_options(args)
     if is_score_file(args.input):
         raise DataError(f"{args.input}: already a score file; score reads a "
                         "data file")
-    from .dataset import DEFAULT_MISSING_TOKENS, load_dataset
+    from .dataset import load_dataset
     from .scoring import build_score_tables, parent_limit
-    missing = (frozenset(args.missing_token) if args.missing_token
-               else DEFAULT_MISSING_TOKENS)
-    data = load_dataset(args.input, delimiter=args.delimiter,
-                        missing_tokens=missing,
-                        header=not args.no_header)
+    data = load_dataset(args.input, **options)
+    try:  # before scoring, so a refused name costs no scoring run
+        check_names(data.names)
+    except ValueError as e:
+        raise DataError(f"{args.input}: {e}") from None
     limit = parent_limit(data.N)
     if args.max_parents is not None and args.max_parents > limit:
         raise UsageError(
@@ -139,10 +163,14 @@ def cmd_score(args) -> int:
 def _load_input(args) -> tuple[ScoreSet | None, Dataset | None]:
     """(scores, None) for a score file, (None, data) for a data file that
     still needs scoring."""
+    options = _ingest_options(args)
     if is_score_file(args.input):
+        if options:
+            raise UsageError("--delimiter, --missing-token and --no-header "
+                             "apply only to a data file")
         return read_score_file(args.input), None
     from .dataset import load_dataset
-    return None, load_dataset(args.input)
+    return None, load_dataset(args.input, **options)
 
 
 def cmd_learn(args) -> int:
@@ -277,12 +305,7 @@ def _make_parser() -> _Parser:
     ps.add_argument("--out", help="score file path (default: stdout)")
     ps.add_argument("--max-parents", type=int,
                     help="tighten the in-degree limit (downward only)")
-    ps.add_argument("--delimiter", default=",")
-    ps.add_argument("--missing-token", action="append", default=None,
-                    help="token treated as a missing cell (repeatable; "
-                         "replaces the default set of '?' and empty)")
-    ps.add_argument("--no-header", action="store_true",
-                    help="headerless input; variables named X1..Xn")
+    _add_ingest_flags(ps)
     ps.set_defaults(func=cmd_score)
 
     pl = sub.add_parser("learn", help="learn an optimal network from a data "
@@ -303,12 +326,14 @@ def _make_parser() -> _Parser:
                          "(default $BNOPT_MEM_BUDGET or 4 GiB)")
     pl.add_argument("--out", help="also write the JSON report here")
     pl.add_argument("--dot", help="write the network in DOT format here")
+    _add_ingest_flags(pl)
     pl.set_defaults(func=cmd_learn)
 
     pv = sub.add_parser("verify", help="run exhaustive invariant checks")
     pv.add_argument("input")
     pv.add_argument("--max-n", type=int, default=10,
                     help="refuse exhaustive checks above this variable count")
+    _add_ingest_flags(pv)
     pv.set_defaults(func=cmd_verify)
     return p
 

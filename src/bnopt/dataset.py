@@ -9,6 +9,7 @@ first-appearance order.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +28,9 @@ CELL_LIMIT = 1 << 22
 
 @dataclass
 class RawTable:
-    """Tokenized delimited file; None marks a missing cell."""
+    """Tokenized delimited file; None marks a missing cell. load_delimited
+    gives equal records one shared cells list, so edit a row by replacing
+    it, not in place."""
 
     column_names: list[str]
     cells: list[list[str | None]]
@@ -79,39 +82,57 @@ def load_delimited(
 
     Tokens in missing_tokens become absent cells. A row whose cell count
     differs from the header is rejected with its 1-based record number, a
-    header that names a column twice with the name, and bytes that are not
-    text with the path. A leading UTF-8 byte-order mark is skipped.
+    header that names a column twice with the name, bytes that are not
+    text with the path, and a field the csv reader refuses with the path
+    and line. A leading UTF-8 byte-order mark is skipped. Each distinct
+    record is stripped and missing-tested once; equal records share one
+    cells list.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
-            records = list(csv.reader(f, delimiter=delimiter))
+            reader = csv.reader(f, delimiter=delimiter)
+            records = filter(None, reader)  # ignore fully blank lines
+            try:
+                return _tabulate(path, records, missing_tokens, header)
+            except (DataError, csv.Error) as e:
+                f.read()  # bytes that are not text win wherever they are
+                if isinstance(e, DataError):
+                    raise
+                raise DataError(
+                    f"{path}: line {reader.line_num}: {e}") from None
     except UnicodeDecodeError as e:
         raise undecodable(path, e) from None
-    records = [r for r in records if r]  # ignore fully blank lines
-    if not records:
+
+
+def _tabulate(path, records, missing_tokens, header: bool) -> RawTable:
+    first = next(records, None)
+    if first is None:
         raise DataError(f"{path}: no records")
     if header:
-        names = [t.strip() for t in records[0]]
+        names = [t.strip() for t in first]
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise DataError(f"{path}: header names column {name!r} twice")
-        body = records[1:]
-        if not body:
-            raise DataError(f"{path}: no records")
         offset = 2
     else:
-        names = [f"X{i + 1}" for i in range(len(records[0]))]
-        body = records
+        names = [f"X{i + 1}" for i in range(len(first))]
+        records = itertools.chain([first], records)
         offset = 1
     ncol = len(names)
+    seen: dict[tuple[str, ...], list[str | None]] = {}
     cells: list[list[str | None]] = []
-    for i, rec in enumerate(body):
-        if len(rec) != ncol:
-            raise DataError(
-                f"{path}: row {i + offset} has {len(rec)} cells, expected {ncol}"
-            )
-        cells.append([None if t in missing_tokens else t
-                      for t in map(str.strip, rec)])
+    for i, rec in enumerate(records, offset):
+        key = tuple(rec)
+        row = seen.get(key)
+        if row is None:  # equal records have equal lengths
+            if len(rec) != ncol:
+                raise DataError(
+                    f"{path}: row {i} has {len(rec)} cells, expected {ncol}")
+            row = seen[key] = [None if t in missing_tokens else t
+                               for t in map(str.strip, rec)]
+        cells.append(row)
+    if not cells:
+        raise DataError(f"{path}: no records")
     return RawTable(names, cells)
 
 
@@ -136,36 +157,46 @@ def binarize_mean(raw: RawTable) -> Dataset:
 
     Numeric columns become binary: 0 strictly below the column mean, 1
     otherwise. Non-numeric columns get category codes in first-appearance
-    order. A column that ends up with a single state is an error.
+    order. A column that ends up with a single state is an error. Each
+    distinct record is parsed and coded once; the mean still adds every
+    row's value in row order.
     """
     ncol = len(raw.column_names)
     nrow = len(raw.cells)
     if nrow == 0:
         raise DataError("empty dataset")
-    coded = np.empty((nrow, ncol), dtype=np.int64)
+    # distinct records in first-appearance order, and each row's one; a
+    # record is known by its cells list, which load_delimited shares
+    # between equal records
+    by_list = dict(zip(map(id, raw.cells), raw.cells))
+    distinct = list(by_list.values())
+    slot = dict(zip(by_list, range(len(distinct))))
+    index = list(map(slot.__getitem__, map(id, raw.cells)))
+    del by_list, slot
+    coded = np.empty((len(distinct), ncol), dtype=np.int64)
     arity = []
     for j in range(ncol):
-        col = [row[j] for row in raw.cells]
+        col = [rec[j] for rec in distinct]
         if None in col:
             raise DataError(f"column {raw.column_names[j]!r} has missing cells; "
                             "drop_incomplete first")
         vals = _parse_numeric(col)
         if vals is not None:
-            mean = ordered_sum(vals) / nrow  # in row order
+            # every row's value, in row order
+            mean = ordered_sum(map(vals.__getitem__, index)) / nrow
             codes = [0 if v < mean else 1 for v in vals]
         else:
+            # a category first appears in the record that first appears
+            # with it, so coding the distinct records in order keeps the
+            # rows' first-appearance order
             seen: dict[str, int] = {}
-            codes = []
-            for tok in col:
-                if tok not in seen:
-                    seen[tok] = len(seen)
-                codes.append(seen[tok])
+            codes = [seen.setdefault(tok, len(seen)) for tok in col]
         k = len(set(codes))
         if k < 2:
             raise DataError(f"column {raw.column_names[j]!r} is constant")
         coded[:, j] = codes
         arity.append(k)
-    return Dataset(list(raw.column_names), arity, coded)
+    return Dataset(list(raw.column_names), arity, coded[index])
 
 
 def load_dataset(

@@ -140,10 +140,16 @@ def best_in(table: ScoreTable, candidates: int) -> tuple[float, int]:
 # Scores are written with 17 significant digits so reads are bit-identical.
 
 
-def format_score_file(scores: ScoreSet) -> str:
-    for name in scores.names:
+def check_names(names: list[str]) -> None:
+    """Raise ValueError for the first name a score file cannot hold: an
+    empty one or one with whitespace."""
+    for name in names:
         if not name or any(c.isspace() for c in name):
             raise ValueError(f"variable name {name!r} not representable")
+
+
+def format_score_file(scores: ScoreSet) -> str:
+    check_names(scores.names)
     chunks = [f"n {scores.n}\n"]
     for name, table in zip(scores.names, scores.tables):
         chunks.append(f"var {name} {len(table)}\n")
@@ -156,8 +162,9 @@ def format_score_file(scores: ScoreSet) -> str:
 
 
 def write_score_file(path, scores: ScoreSet) -> None:
+    text = format_score_file(scores)  # before open, so a refusal keeps path
     with open(path, "w") as f:
-        f.write(format_score_file(scores))
+        f.write(text)
 
 
 def undecodable(path, e: UnicodeDecodeError) -> DataError:

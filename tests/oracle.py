@@ -1,13 +1,80 @@
 """Independent reference computations used by the tests.
 
 Everything here is written from first principles with plain dicts and
-loops so it shares no code path with the package: entropy-based local
-scores, brute-force best-score queries, the one-pass greedy dynamic-PDB
-cover, subset-lattice shortest paths and full DAG enumeration.
+loops so it shares no code path with the package: per-cell CSV ingest,
+entropy-based local scores, brute-force best-score queries, the one-pass
+greedy dynamic-PDB cover, subset-lattice shortest paths and full DAG
+enumeration.
 """
 
+import csv
 import itertools
 import math
+
+
+def ingest(path, missing=("?", ""), header=True):
+    """(names, arity, rows) of a comma-separated file, one cell at a time:
+    strip every cell, test it for a missing token, drop incomplete rows,
+    then code each column (finite floats split at their row-order mean,
+    anything else categorical in first-appearance order). An input error
+    raises ValueError with the text load_dataset gives."""
+    def fail(what):
+        raise ValueError(f"{path}: {what}")
+
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            records = [r for r in csv.reader(f) if r]
+    except UnicodeDecodeError as e:
+        fail(f"not utf-8 text ({e.reason})")
+    if not records:
+        fail("no records")
+    if header:
+        names = [t.strip() for t in records[0]]
+        for i in range(len(names)):
+            if names[i] in names[:i]:
+                fail(f"header names column {names[i]!r} twice")
+        first_row, records = 2, records[1:]
+        if not records:
+            fail("no records")
+    else:
+        names = [f"X{i + 1}" for i in range(len(records[0]))]
+        first_row = 1
+    table = []
+    for number, rec in enumerate(records, first_row):
+        if len(rec) != len(names):
+            fail(f"row {number} has {len(rec)} cells, expected {len(names)}")
+        row = []
+        for token in rec:
+            token = token.strip()
+            row.append(None if token in missing else token)
+        table.append(row)
+    table = [row for row in table if None not in row]
+    if not table:
+        fail("all records incomplete: empty dataset")
+    columns, arity = [], []
+    for j, name in enumerate(names):
+        tokens = [row[j] for row in table]
+        try:
+            values = [float(t) for t in tokens]
+        except ValueError:
+            values = None
+        if values is not None and all(math.isfinite(v) for v in values):
+            mean = 0.0
+            for v in values:
+                mean += v
+            mean /= len(values)
+            codes = [0 if v < mean else 1 for v in values]
+        else:
+            order = []
+            for t in tokens:
+                if t not in order:
+                    order.append(t)
+            codes = [order.index(t) for t in tokens]
+        if len(set(codes)) < 2:
+            fail(f"column {name!r} is constant")
+        columns.append(codes)
+        arity.append(len(set(codes)))
+    return names, arity, [list(r) for r in zip(*columns)]
 
 
 def local_score(rows, arity, x, pa):

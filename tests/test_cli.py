@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from bnopt import DataError, LearnedNetwork, read_score_file
+from bnopt import DataError, LearnedNetwork, read_score_file, write_score_file
 from bnopt.cli import (EXIT_INPUT, EXIT_MEMORY, EXIT_OK, EXIT_USAGE,
                        EXIT_VERIFY, emit_dot, main)
 from bnopt.synth import random_dataset
@@ -27,6 +28,13 @@ def test_score_golden_file(tmp_path, capsys):
     out = tmp_path / "f.scores"
     assert main(["score", str(FIXTURE_CSV), "--out", str(out)]) == EXIT_OK
     assert out.read_text() == GOLDEN_SCORES.read_text()
+
+
+def test_score_golden_repeated_records(capsys):
+    # random_dataset(8, 400, seed=19) with padded cells and 20 extra
+    # records that carry a '?' or empty cell: 421 lines, 204 distinct
+    assert main(["score", str(DATA_DIR / "repeat8.csv")]) == EXIT_OK
+    assert capsys.readouterr().out == (DATA_DIR / "repeat8.scores").read_text()
 
 
 def test_score_stdout_matches_file(capsys):
@@ -513,6 +521,8 @@ def test_learn_zero_flag_is_usage_error(capsys, flags):
     ["learn", str(FIXTURE_CSV), "--mem-budget", "0"],
     ["score", str(FIXTURE_CSV), "--delimiter", ""],
     ["score", str(FIXTURE_CSV), "--delimiter", ";;"],
+    ["learn", str(FIXTURE_CSV), "--delimiter", ";;"],
+    ["verify", str(FIXTURE_CSV), "--delimiter", ""],
     # dp builds no heuristic, so it takes neither --k nor --groups
     ["learn", str(FIXTURE_CSV), "--algorithm", "dp", "--heuristic", "dynamic",
      "--k", "99"],
@@ -525,7 +535,8 @@ def test_learn_zero_flag_is_usage_error(capsys, flags):
     ["verify", str(FIXTURE_CSV), "--max-n", "0"],
     ["verify", str(FIXTURE_CSV), "--max-n", "-1"],
 ], ids=["max-parents-negative", "mem-budget-negative", "mem-budget-zero",
-        "delimiter-empty", "delimiter-two-chars", "dp-k-out-of-range",
+        "delimiter-empty", "delimiter-two-chars", "learn-delimiter",
+        "verify-delimiter", "dp-k-out-of-range",
         "dp-k-valid", "dp-groups-out-of-range", "dp-groups-valid",
         "verify-max-n-zero", "verify-max-n-negative"])
 def test_out_of_range_flag_is_usage_error(capsys, argv):
@@ -768,6 +779,90 @@ def test_score_ingestion_flags(tmp_path, capsys):
     assert rc == EXIT_OK
     scores = read_score_file(out)
     assert scores.names == ["X1", "X2"]  # NA row dropped, 3 records remain
+
+
+def _fixture_variant(tmp_path, name, edit):
+    lines = FIXTURE_CSV.read_text().splitlines()
+    p = tmp_path / name
+    p.write_text("".join(line + "\n" for line in edit(lines)))
+    return p
+
+
+@pytest.mark.parametrize("command", ["learn", "verify"])
+def test_ingest_flags_on_learn_and_verify(tmp_path, capsys, command):
+    assert main([command, str(FIXTURE_CSV)]) == EXIT_OK
+    plain = capsys.readouterr().out
+    semi = _fixture_variant(tmp_path, "semi.csv",
+                            lambda ls: [ln.replace(",", ";") for ln in ls])
+    assert main([command, str(semi), "--delimiter", ";"]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+    # a missing token of its own, and no header: X1..Xn
+    bare = _fixture_variant(tmp_path, "bare.csv",
+                            lambda ls: ls[1:] + [ls[1].replace(",n", ",NA")])
+    assert main([command, str(bare), "--no-header", "--missing-token", "NA"]) \
+        == EXIT_OK
+    out = capsys.readouterr().out
+    if command == "learn":
+        report = json.loads(out)
+        assert report["dataset"]["names"] == ["X1", "X2", "X3", "X4"]
+        assert report["dataset"]["N"] == 8
+        assert report["total_score"] == json.loads(plain)["total_score"]
+    else:
+        assert out == plain
+
+
+@pytest.mark.parametrize("command", ["learn", "verify"])
+@pytest.mark.parametrize("flags", [["--delimiter", ","], ["--no-header"],
+                                   ["--missing-token", "?"]],
+                         ids=["delimiter", "no-header", "missing-token"])
+def test_ingest_flags_refused_for_a_score_file(capsys, command, flags):
+    assert main([command, str(GOLDEN_SCORES), *flags]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "bnopt: --delimiter, --missing-token and --no-header apply only to a "
+        "data file"]
+
+
+@pytest.mark.parametrize("command", ["score", "learn", "verify"])
+def test_oversized_field_is_input_error(tmp_path, capsys, command):
+    limit = csv.field_size_limit()
+    p = tmp_path / "big.csv"
+    p.write_text("A,B\n0,1\n1," + "x" * (limit + 1) + "\n1,0\n")
+    assert main([command, str(p)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"bnopt: {p}: line 3: field larger than field limit ({limit})"]
+
+
+@pytest.mark.parametrize("header, name", [("A B,C", "A B"), (",C", "")],
+                         ids=["whitespace", "empty"])
+def test_score_refuses_unrepresentable_name_before_scoring(
+        tmp_path, capsys, monkeypatch, header, name):
+    from bnopt import scoring
+    monkeypatch.setattr(scoring, "build_score_tables",
+                        lambda *a, **kw: pytest.fail("scored the data"))
+    p = tmp_path / "names.csv"
+    p.write_text(header + "\n0,1\n1,0\n1,1\n")
+    out = tmp_path / "old.scores"
+    out.write_bytes(b"old bytes\n")
+    assert main(["score", str(p), "--out", str(out)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"bnopt: {p}: variable name {name!r} not representable"]
+    assert out.read_bytes() == b"old bytes\n"
+
+
+def test_write_score_file_formats_before_opening(tmp_path):
+    scores = read_score_file(GOLDEN_SCORES)
+    scores.names[0] = "A B"
+    out = tmp_path / "old.scores"
+    out.write_bytes(b"old bytes\n")
+    with pytest.raises(ValueError, match="'A B' not representable"):
+        write_score_file(out, scores)
+    assert out.read_bytes() == b"old bytes\n"
 
 
 def test_emit_dot_shapes():

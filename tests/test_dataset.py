@@ -1,11 +1,15 @@
+import csv
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from bnopt import (DataError, Dataset, RawTable, binarize_mean, counts,
                    dataset, drop_incomplete, load_dataset, load_delimited)
-from conftest import FIXTURE_CSV
+from conftest import DATA_DIR, FIXTURE_CSV
 
 
 def write(tmp_path, text, name="d.csv"):
@@ -71,6 +75,34 @@ def test_drop_incomplete_empty_errors(tmp_path):
         drop_incomplete(raw)
 
 
+def test_equal_records_share_one_cells_list(tmp_path):
+    # stripped once per distinct raw record; a padded variant is its own
+    p = write(tmp_path, "a,b\n1,?\n1,?\n 1,?\n1,?\n")
+    cells = load_delimited(p).cells
+    assert cells == [["1", None]] * 4
+    assert cells[0] is cells[1] is cells[3]
+    assert cells[2] is not cells[0]
+
+
+def test_ragged_repeated_record_names_its_first_row(tmp_path):
+    p = write(tmp_path, "a,b\n1,2\n1\n1\n")
+    with pytest.raises(DataError, match="row 3 has 1 cells, expected 2"):
+        load_delimited(p)
+
+
+def test_oversized_field_names_path_and_line(tmp_path):
+    big = "x" * (csv.field_size_limit() + 1)
+    p = write(tmp_path, f"a,b\n1,2\n1,{big}\n2,1\n")
+    with pytest.raises(DataError) as e:
+        load_delimited(p)
+    assert str(e.value) == (f"{p}: line 3: field larger than field limit "
+                            f"({csv.field_size_limit()})")
+    with open(p, "ab") as f:  # undecodable bytes later in the file win
+        f.write(b"1,2\n" * 5000 + b"2,\xff\n")
+    with pytest.raises(DataError, match="^.*: not utf-8 text"):
+        load_delimited(p)
+
+
 def test_binarize_mean_boundary(tmp_path):
     # mean of (1, 2, 3) is 2; the value exactly at the mean maps to 1
     p = write(tmp_path, "a,pad\n1,0\n2,1\n3,0\n")
@@ -84,6 +116,15 @@ def test_binarize_mean_summed_in_row_order():
     # would put 0.2 at the mean, coding it 1
     data = binarize_mean(RawTable(["a"], [["0.1"], ["0.2"], ["0.3"]]))
     assert data.rows[:, 0].tolist() == [0, 0, 1]
+
+
+def test_binarize_mean_counts_every_row():
+    # the row mean 0.8 puts 1 above it; the mean of the distinct values,
+    # 4/3, would put it below; equal rows need not share one list
+    cells = [["0"]] * 3 + [["1"], ["3"]]
+    for rows in (cells, [list(row) for row in cells]):
+        data = binarize_mean(RawTable(["a"], rows))
+        assert data.rows[:, 0].tolist() == [0, 0, 0, 1, 1]
 
 
 def test_binarize_categorical_first_appearance(tmp_path):
@@ -133,6 +174,72 @@ def test_binarize_row_order_invariant(tmp_path):
     d2 = load_dataset(p2)
     # mean threshold is permutation-invariant, so codes follow the rows
     assert list(d1.rows[:, 0]) == list(reversed(list(d2.rows[:, 0])))
+
+
+# cells that strip to the same token, finite, non-finite and categorical
+# tokens, and in about one cell of 25 a missing token; records are drawn
+# from a small pool so that they repeat
+VALUES = ["0", "1", " 1", "1 ", "2", "3", "2.5", "-3", "1e400", "nan",
+          "inf", "a", " a ", "b"]
+CELLS = VALUES + ["?", "", " ? "]
+NAMES = ["A", " A", "B", "C", ""]
+
+
+@st.composite
+def csv_texts(draw):
+    ncol = draw(st.integers(1, 3))
+    cell = st.sampled_from(VALUES * 4 + CELLS)
+    pool = draw(st.lists(st.lists(cell, min_size=ncol, max_size=ncol),
+                         min_size=3, max_size=6))
+    if draw(st.integers(0, 7)) == 0:  # now and then a ragged record
+        pool.append(draw(st.lists(cell, min_size=1, max_size=4)))
+    rows = draw(st.lists(st.sampled_from(pool), min_size=4, max_size=16))
+    header = draw(st.booleans())
+    if header:  # now and then a repeated name
+        rows.insert(0, draw(st.lists(st.sampled_from(NAMES), min_size=ncol,
+                                     max_size=ncol,
+                                     unique=draw(st.integers(0, 7)) > 0)))
+    return "".join(",".join(r) + "\n" for r in rows), header
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=csv_texts())
+def test_load_dataset_matches_per_cell_reference(tmp_path_factory, case):
+    text, header = case
+    p = tmp_path_factory.mktemp("ingest") / "d.csv"
+    p.write_text(text)
+    try:
+        expect = oracle.ingest(p, header=header)
+    except ValueError as e:
+        with pytest.raises(DataError) as got:
+            load_dataset(p, header=header)
+        assert str(got.value) == str(e)
+    else:
+        data = load_dataset(p, header=header)
+        assert (data.names, data.arity, data.rows.tolist()) == expect
+
+
+@pytest.mark.parametrize("text", [
+    b"a,b\n1,2\n1\n" + b"1,2\n" * 5000 + b"2,\xff\n",
+    b"a,a\n" + b"1,2\n" * 5000 + b"2,\xff\n",
+], ids=["ragged-row", "repeated-name"])
+def test_undecodable_bytes_win_over_earlier_faults(tmp_path, text):
+    # as when the whole file was decoded before any check
+    p = tmp_path / "d.csv"
+    p.write_bytes(text)
+    with pytest.raises(ValueError) as expect:
+        oracle.ingest(p)
+    assert str(expect.value) == f"{p}: not utf-8 text (invalid start byte)"
+    with pytest.raises(DataError) as got:
+        load_dataset(p)
+    assert str(got.value) == str(expect.value)
+
+
+@pytest.mark.parametrize("path", sorted(DATA_DIR.glob("*.csv")),
+                         ids=lambda p: p.name)
+def test_committed_csvs_match_per_cell_reference(path):
+    data = load_dataset(path)
+    assert (data.names, data.arity, data.rows.tolist()) == oracle.ingest(path)
 
 
 def test_pipeline_deterministic():
