@@ -23,8 +23,8 @@ from .parent_store import (DataError, ScoreSet, check_names,
                            format_score_file, is_score_file, read_score_file,
                            write_score_file)
 from .search import (DEFAULT_MEM_BUDGET, LearnedNetwork, MemoryBudgetError,
-                     SearchStats, astar, bfbnb, check_exhaustive, dp_oracle,
-                     initial_upper_bound)
+                     SearchStats, astar, bfbnb, check_exhaustive, components,
+                     dp_oracle, initial_upper_bound)
 
 # dataset, scoring and verify load numpy; they are imported inside the
 # branches that read a data file, so a score-file learn run never loads them
@@ -246,7 +246,10 @@ def cmd_learn(args) -> int:
         incumbent = initial_upper_bound(tables, args.seed, args.restarts)
         net, stats = bfbnb(tables, h, incumbent, mem_budget=mem_budget)
     search_time = time.perf_counter() - t0
-    print(f"# pdb build {pdb_time:.3f}s, search {search_time:.3f}s",
+    # A* and BFBnB search the parent graph's components one at a time
+    sizes = "" if dp else \
+        f", components {[C.bit_count() for C in components(tables)]}"
+    print(f"# pdb build {pdb_time:.3f}s, search {search_time:.3f}s{sizes}",
           file=sys.stderr)
 
     config = {

@@ -137,8 +137,16 @@ def _tabulate(path, records, missing_tokens, header: bool) -> RawTable:
 
 
 def drop_incomplete(raw: RawTable) -> RawTable:
-    """Keep only rows with no absent cells, preserving order."""
-    kept = [row for row in raw.cells if None not in row]
+    """Keep only rows with no absent cells, preserving order. Equal
+    records share one cells list, so each list is tested once."""
+    complete: dict[int, bool] = {}
+    kept = []
+    for row in raw.cells:
+        ok = complete.get(id(row))
+        if ok is None:
+            ok = complete[id(row)] = None not in row
+        if ok:
+            kept.append(row)
     if not kept:
         raise DataError("all records incomplete: empty dataset")
     return RawTable(list(raw.column_names), kept)

@@ -7,6 +7,21 @@ heuristic, which need not be consistent, causes that);
 BFBnB sweeps layer by layer pruning against an incumbent from ordering
 hill climbing.
 
+Both search the strongly connected components of the parent graph one at
+a time (see components). A variable's parents lie in its own component or
+in earlier ones, so some optimal order adds the components in topological
+order, and the order graph splits into one lattice per component: the
+search over component C runs from the node E (every variable of the
+earlier components) to E|C and adds only C's variables. Its heuristic is
+the caller's, asked at U|L, where L holds the later components' variables;
+that bounds the distance from U to E|C from below, and is consistent
+whenever the heuristic is, because C's parents never lie in L (Fan, Malone
+& Yuan, UAI 2014). A*'s open list and BFBnB's stored nodes are then
+bounded by the largest component's lattice, not by the whole lattice; A*
+keeps every component's stored nodes for its one predecessor chain, at
+most the sum of the components' lattices. The bound-disabled BFBnB sweeps
+the whole lattice as one component.
+
 Both generate only U|{x} when some x outside U already has its overall
 best parent set inside U (a forced arc; the lowest such x): moving x to
 the front of any optimal completion of U costs x nothing extra and only
@@ -15,7 +30,7 @@ them admissibility, consistency and the optimum, are unchanged (Yuan &
 Malone, JAIR 2013; Yuan, Malone & Wu, IJCAI 2011). Where several networks
 tie at the optimum, the one returned can differ from an unpruned search's.
 BFBnB without an incumbent stays exhaustive. Both are exact; dp_oracle and
-exact_distances_to_goal are the unpruned brute-force references.
+exact_distances_to_goal are the unsplit, unpruned brute-force references.
 """
 
 from __future__ import annotations
@@ -63,6 +78,9 @@ class SearchStats:
     nodes_generated counts successful open-list insertions for A* and
     distinct materialized nodes per layer for BFBnB; expanded never exceeds
     it. forced_skipped counts the successors the forced-arc rule left out.
+    A solve that searches the components one at a time sums
+    nodes_expanded, nodes_generated, reopened and forced_skipped over them;
+    peak_open_size is the largest open list or layer of any component.
     """
 
     def __init__(self, nodes_expanded: int = 0, nodes_generated: int = 0,
@@ -107,7 +125,17 @@ def reconstruct(
         raise ValueError("addition order must list every variable exactly once")
     parents = [0] * n
     scores = [0.0] * n
-    prefix = 0
+    _place(tables, order, 0, parents, scores, expected_g)
+    # the canonical total adds in ascending variable index
+    return LearnedNetwork(parents, ordered_sum(scores))
+
+
+def _place(tables, order, prefix: int, parents: list[int],
+           scores: list[float], expected_g: float | None = None) -> None:
+    """Give each variable of order, added after the variables in prefix,
+    its best parent set among the variables before it, in parents and
+    scores; check the order's path score, summed in order, against
+    expected_g."""
     for x in order:
         scores[x], parents[x] = best_in(tables[x], prefix)
         prefix |= 1 << x
@@ -115,14 +143,13 @@ def reconstruct(
     if expected_g is not None and abs(path_total - expected_g) > 1e-9:
         raise AssertionError(
             f"reconstructed path score {path_total} != search g {expected_g}")
-    # the canonical total adds in ascending variable index
-    return LearnedNetwork(parents, ordered_sum(scores))
 
 
-def _order_from_preds(pred_of, full: int) -> list[int]:
+def _order_from_preds(pred_of, goal: int, start: int = 0) -> list[int]:
+    """The variables on the stored path from start to goal, in order."""
     order = []
-    U = full
-    while U:
+    U = goal
+    while U != start:
         x = pred_of(U)
         if x is None:
             raise RuntimeError("broken predecessor chain")
@@ -130,6 +157,41 @@ def _order_from_preds(pred_of, full: int) -> list[int]:
         U ^= 1 << x
     order.reverse()
     return order
+
+
+def components(tables: Sequence[ScoreTable]) -> list[int]:
+    """Masks of the strongly connected components of the parent graph, in
+    topological order.
+
+    The parent graph has an arc y -> x when y occurs in some entry of x's
+    table, so no entry of a variable draws a parent from a later
+    component. Of the components whose predecessors are all listed, the
+    one holding the lowest variable comes first.
+    """
+    n = tables[0].n
+    anc = []  # anc[x]: every variable with a path to x
+    for t in tables:
+        support = 0
+        for P in t.parent_sets:
+            support |= P
+        anc.append(support)
+    for k in range(n):  # Warshall's transitive closure over bit rows
+        for x in range(n):
+            if anc[x] >> k & 1:
+                anc[x] |= anc[k]
+    full = full_mask(n)
+    out = []
+    placed = 0
+    while placed != full:
+        # the lowest x whose unplaced ancestors all lie on a cycle with it
+        # opens a component with nothing unplaced before it
+        for x in bits(full & ~placed):
+            ups = anc[x] & ~placed
+            if all(anc[y] >> x & 1 for y in bits(ups)):
+                break
+        out.append(ups | 1 << x)
+        placed |= ups | 1 << x
+    return out
 
 
 def _successors(best: Sequence[int], U: int, rest: int,
@@ -148,51 +210,60 @@ def astar(
     tables: Sequence[ScoreTable], heuristic,
     mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> tuple[LearnedNetwork, SearchStats]:
-    """Best-first search from the empty set to the full set.
+    """Best-first search from the empty set to the full set, one component
+    of the parent graph at a time; each component's goal is the next one's
+    start.
 
     Ordered by f = g + h, ties broken toward larger g then ascending mask.
     A closed node is reopened whenever a strictly better g reaches it;
-    under a consistent heuristic that never happens.
+    under a consistent heuristic that never happens. Every stored node is
+    kept until the end, where one predecessor chain gives the order.
     """
-    n = tables[0].n
-    full = full_mask(n)
     stats = SearchStats(nodes_generated=1)
     best = [t.parent_sets[0] for t in tables]
     g_best = {0: 0.0}
     pred: dict[int, int] = {}
     closed: set[int] = set()
-    open_heap = [(heuristic.value(0), 0.0, 0)]
-    while open_heap:
-        f, neg_g, U = heapq.heappop(open_heap)
-        g = -neg_g
-        if g > g_best[U]:
-            continue  # stale: a strictly smaller g was pushed since
-        if U == full:
-            net = reconstruct(tables, _order_from_preds(pred.get, full), g)
-            return net, stats
-        closed.add(U)
-        stats.nodes_expanded += 1
-        for x in _successors(best, U, full & ~U, stats):
-            arc, _ = best_in(tables[x], U)
-            child = U | 1 << x
-            gc = g + arc
-            old = g_best.get(child)
-            if old is not None and not _improves(gc, old):
-                continue
-            if child in closed:
-                closed.discard(child)
-                stats.reopened += 1
-            g_best[child] = gc
-            pred[child] = x
-            heapq.heappush(open_heap, (gc + heuristic.value(child), -gc, child))
-            stats.nodes_generated += 1
-        if len(open_heap) > stats.peak_open_size:
-            stats.peak_open_size = len(open_heap)
-        if (len(open_heap) + len(g_best)) * NODE_BYTES > mem_budget:
-            raise MemoryBudgetError(
-                f"open/closed structures passed the {mem_budget}-byte budget",
-                stats)
-    raise RuntimeError("order graph exhausted without reaching the goal")
+    later = full_mask(tables[0].n)
+    U, g = 0, 0.0
+    for C in components(tables):
+        later ^= C
+        goal = U | C
+        open_heap = [(g + heuristic.value(U | later), -g, U)]
+        while open_heap:
+            f, neg_g, U = heapq.heappop(open_heap)
+            g = -neg_g
+            if g > g_best[U]:
+                continue  # stale: a strictly smaller g was pushed since
+            if U == goal:
+                break
+            closed.add(U)
+            stats.nodes_expanded += 1
+            for x in _successors(best, U, goal & ~U, stats):
+                arc, _ = best_in(tables[x], U)
+                child = U | 1 << x
+                gc = g + arc
+                old = g_best.get(child)
+                if old is not None and not _improves(gc, old):
+                    continue
+                if child in closed:
+                    closed.discard(child)
+                    stats.reopened += 1
+                g_best[child] = gc
+                pred[child] = x
+                heapq.heappush(open_heap,
+                               (gc + heuristic.value(child | later), -gc,
+                                child))
+                stats.nodes_generated += 1
+            if len(open_heap) > stats.peak_open_size:
+                stats.peak_open_size = len(open_heap)
+            if (len(open_heap) + len(g_best)) * NODE_BYTES > mem_budget:
+                raise MemoryBudgetError(
+                    f"open/closed structures passed the {mem_budget}-byte "
+                    "budget", stats)
+        else:
+            raise RuntimeError("order graph exhausted without reaching the goal")
+    return reconstruct(tables, _order_from_preds(pred.get, U), g), stats
 
 
 def bfbnb(
@@ -200,53 +271,74 @@ def bfbnb(
     incumbent: LearnedNetwork | None = None,
     mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> tuple[LearnedNetwork, SearchStats]:
-    """Layered breadth-first sweep with bound pruning.
+    """Layered breadth-first sweep with bound pruning, one component of
+    the parent graph at a time.
 
-    A generated node is dropped when g + h >= the incumbent score; the
-    incumbent (usually from initial_upper_bound) is returned unless the goal
-    is reached strictly below it. Pass incumbent=None to disable the bound
-    and the forced arcs (exhaustive sweep, mainly for testing).
+    The incumbent (usually from initial_upper_bound) restricted to a
+    component C is feasible there, so its score over C's variables bounds
+    C's sweep: a generated node is dropped when g + h >= that score, and C
+    keeps the incumbent's parent sets unless its goal is reached strictly
+    below it. The incumbent is returned when no component beats it. Pass
+    incumbent=None to disable the bound and the forced arcs (one
+    exhaustive sweep of the whole lattice, mainly for testing).
     """
     n = tables[0].n
     full = full_mask(n)
-    bound = incumbent.total_score if incumbent is not None else math.inf
     stats = SearchStats()
     best = [t.parent_sets[0] for t in tables]
     forced = incumbent is not None  # the bound-disabled sweep is exhaustive
-    layer: dict[int, float] = {}  # mask -> g, one layer at a time
-    if 0.0 + heuristic.value(0) < bound:
-        layer[0] = 0.0
-        stats.nodes_generated = 1
-    pred: dict[int, int] = {}  # every stored node but the root
-    for _ in range(n):
-        nxt: dict[int, float] = {}
-        for U in sorted(layer):
-            g = layer[U]
-            stats.nodes_expanded += 1
-            rest = full & ~U
-            for x in (_successors(best, U, rest, stats) if forced
-                      else bits(rest)):
-                arc, _ = best_in(tables[x], U)
-                child = U | 1 << x
-                gc = g + arc
-                old = nxt.get(child)
-                if old is not None:
-                    if _improves(gc, old):
+    # each variable's incumbent choice; infinite scores leave the one
+    # sweep without an incumbent unbounded
+    chosen = ([best_in(t, P) for t, P in zip(tables, incumbent.parents)]
+              if forced else [(math.inf, 0)] * n)
+    scores = [s for s, _ in chosen]
+    parents = [P for _, P in chosen]
+    improved = False
+    E = 0
+    for C in components(tables) if forced else [full]:
+        goal = E | C
+        later = full ^ goal
+        bound = ordered_sum(scores[x] for x in bits(C))
+        layer: dict[int, float] = {}  # mask -> g from E, one layer at a time
+        if 0.0 + heuristic.value(E | later) < bound:
+            layer[E] = 0.0
+            stats.nodes_generated += 1
+        pred: dict[int, int] = {}  # every stored node of C but its start
+        for _ in range(C.bit_count()):
+            nxt: dict[int, float] = {}
+            for U in sorted(layer):
+                g = layer[U]
+                stats.nodes_expanded += 1
+                rest = goal & ~U
+                for x in (_successors(best, U, rest, stats) if forced
+                          else bits(rest)):
+                    arc, _ = best_in(tables[x], U)
+                    child = U | 1 << x
+                    gc = g + arc
+                    old = nxt.get(child)
+                    if old is not None:
+                        if _improves(gc, old):
+                            nxt[child] = gc
+                            pred[child] = x
+                    elif gc + heuristic.value(child | later) < bound:
                         nxt[child] = gc
                         pred[child] = x
-                elif gc + heuristic.value(child) < bound:
-                    nxt[child] = gc
-                    pred[child] = x
-                    stats.nodes_generated += 1
-        layer = nxt
-        if len(nxt) > stats.peak_open_size:
-            stats.peak_open_size = len(nxt)
-        if (1 + len(pred)) * NODE_BYTES > mem_budget:
-            raise MemoryBudgetError(
-                f"layer storage passed the {mem_budget}-byte budget", stats)
-    if full in layer and (incumbent is None or layer[full] < bound):
-        return reconstruct(tables, _order_from_preds(pred.get, full),
-                           layer[full]), stats
+                        stats.nodes_generated += 1
+            layer = nxt
+            if len(nxt) > stats.peak_open_size:
+                stats.peak_open_size = len(nxt)
+            if (1 + len(pred)) * NODE_BYTES > mem_budget:
+                raise MemoryBudgetError(
+                    f"layer storage passed the {mem_budget}-byte budget",
+                    stats)
+        if goal in layer and layer[goal] < bound:
+            _place(tables, _order_from_preds(pred.get, goal, E), E, parents,
+                   scores, layer[goal])
+            improved = True
+        E = goal
+    if improved:
+        # the canonical total adds in ascending variable index
+        return LearnedNetwork(parents, ordered_sum(scores)), stats
     if incumbent is None:
         raise RuntimeError("goal unreachable with the bound disabled")
     return incumbent, stats

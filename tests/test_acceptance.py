@@ -179,12 +179,17 @@ def test_c06_consistency_and_zero_reopenings():
 
 # expanded-node counts, re-pinned when A* began generating a single
 # successor through a forced arc (a variable whose overall best parents
-# are already placed); n7 skips successors too but expands the same nodes
+# are already placed); n7 skips successors too but expands the same nodes.
+# Re-pinned again when A* began searching each strongly connected
+# component of the parent graph on its own: n8 and n9 split into
+# components of 5, 1 and 2 (and 1) variables, so A* searches lattices of
+# at most 2^5 nodes; fixture4 (3 and 1) and n7 (one component of 7)
+# keep their counts
 TREND_SUITE = [
     ("fixture4", None, (4, 4, 4)),
     ("n7 seed=201", (7, 201), (79, 54, 36)),
-    ("n8 seed=203", (8, 203), (94, 43, 24)),
-    ("n9 seed=203", (9, 203), (95, 45, 25)),
+    ("n8 seed=203", (8, 203), (24, 17, 11)),
+    ("n9 seed=203", (9, 203), (25, 18, 12)),
 ]
 
 

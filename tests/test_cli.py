@@ -762,12 +762,14 @@ def test_dynamic_counts_pinned_on_every_python(capsys):
     # gen14.scores: perfbench/gen.py's model (model seed 503, n = 14), the
     # N = 2,000 records of seed 1, scored with --max-parents 4. Sums of
     # floats are taken one term at a time, so every Python gives these
-    # counts; the compensated sum() of 3.12+ gave 114, 1,631 and 20
+    # counts; the compensated sum() of 3.12+ gave 114, 1,631 and 20. Its
+    # parent graph splits into components of 1, 12 and 1 variables; A*
+    # searched the whole lattice in 1,627 expansions with 4 reopenings
     assert main(["learn", str(DATA_DIR / "gen14.scores"), "--heuristic",
                  "dynamic", "--k", "3"]) == EXIT_OK
     stats = json.loads(capsys.readouterr().out)["stats"]
     assert (stats["pdb_size"], stats["nodes_expanded"], stats["reopened"]) \
-        == (113, 1627, 4)
+        == (113, 1629, 6)
 
 
 def test_score_ingestion_flags(tmp_path, capsys):
@@ -891,3 +893,39 @@ def test_cli_byte_identical_runs():
     score_first = _run_cli(["score", str(FIXTURE_CSV)])
     score_second = _run_cli(["score", str(FIXTURE_CSV)])
     assert score_first.stdout == score_second.stdout
+
+
+# the setups of tests/data/one_scc10.reports, written by `bnopt learn` on
+# synth.random_dataset(10, 200, seed=18) before A* and BFBnB split the
+# search by component
+ONE_SCC_SETUPS = [
+    ["--algorithm", "astar", "--heuristic", "simple"],
+    ["--algorithm", "astar", "--heuristic", "dynamic", "--k", "3"],
+    ["--algorithm", "astar", "--heuristic", "static"],
+    ["--algorithm", "bfbnb", "--heuristic", "simple"],
+    ["--algorithm", "bfbnb", "--heuristic", "static"],
+]
+
+
+def test_one_component_reports_unchanged(tmp_path, capsys):
+    # a parent graph that is one strongly connected component is searched
+    # as one lattice: same network, counts and report bytes as before
+    csv = write_csv(tmp_path, random_dataset(10, 200, seed=18))
+    out = []
+    for flags in ONE_SCC_SETUPS:
+        assert main(["learn", str(csv), *flags]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1].endswith(", components [10]")
+        out.append("# " + " ".join(flags) + "\n" + captured.out)
+    assert "".join(out) == (DATA_DIR / "one_scc10.reports").read_text()
+
+
+@pytest.mark.parametrize("algorithm,sizes", [
+    ("astar", ", components [1, 12, 1]"), ("bfbnb", ", components [1, 12, 1]"),
+    ("dp", "")])
+def test_timing_line_names_component_sizes(capsys, algorithm, sizes):
+    assert main(["learn", str(DATA_DIR / "gen14.scores"), "--algorithm",
+                 algorithm]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"# pdb build \d+\.\d{3}s, search \d+\.\d{3}s"
+                        + re.escape(sizes), err[-1]), err

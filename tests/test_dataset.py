@@ -68,6 +68,22 @@ def test_drop_incomplete_identity(tmp_path):
     assert drop_incomplete(raw).cells == raw.cells
 
 
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
+def test_drop_incomplete_keeps_rows_in_order(shared):
+    # equal records share one cells list after load_delimited, but a
+    # RawTable built by hand may hold separate equal lists
+    records = [["1", "2"], ["1", None], ["3", "4"], ["1", "2"], ["1", None],
+               [None, None], ["3", "4"], ["1", "2"]]
+    pool: dict[tuple, list] = {}
+    cells = [pool.setdefault(tuple(r), r) if shared else list(r)
+             for r in records]
+    assert len({id(r) for r in cells}) == (4 if shared else 8)
+    kept = drop_incomplete(RawTable(["a", "b"], cells)).cells
+    want = [r for r in cells if None not in r]
+    assert len(kept) == len(want) == 5
+    assert all(a is b for a, b in zip(kept, want))
+
+
 def test_drop_incomplete_empty_errors(tmp_path):
     p = write(tmp_path, "a,b\n?,1\n1,?\n")
     raw = load_delimited(p)

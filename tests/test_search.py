@@ -1,20 +1,34 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from bnopt import (DynamicHeuristic, MemoryBudgetError, ScoreTable,
-                   SimpleHeuristic, StaticHeuristic, astar, best_in, bfbnb,
-                   default_grouping, dp_oracle, exact_distances_to_goal,
-                   initial_upper_bound, pattern_cost_exact, reconstruct,
-                   search)
+from bnopt import (DynamicHeuristic, LearnedNetwork, MemoryBudgetError,
+                   ScoreTable, SimpleHeuristic, StaticHeuristic, astar,
+                   best_in, bfbnb, default_grouping, dp_oracle,
+                   exact_distances_to_goal, initial_upper_bound,
+                   pattern_cost_exact, reconstruct, search)
 from bnopt.bitset import bits, full_mask
 from bnopt.dataset import Dataset
 from bnopt.scoring import build_score_tables, parent_limit
-from bnopt.search import G_EPS
+from bnopt.search import G_EPS, components
 from bnopt.synth import random_dataset
 from conftest import OPT_SCORE
+
+
+def permuted(data, seed):
+    """data with its columns shuffled by seed, so that the parent graph's
+    components need not follow the variable index order."""
+    perm = np.random.default_rng(seed).permutation(data.n)
+    return Dataset([data.names[i] for i in perm],
+                   [data.arity[i] for i in perm], data.rows[:, perm])
+
+
+def lowest(mask):
+    return (mask & -mask).bit_length() - 1
 
 
 def single_var_tables():
@@ -302,7 +316,8 @@ def test_forced_arcs_counted_only_with_a_bound():
 @given(n=st.integers(3, 8), N=st.integers(10, 500),
        seed=st.integers(0, 2 ** 16))
 def test_solvers_match_oracles_on_random_data(n, N, seed):
-    data = random_dataset(n, N, seed=seed)
+    # columns permuted: random_dataset plants its network in index order
+    data = permuted(random_dataset(n, N, seed=seed), seed)
     tables = build_score_tables(data).tables
     _, opt = dp_oracle(tables)
     refs = [opt]
@@ -322,3 +337,142 @@ def test_solvers_match_oracles_on_random_data(n, N, seed):
         assert oracle.is_acyclic(net.parents)
         for ref in refs:
             assert abs(net.total_score - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+def _reach(tables):
+    """reach[y][x]: a path y -> ... -> x in the parent graph, found by
+    depth-first search from every variable."""
+    n = tables[0].n
+    children = [[x for x in range(n)
+                 if any(P >> y & 1 for P in tables[x].parent_sets)]
+                for y in range(n)]
+    reach = []
+    for y in range(n):
+        seen, stack = set(), list(children[y])
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack += children[x]
+        reach.append([x in seen for x in range(n)])
+    return reach
+
+
+def _component_inputs():
+    # 3 <-> 4 feeds 1 <-> 2, which feeds 0: listed against index order
+    yield "hand-built", [
+        ScoreTable(0, 5, [(1.0, 0b00100), (2.0, 0)]),
+        ScoreTable(1, 5, [(0.5, 0b00100), (1.0, 0b01000), (3.0, 0)]),
+        ScoreTable(2, 5, [(1.0, 0b00010), (2.0, 0)]),
+        ScoreTable(3, 5, [(1.0, 0b10000), (2.0, 0)]),
+        ScoreTable(4, 5, [(1.0, 0b01000), (2.0, 0)])]
+    for n, seed in itertools.product((5, 7, 9), range(8)):
+        data = permuted(random_dataset(n, 40, seed=seed), seed)
+        yield f"n={n} seed={seed}", build_score_tables(data).tables
+
+
+@pytest.mark.parametrize("label,tables", list(_component_inputs()))
+def test_components_are_ordered_sccs(label, tables):
+    n = tables[0].n
+    reach = _reach(tables)
+    comps = components(tables)
+    # a partition of the variables
+    assert sorted(x for C in comps for x in bits(C)) == list(range(n))
+    # in topological order: no entry draws a parent from a later component
+    placed = 0
+    for C in comps:
+        placed |= C
+        for x in bits(C):
+            assert all(P & ~placed == 0 for P in tables[x].parent_sets)
+    # each strongly connected, and maximal
+    where = {x: i for i, C in enumerate(comps) for x in bits(C)}
+    for x in range(n):
+        for y in range(n):
+            if x != y:
+                assert (where[x] == where[y]) == (reach[x][y] and reach[y][x])
+    # ties go toward the lowest variable: each component holds the lowest
+    # variable whose unlisted ancestors all lie in its own component
+    listed = 0
+    for C in comps:
+        free = [x for x in range(n) if not listed >> x & 1
+                and all(listed >> y & 1 or y == x or reach[x][y]
+                        for y in range(n) if reach[y][x])]
+        assert lowest(C) == free[0]
+        listed |= C
+
+
+def test_components_single_variable_and_hand_built():
+    assert components(single_var_tables()) == [1]
+    tables = next(_component_inputs())[1]
+    assert components(tables) == [0b11000, 0b00110, 0b00001]
+
+
+def test_split_search_matches_oracles_out_of_index_order():
+    # inputs whose components cannot follow the index order: a component
+    # with only high variables comes before one holding a lower variable
+    cases = 0
+    for n, seed in itertools.product((4, 5, 6, 7, 8), range(24)):
+        data = permuted(random_dataset(n, 40, seed=seed), seed)
+        tables = build_score_tables(data).tables
+        lows = [lowest(C) for C in components(tables)]
+        if lows == sorted(lows):
+            continue
+        cases += 1
+        _, opt = dp_oracle(tables)
+        refs = [opt]
+        if n <= 6:
+            rows = [tuple(r) for r in data.rows]
+            raw = [oracle.all_scores(rows, data.arity, x, parent_limit(40))
+                   for x in range(n)]
+            refs.append(oracle.distances_to_goal(raw, n)[frozenset()])
+        inc = initial_upper_bound(tables, seed=seed, restarts=2)
+        for h in (SimpleHeuristic(tables), DynamicHeuristic(tables, 3),
+                  StaticHeuristic(tables, default_grouping(n))):
+            for net in (astar(tables, h)[0], bfbnb(tables, h, inc)[0]):
+                assert oracle.is_acyclic(net.parents)
+                for ref in refs:
+                    assert abs(net.total_score - ref) <= \
+                        1e-9 * max(1.0, abs(ref)), (n, seed)
+    assert cases >= 20
+
+
+def _two_pairs():
+    """Variables 0-1 and 2-3 each form a cycle; each pair's optimum takes
+    one arc (1.0 + 2.0 and 1.0 + 5.0), either way round."""
+    return [ScoreTable(0, 4, [(1.0, 0b0010), (2.0, 0)]),
+            ScoreTable(1, 4, [(1.0, 0b0001), (2.0, 0)]),
+            ScoreTable(2, 4, [(1.0, 0b1000), (5.0, 0)]),
+            ScoreTable(3, 4, [(1.0, 0b0100), (5.0, 0)])]
+
+
+def test_bfbnb_component_keeps_incumbent_choice():
+    tables = _two_pairs()
+    h = SimpleHeuristic(tables)
+    assert components(tables) == [0b0011, 0b1100]
+    # the sweeps alone take 1 <- 0; the incumbent takes 0 <- 1, which is
+    # optimal on its pair, and no arc on the other (2.0 + 1.0 + 5.0 + 5.0)
+    assert dp_oracle(tables)[0].parents[:2] == [0, 0b0001]
+    assert bfbnb(tables, h, None)[0].parents[:2] == [0, 0b0001]
+    inc = LearnedNetwork([0b0010, 0, 0, 0], 13.0)
+    net, stats = bfbnb(tables, h, inc)
+    assert net.parents == [0b0010, 0, 0, 0b0100]
+    assert net.total_score == 9.0
+    assert (stats.nodes_expanded, stats.nodes_generated) == (4, 5)
+    # an incumbent optimal on every component is returned as it is
+    best = LearnedNetwork([0b0010, 0, 0b1000, 0], 9.0)
+    assert bfbnb(tables, h, best)[0] is best
+
+
+def test_budget_stats_sum_over_components():
+    # eight unrelated variables: eight one-variable components, searched in
+    # turn; A* keeps every stored node, so the 1,500-byte budget (7 nodes)
+    # trips in the sixth, and the stats count all six
+    tables = [ScoreTable(x, 8, [(1.0, 0)]) for x in range(8)]
+    assert components(tables) == [1 << x for x in range(8)]
+    with pytest.raises(MemoryBudgetError) as exc:
+        astar(tables, SimpleHeuristic(tables), mem_budget=1500)
+    stats = exc.value.stats
+    assert (stats.nodes_expanded, stats.nodes_generated) == (6, 7)
+    net, stats = astar(tables, SimpleHeuristic(tables))
+    assert (stats.nodes_expanded, stats.nodes_generated) == (8, 9)
+    assert net.total_score == 8.0
