@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 input error, 3 flag/usage error, 4 memory budget
 exceeded, 5 verification failure. Reports go to stdout (and --out) as JSON
 with a fixed key order; wall-clock timings go to stderr so identical inputs
-and seeds produce byte-identical reports.
+and flags produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from .heuristics import (PDB_ENTRY_BYTES, DynamicHeuristic, SimpleHeuristic,
 from .parent_store import (DataError, ScoreSet, check_names,
                            format_score_file, is_score_file, read_score_file,
                            write_score_file)
-from .search import (DEFAULT_MEM_BUDGET, LearnedNetwork, MemoryBudgetError,
-                     SearchStats, astar, bfbnb, check_exhaustive, components,
-                     dp_oracle, initial_upper_bound)
+from .search import (DEFAULT_MEM_BUDGET, DP_NODE_BYTES, LearnedNetwork,
+                     MemoryBudgetError, SearchStats, astar, bfbnb,
+                     check_exhaustive, components, dp_oracle,
+                     initial_upper_bound)
 
 # dataset, scoring and verify load numpy; they are imported inside the
 # branches that read a data file, so a score-file learn run never loads them
@@ -36,9 +37,6 @@ EXIT_INPUT = 2
 EXIT_USAGE = 3
 EXIT_MEMORY = 4
 EXIT_VERIFY = 5
-
-# dp_oracle's array('d') distance and array('b') predecessor of a node
-DP_NODE_BYTES = 9
 
 
 class UsageError(Exception):
@@ -181,8 +179,6 @@ def cmd_learn(args) -> int:
         raise UsageError("--groups only makes sense with --heuristic static")
     if dp and (args.k, args.groups) != (None, None):
         raise UsageError("--k and --groups have no effect with --algorithm dp")
-    if args.restarts < 1:
-        raise UsageError(f"--restarts {args.restarts}: need at least one")
     mem_budget = _mem_budget(args)
     scores, data = _load_input(args)
     n = scores.n if data is None else data.n
@@ -243,8 +239,8 @@ def cmd_learn(args) -> int:
     elif args.algorithm == "astar":
         net, stats = astar(tables, h, mem_budget=mem_budget)
     else:
-        incumbent = initial_upper_bound(tables, args.seed, args.restarts)
-        net, stats = bfbnb(tables, h, incumbent, mem_budget=mem_budget)
+        net, stats = bfbnb(tables, h, initial_upper_bound(tables),
+                           mem_budget=mem_budget)
     search_time = time.perf_counter() - t0
     # A* and BFBnB search the parent graph's components one at a time
     sizes = "" if dp else \
@@ -252,15 +248,8 @@ def cmd_learn(args) -> int:
     print(f"# pdb build {pdb_time:.3f}s, search {search_time:.3f}s{sizes}",
           file=sys.stderr)
 
-    config = {
-        "algorithm": args.algorithm,
-        "heuristic": heuristic,
-        "k": k,
-        "groups": groups,
-        "seed": args.seed,
-        "restarts": args.restarts,
-        "parent_limit": limit,
-    }
+    config = {"algorithm": args.algorithm, "heuristic": heuristic, "k": k,
+              "groups": groups, "parent_limit": limit}
     text = _build_report(scores, net, stats, config, N,
                          h.size if h else None)
     sys.stdout.write(text)
@@ -322,8 +311,6 @@ def _make_parser() -> _Parser:
                                           "default 3, or n if smaller)")
     pl.add_argument("--groups", help="static grouping, e.g. '1-4,5-8' "
                                      "(1-based) or 'auto'")
-    pl.add_argument("--seed", type=int, default=0)
-    pl.add_argument("--restarts", type=int, default=8)
     pl.add_argument("--mem-budget", type=int,
                     help="search memory budget in bytes "
                          "(default $BNOPT_MEM_BUDGET or 4 GiB)")

@@ -8,10 +8,10 @@ front-to-back first-fit scan (best_in). The paper answers it by OR-ing one
 bit vector per excluded variable; in pure Python on these short tables the
 scan is faster, so no bit vectors are kept.
 
-Every table is sorted ascending and holds the empty parent set, both
-checked by the ScoreTable constructor, the one way to build a table. The
-empty set fits every pool, so no query or cursor can run past it: each has
-an answer.
+The ScoreTable constructor, the one way to build a table, checks that
+every table draws its parents from the other variables, is sorted
+ascending and holds the empty parent set. The empty set fits every pool,
+so no query or cursor can run past it: each has an answer.
 
 Exclusion cursors serve ordering-based hill climbing: a cursor holds the
 mask of candidate parents ruled out so far, excluding a variable returns a
@@ -46,9 +46,10 @@ class ScoreTable:
 
     Built from (score, parent mask) pairs kept in the given order: scores
     ascend and parent_sets holds the parallel bitmasks. Raises DataError
-    when the scores are not ascending (ties pass, a NaN does not) or the
-    empty parent set (mask 0) is not among the entries, so the first
-    fitting entry of every candidate pool exists and is its best.
+    when a mask holds the variable itself or a bit at or above n, the
+    scores do not ascend (ties pass, a NaN does not) or mask 0 (the empty
+    parent set) is missing, so the first fitting entry of every candidate
+    pool exists and is its best.
     """
 
     def __init__(self, variable: int, n: int,
@@ -57,6 +58,12 @@ class ScoreTable:
         self.n = n
         self.scores = [float(s) for s, _ in entries]
         self.parent_sets = [p for _, p in entries]
+        forbidden = -1 << n | 1 << variable  # negative masks included
+        for i, pa in enumerate(self.parent_sets):
+            if pa & forbidden:
+                raise DataError(f"score table of variable {variable} names a "
+                                f"parent outside the other {n - 1} variables "
+                                f"at entry {i} (mask {pa:#b})")
         for i in range(1, len(self.scores)):
             if not self.scores[i - 1] <= self.scores[i]:
                 raise DataError(f"score table of variable {variable} is "

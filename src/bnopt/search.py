@@ -5,7 +5,7 @@ BestScore(x, U) from the sparse parent store. A* runs best-first and
 reopens a closed node on a strictly better g (only the greedy dynamic-PDB
 heuristic, which need not be consistent, causes that);
 BFBnB sweeps layer by layer pruning against an incumbent from ordering
-hill climbing.
+hill climbing (initial_upper_bound; learn uses seed 0 and 8 restarts).
 
 Both search the strongly connected components of the parent graph one at
 a time (see components). A variable's parents lie in its own component or
@@ -357,10 +357,11 @@ def _ordering_scores(tables, perm) -> list[float]:
 
 
 def initial_upper_bound(
-    tables: Sequence[ScoreTable], seed: int, restarts: int = 8,
+    tables: Sequence[ScoreTable], seed: int = 0, restarts: int = 8,
 ) -> LearnedNetwork:
     """Ordering-based hill climbing: first-improvement sweeps over adjacent
-    transpositions, restarting from fresh seeded shuffles."""
+    transpositions, restarting from fresh seeded shuffles. The defaults are
+    BFBnB's incumbent under `learn`; other values only vary the incumbent."""
     if restarts < 1:
         raise ValueError("need at least one restart")
     n = tables[0].n
@@ -390,6 +391,10 @@ def initial_upper_bound(
             best_total = total
             best_perm = list(perm)
     return reconstruct(tables, best_perm)
+
+
+# dp_oracle's array('d') distance and array('b') predecessor of a node
+DP_NODE_BYTES = 9
 
 
 def dp_oracle(tables: Sequence[ScoreTable]) -> tuple[LearnedNetwork, float]:

@@ -42,8 +42,8 @@ def check_table_shape(scores: ScoreSet) -> list[str]:
     return out
 
 
-def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
-                             ) -> list[str]:
+def check_best_score(scores: ScoreSet,
+                     data: Dataset | None = None) -> list[str]:
     """For every variable and candidate pool, in ascending mask order:
     best_in answers a fitting entry scoring the full-scan minimum, and the
     brute-force score minimum when the raw data is available."""
@@ -66,16 +66,15 @@ def check_cursor_equivalence(scores: ScoreSet, data: Dataset | None = None,
             full_min = min(s for s, pa in zip(t.scores, t.parent_sets)
                            if pa & ~cands == 0)
             if got[0] != full_min or got[1] & ~cands:
-                out.append(f"cursor-equivalence: first hit {got} is not a "
-                           f"fitting list minimum {full_min} at "
-                           f"{where(x, cands)}")
+                out.append(f"best-score: first hit {got} is not a fitting "
+                           f"list minimum {full_min} at {where(x, cands)}")
             elif raw is not None:
                 brute = min(s for pa, s in raw[x].items()
                             if pa & ~cands == 0)
                 if abs(got[0] - brute) > TOL:
-                    out.append(f"cursor-equivalence: sparse store gives "
-                               f"{got[0]}, exhaustive rescoring gives {brute} "
-                               f"at {where(x, cands)}")
+                    out.append(f"best-score: sparse store gives {got[0]}, "
+                               f"exhaustive rescoring gives {brute} at "
+                               f"{where(x, cands)}")
     return out
 
 
@@ -129,7 +128,7 @@ def run_all(scores: ScoreSet, data: Dataset | None = None,
     lines = []
     ok = True
     checks = [("table shape", check_table_shape(scores)),
-              ("cursor equivalence", check_cursor_equivalence(scores, data)),
+              ("best score", check_best_score(scores, data)),
               ("heuristics", check_heuristics(scores))]
     for label, violations in checks:
         if violations:

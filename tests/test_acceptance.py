@@ -252,7 +252,7 @@ def test_c10_cli_determinism(tmp_path):
         ["learn", str(FIXTURE_CSV), "--algorithm", "astar",
          "--heuristic", "dynamic", "--k", "2"],
         ["learn", str(FIXTURE_CSV), "--algorithm", "bfbnb",
-         "--heuristic", "static", "--groups", "auto", "--seed", "11"],
+         "--heuristic", "static", "--groups", "auto"],
     ]
     for args in commands:
         a, b = run(args), run(args)

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
-from bnopt import DataError, LearnedNetwork, read_score_file, write_score_file
+from bnopt import (DataError, LearnedNetwork, StaticHeuristic, bfbnb,
+                   initial_upper_bound, parse_grouping, read_score_file,
+                   write_score_file)
+from bnopt.bitset import bits
 from bnopt.cli import (EXIT_INPUT, EXIT_MEMORY, EXIT_OK, EXIT_USAGE,
                        EXIT_VERIFY, emit_dot, main)
 from bnopt.synth import random_dataset
@@ -82,7 +85,7 @@ def test_learn_astar_dynamic(capsys):
 
 def test_learn_bfbnb_static(capsys):
     rc = main(["learn", str(FIXTURE_CSV), "--algorithm", "bfbnb",
-               "--heuristic", "static", "--groups", "auto", "--seed", "5"])
+               "--heuristic", "static", "--groups", "auto"])
     assert rc == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["total_score"] == pytest.approx(OPT_SCORE, rel=1e-9)
@@ -192,7 +195,7 @@ def test_verify_fails_table_shape(tmp_path, capsys):
     assert _verify_out(capsys, p) == (EXIT_VERIFY, [
         "FAIL table shape (1 violation(s))",
         "  table A: {B} kept although subset {} scores no worse",
-        "PASS cursor equivalence",
+        "PASS best score",
         "PASS heuristics"])
 
 
@@ -208,12 +211,12 @@ def test_verify_fails_first_hit_not_minimal(capsys, monkeypatch):
     assert rc == EXIT_VERIFY
     assert out[:4] == [
         "PASS table shape",
-        "FAIL cursor equivalence (18 violation(s))",
-        "  cursor-equivalence: first hit (9.5, 0) is not a fitting list "
+        "FAIL best score (18 violation(s))",
+        "  best-score: first hit (9.5, 0) is not a fitting list "
         "minimum 3.0 at variable A, candidates {B}",
-        "  cursor-equivalence: first hit (9.5, 0) is not a fitting list "
+        "  best-score: first hit (9.5, 0) is not a fitting list "
         "minimum 9.490224995673064 at variable A, candidates {C}"]
-    assert out[19] == ("  cursor-equivalence: first hit (9.5, 0) is not a "
+    assert out[19] == ("  best-score: first hit (9.5, 0) is not a "
                        "fitting list minimum 9.490224995673064 at variable "
                        "C, candidates {A,B,D}")
     assert out[20:] == ["PASS heuristics"]
@@ -229,10 +232,10 @@ def test_verify_fails_rescoring(capsys, monkeypatch):
     assert rc == EXIT_VERIFY
     assert out[:4] == [
         "PASS table shape",
-        "FAIL cursor equivalence (32 violation(s))",
-        "  cursor-equivalence: sparse store gives 9.5, exhaustive rescoring "
+        "FAIL best score (32 violation(s))",
+        "  best-score: sparse store gives 9.5, exhaustive rescoring "
         "gives 8.5 at variable A, candidates {}",
-        "  cursor-equivalence: sparse store gives 3.0, exhaustive rescoring "
+        "  best-score: sparse store gives 3.0, exhaustive rescoring "
         "gives 2.0 at variable A, candidates {B}"]
     assert len(out) == 2 + 20 + 1 and out[-1] == "PASS heuristics"
 
@@ -246,7 +249,7 @@ def test_verify_fails_admissibility(capsys, monkeypatch):
     monkeypatch.setattr(verify, "StaticHeuristic", Inflated)
     assert _verify_out(capsys, GOLDEN_SCORES) == (EXIT_VERIFY, [
         "PASS table shape",
-        "PASS cursor equivalence",
+        "PASS best score",
         "FAIL heuristics (1 violation(s))",
         "  admissibility: static auto overestimates at {}: "
         "32.48044999134613 > 31.490224995673064"])
@@ -263,7 +266,7 @@ def test_verify_fails_dominance_and_consistency(capsys, monkeypatch):
     monkeypatch.setattr(verify, "StaticHeuristic", Dip)
     assert _verify_out(capsys, GOLDEN_SCORES) == (EXIT_VERIFY, [
         "PASS table shape",
-        "PASS cursor equivalence",
+        "PASS best score",
         "FAIL heuristics (2 violation(s))",
         "  dominance: static auto below the simple bound at {A}",
         "  consistency: static auto violates the arc inequality at {} + A"])
@@ -275,7 +278,7 @@ def test_verify_fails_pattern_cost(capsys, monkeypatch):
                         lambda P, t: heuristics.pattern_cost_exact(P, t) + 0.5)
     assert _verify_out(capsys, GOLDEN_SCORES) == (EXIT_VERIFY, [
         "PASS table shape",
-        "PASS cursor equivalence",
+        "PASS best score",
         "FAIL heuristics (3 violation(s))",
         "  pattern cost: dynamic k=2 stores 12.490224995673064 for {A,B}, "
         "exact 12.990224995673064",
@@ -505,14 +508,26 @@ def test_dynamic_pattern_cap_before_search(tmp_path, capsys, monkeypatch):
     assert report["parents"] == {nm: [] for nm in names}
 
 
-@pytest.mark.parametrize("flags", [["--heuristic", "dynamic", "--k", "0"],
-                                   ["--algorithm", "bfbnb", "--restarts", "0"]],
-                         ids=["k", "restarts"])
+@pytest.mark.parametrize("flags", [["--heuristic", "dynamic", "--k", "0"]],
+                         ids=["k"])
 def test_learn_zero_flag_is_usage_error(capsys, flags):
     assert main(["learn", str(GOLDEN_SCORES), *flags]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("algorithm", ["astar", "bfbnb", "dp"])
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--restarts", "2"]],
+                         ids=["seed", "restarts"])
+def test_learn_has_no_incumbent_flags(capsys, algorithm, flag):
+    # BFBnB's incumbent has one setup, initial_upper_bound's defaults
+    assert main(["learn", str(GOLDEN_SCORES), "--algorithm", algorithm,
+                 *flag]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"bnopt: unrecognized arguments: {' '.join(flag)}"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -885,7 +900,7 @@ def _run_cli(args):
 
 def test_cli_byte_identical_runs():
     args = ["learn", str(FIXTURE_CSV), "--algorithm", "astar",
-            "--heuristic", "static", "--groups", "auto", "--seed", "3"]
+            "--heuristic", "static", "--groups", "auto"]
     first = _run_cli(args)
     second = _run_cli(args)
     assert first.returncode == second.returncode == 0
@@ -918,6 +933,31 @@ def test_one_component_reports_unchanged(tmp_path, capsys):
         assert captured.err.splitlines()[-1].endswith(", components [10]")
         out.append("# " + " ".join(flags) + "\n" + captured.out)
     assert "".join(out) == (DATA_DIR / "one_scc10.reports").read_text()
+
+
+def test_bfbnb_static_report_matches_library_setup(capsys):
+    # the CLI's BFBnB under the static bound is the library's auto grouping
+    # and initial_upper_bound's default incumbent, as the benchmark's trace
+    # rebuilds it, on the first file of the bfbnb-static workload
+    path = DATA_DIR / "gen14.scores"
+    assert main(["learn", str(path), "--algorithm", "bfbnb", "--heuristic",
+                 "static"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    scores = read_score_file(path)
+    tables = scores.tables
+    h = StaticHeuristic(tables, parse_grouping("auto", scores.n))
+    net, stats = bfbnb(tables, h, initial_upper_bound(tables))
+    names = scores.names
+    assert report["parents"] == {names[x]: [names[y] for y in bits(P)]
+                                 for x, P in enumerate(net.parents)}
+    assert report["total_score"] == net.total_score
+    assert report["stats"] == {
+        "nodes_expanded": stats.nodes_expanded,
+        "nodes_generated": stats.nodes_generated,
+        "reopened": stats.reopened,
+        "peak_open_size": stats.peak_open_size,
+        "pdb_size": h.size,
+        "forced_skipped": stats.forced_skipped}
 
 
 @pytest.mark.parametrize("algorithm,sizes", [

@@ -82,6 +82,26 @@ def test_constructor_rejects_unsorted_table():
     assert net.total_score == dp_oracle(tables)[1] == 2.0
 
 
+def _outside(x, n, i, mask):
+    return (f"score table of variable {x} names a parent outside the other "
+            fr"{n - 1} variables at entry {i} \(mask {mask:#b}\)$")
+
+
+@pytest.mark.parametrize("mask", [0b100, 0b110, -1])
+def test_constructor_rejects_parent_outside_the_variables(mask):
+    # unchecked, a bit at or above n sent A* into an IndexError inside
+    # search.components
+    with pytest.raises(DataError, match=_outside(0, 2, 0, mask)):
+        ScoreTable(0, 2, [(1.0, mask), (2.0, 0)])
+
+
+def test_constructor_rejects_own_variable_as_parent():
+    # such an entry fits no candidate pool, yet the simple bound read it
+    for x, mask in ((0, 0b001), (1, 0b110)):
+        with pytest.raises(DataError, match=_outside(x, 3, 1, mask)):
+            ScoreTable(x, 3, [(0.5, 0), (1.0, mask)])
+
+
 def test_exclude_preconditions(worked_table):
     c = cursor_new(worked_table)
     with pytest.raises(ValueError):
