@@ -10,33 +10,34 @@ breadth-first branch and bound both return provably optimal networks.
 
 from importlib import import_module
 
-from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
-                         default_grouping, parse_grouping, pattern_cost_exact)
-from .parent_store import (DataError, ScoreSet, ScoreTable, best_in,
-                           format_score_file, read_score_file,
-                           write_score_file)
-from .search import (LearnedNetwork, MemoryBudgetError, SearchStats, astar,
-                     bfbnb, dp_oracle, exact_distances_to_goal,
-                     initial_upper_bound, reconstruct)
-
-# The numpy-backed modules and their names load on first access (PEP 562),
-# so a learn run on a score file never imports numpy.
-_LAZY_MODULES = {
+# Every public name, under the module that defines it. A module and its
+# names load on first access (PEP 562), so `import bnopt` loads no
+# submodule and a learn run on a score file never imports numpy.
+_MODULES = {
     "dataset": ("Dataset", "RawTable", "binarize_mean", "counts",
                 "drop_incomplete", "load_dataset", "load_delimited"),
     "scoring": ("build_score_tables", "mdl_local_score", "parent_limit",
                 "prune_scores"),
+    "parent_store": ("DataError", "ScoreSet", "ScoreTable", "best_in",
+                     "format_score_file", "read_score_file",
+                     "write_score_file"),
+    "heuristics": ("DynamicHeuristic", "SimpleHeuristic", "StaticHeuristic",
+                   "default_grouping", "parse_grouping",
+                   "pattern_cost_exact"),
+    "search": ("LearnedNetwork", "MemoryBudgetError", "SearchStats", "astar",
+               "bfbnb", "dp_oracle", "exact_distances_to_goal",
+               "initial_upper_bound", "reconstruct"),
     "synth": ("prefix_dataset", "random_dataset"),
 }
-_LAZY_NAMES = {name: module for module, names in _LAZY_MODULES.items()
-               for name in names}
+_MODULE_OF = {name: module for module, names in _MODULES.items()
+              for name in names}
 
 
 def __getattr__(name):
-    if name in _LAZY_MODULES:
+    if name in _MODULES:
         return import_module(f".{name}", __name__)
-    if name in _LAZY_NAMES:
-        return getattr(import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    if name in _MODULE_OF:
+        return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -45,16 +46,4 @@ __version__ = "0.1.0"
 # no compiled kernels exist; read by the benchmark's machine probe
 using_numba = False
 
-__all__ = [
-    "DataError", "Dataset", "RawTable", "binarize_mean", "counts",
-    "drop_incomplete", "load_dataset", "load_delimited",
-    "ScoreSet", "build_score_tables",
-    "format_score_file", "mdl_local_score", "parent_limit", "prune_scores",
-    "read_score_file", "write_score_file", "ScoreTable", "best_in",
-    "DynamicHeuristic", "SimpleHeuristic", "StaticHeuristic",
-    "default_grouping", "parse_grouping", "pattern_cost_exact",
-    "LearnedNetwork", "MemoryBudgetError", "SearchStats", "astar", "bfbnb",
-    "dp_oracle", "exact_distances_to_goal", "initial_upper_bound",
-    "reconstruct",
-    "prefix_dataset", "random_dataset",
-]
+__all__ = list(_MODULE_OF)

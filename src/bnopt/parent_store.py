@@ -202,14 +202,14 @@ def is_score_file(path) -> bool:
 def read_score_file(path) -> ScoreSet:
     """Parse a score file back into tables.
 
-    Undecodable bytes raise DataError naming path. Syntax errors, an empty
-    header, duplicate variable names, truncated or overlong blocks,
-    non-finite scores, parent names that are unknown, the block's own
-    variable or repeated within a line, and a parent set listed twice in a
-    block raise ValueError naming the line; a block whose scores do not
-    ascend or that lacks the empty parent set raises DataError (the
-    ScoreTable constructor) naming the block's line and variable. Pruning
-    invariants are the verifier's job.
+    Every malformed file raises DataError naming path: undecodable bytes;
+    syntax errors, an empty header, duplicate variable names, truncated or
+    overlong blocks, non-finite scores, parent names that are unknown, the
+    block's own variable or repeated within a line, and a parent set listed
+    twice in a block, each naming the line; and a block whose scores do not
+    ascend or that lacks the empty parent set (the ScoreTable constructor),
+    naming the block's line and variable. Pruning invariants are the
+    verifier's job.
     """
     try:
         with open(path, encoding="utf-8-sig") as f:
@@ -219,10 +219,10 @@ def read_score_file(path) -> ScoreSet:
         raise undecodable(path, e) from None
     head = lines[0][1] if lines else []
     if not _is_header(head):
-        raise ValueError(f"{path}: not a score file (missing 'n <count>' header)")
+        raise DataError(f"{path}: not a score file (missing 'n <count>' header)")
 
-    def bad(no: int, what: str) -> ValueError:
-        return ValueError(f"{path}: line {no}: {what}")
+    def bad(no: int, what: str) -> DataError:
+        return DataError(f"{path}: line {no}: {what}")
 
     # _is_header accepts any str.isdigit token; int() takes only decimals
     if not head[1].isdecimal():

@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnopt import (DataError, LearnedNetwork, StaticHeuristic, bfbnb,
                    initial_upper_bound, parse_grouping, read_score_file,
@@ -412,6 +416,81 @@ def test_malformed_score_file(tmp_path, capsys, old, new, message):
     assert main(["learn", str(bad)]) == EXIT_INPUT
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and message in err[0]
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_score_file(bad)
+
+
+# non-finite, negative, huge and non-ASCII-digit tokens, an unknown name
+# and keywords; each mutation also draws the name of the block it edits
+FUZZ_TOKENS = ["nan", "inf", "-1", "1e308", "\u0663", "\u00b2", "Q", "0",
+               "1", "var", "n"]
+FUZZ_COMMANDS = [
+    ["learn", "--algorithm", "astar", "--heuristic", "simple"],
+    ["learn", "--algorithm", "astar", "--heuristic", "dynamic", "--k", "3"],
+    ["learn", "--algorithm", "bfbnb", "--heuristic", "static"],
+    ["verify"],
+]
+
+
+def _block_name(lines, i):
+    """The name of the variable whose block holds line i, else 'A'."""
+    for toks in reversed(lines[:i + 1]):
+        if len(toks) > 1 and toks[0] == "var":
+            return toks[1]
+    return "A"
+
+
+@st.composite
+def mutated_score_file(draw):
+    """fixture4.scores or gen14.scores after 1-3 line or token edits."""
+    source = draw(st.sampled_from(["fixture4.scores", "gen14.scores"]))
+    lines = [ln.split() for ln in (DATA_DIR / source).read_text()
+             .splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i]
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "replace",
+                                     "insert", "delete"]))
+        token = draw(st.sampled_from(FUZZ_TOKENS + [_block_name(lines, i)]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, list(toks))
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "insert":
+            toks.insert(draw(st.integers(0, len(toks))), token)
+        elif toks and edit in ("replace", "delete"):
+            j = draw(st.integers(0, len(toks) - 1))
+            if edit == "replace":
+                toks[j] = token
+            else:
+                del toks[j]
+    return "".join(" ".join(toks) + "\n" for toks in lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(text=mutated_score_file())
+def test_fuzzed_score_file_ends_cleanly(tmp_path_factory, text):
+    # a malformed score file ends in an exit code with one stderr line,
+    # never in a traceback
+    path = tmp_path_factory.getbasetemp() / "mutated.scores"
+    path.write_text(text, encoding="utf-8")
+    try:  # the reader's only input error is DataError
+        read_score_file(path)
+    except DataError:
+        pass
+    for command, *flags in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path), *flags])
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_USAGE, EXIT_VERIFY), \
+            (command, err.getvalue())
+        if code in (EXIT_INPUT, EXIT_USAGE):
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("bnopt: "), \
+                (command, lines)
 
 
 # A lacks the empty parent set; a search that adds B first never asks for

@@ -129,9 +129,16 @@ def test_public_names_resolve():
         bnopt.no_such_name
 
 
-@pytest.mark.parametrize("stem", sorted(p.removesuffix(".py")
-                                        for p in NUMPY_MODULES))
-def test_numpy_modules_load_on_access(stem):
+@pytest.mark.parametrize("stem", sorted(bnopt._MODULES))
+def test_modules_load_on_access(stem):
     # the benchmark's trace patches names inside these module attributes
     module = bnopt.__getattr__(stem)
     assert module is sys.modules[f"bnopt.{stem}"] is getattr(bnopt, stem)
+
+
+def test_import_loads_no_submodule():
+    c = subprocess.run([sys.executable, "-c", "import sys, bnopt; print(*("
+                        "m for m in sys.modules if m.startswith('bnopt.')))"],
+                       capture_output=True, text=True)
+    assert c.returncode == 0, c.stderr
+    assert c.stdout.split() == []
