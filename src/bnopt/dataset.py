@@ -80,13 +80,13 @@ def load_delimited(
 ) -> RawTable:
     """Read a delimited text file into a RawTable.
 
-    Tokens in missing_tokens become absent cells. A row whose cell count
-    differs from the header is rejected with its 1-based record number, a
-    header that names a column twice with the name, bytes that are not
-    text with the path, and a field the csv reader refuses with the path
-    and line. A leading UTF-8 byte-order mark is skipped. Each distinct
-    record is stripped and missing-tested once; equal records share one
-    cells list.
+    Tokens in missing_tokens become absent cells. A file of one column is
+    rejected with the path, a row whose cell count differs from the header
+    with its 1-based record number, a header that names a column twice
+    with the name, bytes that are not text with the path, and a field the
+    csv reader refuses with the path and line. A leading UTF-8 byte-order
+    mark is skipped. Each distinct record is stripped and missing-tested
+    once; equal records share one cells list.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
@@ -119,6 +119,9 @@ def _tabulate(path, records, missing_tokens, header: bool) -> RawTable:
         records = itertools.chain([first], records)
         offset = 1
     ncol = len(names)
+    if ncol < 2:  # a score file whose header is lost reads as one column
+        raise DataError(f"{path}: one column; a data file needs at least "
+                        "two, a score file its 'n <count>' header")
     seen: dict[tuple[str, ...], list[str | None]] = {}
     cells: list[list[str | None]] = []
     for i, rec in enumerate(records, offset):

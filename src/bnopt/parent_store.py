@@ -11,13 +11,11 @@ scan is faster, so no bit vectors are kept.
 The ScoreTable constructor, the one way to build a table, checks that
 every table draws its parents from the other variables, is sorted
 ascending and holds the empty parent set. The empty set fits every pool,
-so no query or cursor can run past it: each has an answer.
+so no query can run past it: each has an answer.
 
-Exclusion cursors serve ordering-based hill climbing: a cursor holds the
-mask of candidate parents ruled out so far, excluding a variable returns a
-new cursor that shares the table, and cursor_best is best_in over the pool
-the cursor still admits. Cursors are persistent values, so sibling search
-branches can keep a common ancestor.
+Ordering-based hill climbing rules candidate parents out one at a time:
+cursor_exclude adds one variable to an int mask of the ruled-out ones, and
+best_in over the variables the mask leaves answers the position.
 
 Scores are added by ordered_sum, left to right from 0.0: sum() compensates
 rounding on Python 3.12+, which would make reports differ between versions.
@@ -33,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from .bitset import bits, full_mask, mask_of
+from .bitset import bits, mask_of
 
 
 class DataError(ValueError):
@@ -96,34 +94,17 @@ class ScoreSet:
         return len(self.names)
 
 
-class ExclusionCursor:
-    """A table and the mask of the variables ruled out so far."""
-
-    def __init__(self, table: ScoreTable, excluded: int = 0):
-        self.table = table
-        self.excluded = excluded
-
-
-def cursor_new(table: ScoreTable) -> ExclusionCursor:
-    """Fresh cursor with no variable excluded."""
-    return ExclusionCursor(table)
-
-
-def cursor_exclude(c: ExclusionCursor, y: int) -> ExclusionCursor:
-    """Rule out y as a candidate parent; returns a new cursor."""
-    if y == c.table.variable:
+def cursor_exclude(table: ScoreTable, excluded: int, y: int) -> int:
+    """The mask excluded with y ruled out as a candidate parent of table's
+    variable. Raises ValueError when y is that variable, out of range or
+    already excluded."""
+    if y == table.variable:
         raise ValueError("cannot exclude the table's own variable")
-    if c.excluded >> y & 1:
-        raise ValueError(f"variable {y} already excluded")
-    if not 0 <= y < c.table.n:
+    if not 0 <= y < table.n:
         raise ValueError(f"variable index {y} out of range")
-    return ExclusionCursor(c.table, c.excluded | 1 << y)
-
-
-def cursor_best(c: ExclusionCursor) -> tuple[float, int]:
-    """BestScore over the pool the cursor still admits (best_in)."""
-    t = c.table
-    return best_in(t, full_mask(t.n) & ~c.excluded & ~(1 << t.variable))
+    if excluded >> y & 1:
+        raise ValueError(f"variable {y} already excluded")
+    return excluded | 1 << y
 
 
 def best_in(table: ScoreTable, candidates: int) -> tuple[float, int]:

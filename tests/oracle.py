@@ -13,11 +13,12 @@ import math
 
 
 def ingest(path, missing=("?", ""), header=True):
-    """(names, arity, rows) of a comma-separated file, one cell at a time:
-    strip every cell, test it for a missing token, drop incomplete rows,
-    then code each column (finite floats split at their row-order mean,
-    anything else categorical in first-appearance order). An input error
-    raises ValueError with the text load_dataset gives."""
+    """(names, arity, rows) of a comma-separated file of two or more
+    columns, one cell at a time: strip every cell, test it for a missing
+    token, drop incomplete rows, then code each column (finite floats
+    split at their row-order mean, anything else categorical in
+    first-appearance order). An input error raises ValueError with the
+    text load_dataset gives."""
     def fail(what):
         raise ValueError(f"{path}: {what}")
 
@@ -30,15 +31,18 @@ def ingest(path, missing=("?", ""), header=True):
         fail("no records")
     if header:
         names = [t.strip() for t in records[0]]
-        for i in range(len(names)):
-            if names[i] in names[:i]:
-                fail(f"header names column {names[i]!r} twice")
-        first_row, records = 2, records[1:]
-        if not records:
-            fail("no records")
     else:
         names = [f"X{i + 1}" for i in range(len(records[0]))]
-        first_row = 1
+    for i in range(len(names)):
+        if names[i] in names[:i]:
+            fail(f"header names column {names[i]!r} twice")
+    if len(names) < 2:
+        fail("one column; a data file needs at least two, a score file its "
+             "'n <count>' header")
+    first_row = 2 if header else 1
+    records = records[first_row - 1:]
+    if not records:
+        fail("no records")
     table = []
     for number, rec in enumerate(records, first_row):
         if len(rec) != len(names):

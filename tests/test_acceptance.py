@@ -19,7 +19,7 @@ from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
                    exact_distances_to_goal, initial_upper_bound,
                    load_dataset, mdl_local_score, parent_limit)
 from bnopt.bitset import bits, full_mask, mask_of
-from bnopt.parent_store import cursor_best, cursor_exclude, cursor_new
+from bnopt.parent_store import cursor_exclude
 from bnopt.synth import prefix_dataset, random_dataset
 from conftest import FIXTURE_CSV
 
@@ -133,11 +133,13 @@ def test_c05_sparse_store_equivalence():
                 assert got[1] & ~cands == 0
                 assert got[0] == oracle.fitting_minimum(
                     t.scores, t.parent_sets, cands)[0]
-                c = cursor_new(t)
+                excluded = 0
                 for y in others:
                     if not cands >> y & 1:
-                        c = cursor_exclude(c, y)
-                assert cursor_best(c) == got
+                        excluded = cursor_exclude(t, excluded, y)
+                pool = full_mask(n) & ~(excluded | 1 << x)
+                assert pool == cands
+                assert best_in(t, pool) == got
                 brute = min(s for pa, s in raw.items()
                             if pa & ~cands == 0)
                 assert got[0] == pytest.approx(brute, abs=ABS_TOL)
@@ -149,10 +151,10 @@ def test_c05_sparse_store_equivalence():
     assert best_in(t, x3 | 0b1000) == (6.0, x3)
     assert best_in(t, x2 | 0b1000) == (8.0, x2)
     assert best_in(t, x2 | x3) == (5.0, x2 | x3)
-    c = cursor_exclude(cursor_new(t), 2)
-    assert cursor_best(c) == (8.0, x2)
-    c = cursor_exclude(c, 1)
-    assert cursor_best(c) == (10.0, 0)
+    excluded = cursor_exclude(t, 0, 2)
+    assert best_in(t, full_mask(4) & ~(excluded | 1)) == (8.0, x2)
+    excluded = cursor_exclude(t, excluded, 1)
+    assert best_in(t, full_mask(4) & ~(excluded | 1)) == (10.0, 0)
     _report("PASS criterion 5: sparse store equivalent to brute force; "
             "worked example reproduced bit-exactly")
 

@@ -326,6 +326,23 @@ def test_header_only_csv_has_no_records(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["score", "learn", "verify"])
+@pytest.mark.parametrize("source", ["fixture4.scores", "gen14.scores"])
+def test_score_file_without_header_is_refused(tmp_path, capsys, command,
+                                              source):
+    # without its 'n <count>' line a score file is read as a data file of
+    # one column; learn used to write a one-variable network named
+    # 'var A 3' and verify to pass it
+    bad = tmp_path / source
+    bad.write_text((DATA_DIR / source).read_text().split("\n", 1)[1])
+    assert main([command, str(bad)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"bnopt: {bad}: one column; a data file needs at least two, a score "
+        "file its 'n <count>' header"]
+
+
+@pytest.mark.parametrize("command", ["score", "learn", "verify"])
 def test_non_utf8_input_names_the_file(tmp_path, capsys, command):
     bad = tmp_path / "latin.csv"
     bad.write_bytes(b"\xffA,B\n0,1\n1,0\n")
@@ -474,9 +491,12 @@ def mutated_score_file(draw):
 @given(text=mutated_score_file())
 def test_fuzzed_score_file_ends_cleanly(tmp_path_factory, text):
     # a malformed score file ends in an exit code with one stderr line,
-    # never in a traceback
+    # never in a traceback; one whose 'n <count>' header is damaged or lost
+    # never ends in a network, as it would if read as a one-column CSV
     path = tmp_path_factory.getbasetemp() / "mutated.scores"
     path.write_text(text, encoding="utf-8")
+    head = next((ln.split() for ln in text.splitlines() if ln.strip()), [])
+    headed = len(head) == 2 and head[0] == "n" and head[1].isdecimal()
     try:  # the reader's only input error is DataError
         read_score_file(path)
     except DataError:
@@ -487,6 +507,7 @@ def test_fuzzed_score_file_ends_cleanly(tmp_path_factory, text):
             code = main([command, str(path), *flags])
         assert code in (EXIT_OK, EXIT_INPUT, EXIT_USAGE, EXIT_VERIFY), \
             (command, err.getvalue())
+        assert headed or code != EXIT_OK, (command, out.getvalue())
         if code in (EXIT_INPUT, EXIT_USAGE):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("bnopt: "), \

@@ -3,9 +3,8 @@ import pytest
 import oracle
 from bnopt import (DataError, ScoreTable, SimpleHeuristic, astar, best_in,
                    dp_oracle)
-from bnopt.bitset import mask_of
-from bnopt.parent_store import (cursor_best, cursor_exclude, cursor_new,
-                                ordered_sum)
+from bnopt.bitset import full_mask, mask_of
+from bnopt.parent_store import cursor_exclude, ordered_sum
 from bnopt.scoring import build_score_tables, parent_limit
 from bnopt.synth import random_dataset
 
@@ -18,43 +17,40 @@ def worked_table():
                              (8.0, X2), (10.0, 0)])
 
 
-def test_fresh_cursor_all_valid(worked_table):
-    # every entry is admissible: the answer over the full pool
-    c = cursor_new(worked_table)
-    assert c.excluded == 0
-    assert cursor_best(c) == best_in(worked_table, X2 | X3 | X4) \
-        == (5.0, X2 | X3)
+def _pool(t, excluded):
+    """The candidate parents an exclusion mask leaves for t's variable."""
+    return full_mask(t.n) & ~(excluded | 1 << t.variable)
+
+
+def test_full_pool_admits_every_entry(worked_table):
+    # nothing excluded: the answer over the full pool is the first entry
+    assert _pool(worked_table, 0) == X2 | X3 | X4
+    assert best_in(worked_table, X2 | X3 | X4) == (5.0, X2 | X3)
 
 
 def test_single_entry_table():
     t = ScoreTable(0, 2, [(1.5, 0)])
-    c = cursor_new(t)
-    assert cursor_best(c) == best_in(t, 0b10) == (1.5, 0)
-    assert cursor_best(cursor_exclude(c, 1)) == best_in(t, 0) == (1.5, 0)
+    assert best_in(t, 0b10) == (1.5, 0)
+    assert cursor_exclude(t, 0, 1) == 0b10
+    assert best_in(t, _pool(t, 0b10)) == best_in(t, 0) == (1.5, 0)
 
 
 def test_exclusion_chain_worked_example(worked_table):
-    c = cursor_new(worked_table)
-    c3 = cursor_exclude(c, 2)
-    assert cursor_best(c3) == best_in(worked_table, X2 | X4) == (8.0, X2)
-    c32 = cursor_exclude(c3, 1)
-    assert cursor_best(c32) == best_in(worked_table, X4) == (10.0, 0)
+    t = worked_table
+    e3 = cursor_exclude(t, 0, 2)
+    assert e3 == X3
+    assert best_in(t, _pool(t, e3)) == best_in(t, X2 | X4) == (8.0, X2)
+    e32 = cursor_exclude(t, e3, 1)
+    assert e32 == X2 | X3
+    assert best_in(t, _pool(t, e32)) == best_in(t, X4) == (10.0, 0)
     # X4 appears in no retained set, so excluding it changes nothing
-    c4 = cursor_exclude(c, 3)
-    assert cursor_best(c4) == best_in(worked_table, X2 | X3) \
-        == cursor_best(c) == (5.0, X2 | X3)
-
-
-def test_cursors_are_persistent(worked_table):
-    c = cursor_new(worked_table)
-    snapshot = cursor_best(c)
-    c3 = cursor_exclude(c, 2)
-    assert cursor_best(c) == snapshot
-    assert c.excluded == 0
-    # the parent cursor can branch again after a child was derived
-    c2 = cursor_exclude(c, 1)
-    assert cursor_best(c2) == best_in(worked_table, X3 | X4) == (6.0, X3)
-    assert cursor_best(c3) == best_in(worked_table, X2 | X4) == (8.0, X2)
+    e4 = cursor_exclude(t, 0, 3)
+    assert best_in(t, _pool(t, e4)) == best_in(t, X2 | X3) \
+        == best_in(t, _pool(t, 0)) == (5.0, X2 | X3)
+    # a sibling chain from the empty mask leaves the other answers alone
+    e2 = cursor_exclude(t, 0, 1)
+    assert best_in(t, _pool(t, e2)) == best_in(t, X3 | X4) == (6.0, X3)
+    assert best_in(t, _pool(t, e3)) == (8.0, X2)
 
 
 def test_missing_empty_set_raises():
@@ -103,28 +99,34 @@ def test_constructor_rejects_own_variable_as_parent():
 
 
 def test_exclude_preconditions(worked_table):
-    c = cursor_new(worked_table)
-    with pytest.raises(ValueError):
-        cursor_exclude(c, 0)  # the table's own variable
-    c3 = cursor_exclude(c, 2)
-    with pytest.raises(ValueError):
-        cursor_exclude(c3, 2)  # already excluded
+    t = worked_table
+    with pytest.raises(ValueError, match="own variable"):
+        cursor_exclude(t, 0, 0)
+    e3 = cursor_exclude(t, 0, 2)
+    with pytest.raises(ValueError, match="variable 2 already excluded"):
+        cursor_exclude(t, e3, 2)
+    for y in (4, -1):
+        with pytest.raises(ValueError, match=f"index {y} out of range"):
+            cursor_exclude(t, e3, y)
+    # a refused exclusion leaves the caller's mask as it was
+    assert e3 == X3
 
 
 def _fitting_minimum(t, cands):
     return oracle.fitting_minimum(t.scores, t.parent_sets, cands)
 
 
-def test_best_in_matches_cursor(worked_table):
+def test_best_in_matches_fitting_minimum(worked_table):
     for cands in range(1 << 4):
         if cands & 1:
             continue
-        c = cursor_new(worked_table)
+        excluded = 0
         for y in range(1, 4):
             if not cands >> y & 1:
-                c = cursor_exclude(c, y)
+                excluded = cursor_exclude(worked_table, excluded, y)
+        assert _pool(worked_table, excluded) == cands
         got = best_in(worked_table, cands)
-        assert got == cursor_best(c) == _fitting_minimum(worked_table, cands)
+        assert got == _fitting_minimum(worked_table, cands)
 
 
 def _equivalence_exhaustive(data, limit):
@@ -136,15 +138,15 @@ def _equivalence_exhaustive(data, limit):
             cands = mask_of(others[j] for j in range(len(others)) if m >> j & 1)
             excl = [y for y in others if not cands >> y & 1]
             got = best_in(t, cands)
-            # any exclusion order must land on the same answer
-            fwd = cursor_new(t)
+            # any exclusion order must leave the same pool and answer
+            fwd = rev = 0
             for y in excl:
-                fwd = cursor_exclude(fwd, y)
-            rev = cursor_new(t)
+                fwd = cursor_exclude(t, fwd, y)
             for y in reversed(excl):
-                rev = cursor_exclude(rev, y)
-            assert cursor_best(fwd) == got
-            assert cursor_best(rev) == got
+                rev = cursor_exclude(t, rev, y)
+            assert _pool(t, fwd) == _pool(t, rev) == cands
+            assert best_in(t, _pool(t, fwd)) == got
+            assert best_in(t, _pool(t, rev)) == got
             # a fitting entry with the least score (ties may list either
             # parent set first)
             assert got[1] & ~cands == 0
@@ -166,18 +168,19 @@ def test_popcount_never_increases():
     data = random_dataset(7, 80, seed=2)
     scores = build_score_tables(data)
     for x, t in enumerate(scores.tables):
-        c = cursor_new(t)
-        prev_count, prev_best = len(t), cursor_best(c)[0]
+        excluded = 0
+        prev_count, prev_best = len(t), best_in(t, _pool(t, 0))[0]
         for y in range(7):
             if y == x:
                 continue
-            c = cursor_exclude(c, y)
-            count = sum(1 for pa in t.parent_sets if not pa & c.excluded)
-            best = cursor_best(c)[0]
+            excluded = cursor_exclude(t, excluded, y)
+            count = sum(1 for pa in t.parent_sets if not pa & excluded)
+            best = best_in(t, _pool(t, excluded))[0]
             assert count <= prev_count
             assert best >= prev_best
             prev_count, prev_best = count, best
-        assert cursor_best(c) == (float(t.scores[t.parent_sets.index(0)]), 0)
+        assert best_in(t, _pool(t, excluded)) == \
+            (float(t.scores[t.parent_sets.index(0)]), 0)
 
 
 def test_irrelevant_exclusion_is_identity():
@@ -187,11 +190,10 @@ def test_irrelevant_exclusion_is_identity():
         in_some_set = 0
         for p in t.parent_sets:
             in_some_set |= p
-        c = cursor_new(t)
         for y in range(7):
             if y != x and not in_some_set >> y & 1:
-                c2 = cursor_exclude(c, y)
-                assert cursor_best(c2) == cursor_best(c)
+                assert best_in(t, _pool(t, cursor_exclude(t, 0, y))) == \
+                    best_in(t, _pool(t, 0))
                 # nor does it change the answer over any other pool
                 for cands in range(1 << 7):
                     if not cands >> x & 1:

@@ -10,13 +10,14 @@ from bnopt import (DynamicHeuristic, LearnedNetwork, MemoryBudgetError,
                    ScoreTable, SimpleHeuristic, StaticHeuristic, astar,
                    best_in, bfbnb, default_grouping, dp_oracle,
                    exact_distances_to_goal, initial_upper_bound,
-                   pattern_cost_exact, reconstruct, search)
+                   pattern_cost_exact, read_score_file, reconstruct,
+                   search)
 from bnopt.bitset import bits, full_mask
 from bnopt.dataset import Dataset
 from bnopt.scoring import build_score_tables, parent_limit
 from bnopt.search import G_EPS, components
 from bnopt.synth import random_dataset
-from conftest import OPT_SCORE
+from conftest import DATA_DIR, OPT_SCORE
 
 
 def permuted(data, seed):
@@ -171,6 +172,22 @@ def test_hill_climb_totals_summed_in_order(monkeypatch):
         orders.append(list(order)) or real(t, order, *a)))
     initial_upper_bound(tables, seed=0, restarts=8)
     assert orders == [[2, 1, 0]]
+
+
+def test_hill_climb_counts_one_exclusion_per_ruled_out_variable(monkeypatch):
+    # the benchmark's trace counts search.cursor_exclude calls: each of the
+    # 8 restarts scores one shuffled order, whose position i rules out the
+    # n - 1 - i variables after it
+    tables = read_score_file(DATA_DIR / "gen14.scores").tables
+    n = len(tables)
+    calls = []
+    real = search.cursor_exclude
+    monkeypatch.setattr(search, "cursor_exclude",
+                        lambda *a: calls.append(a) or real(*a))
+    net = initial_upper_bound(tables)
+    assert len(calls) == 8 * n * (n - 1) // 2
+    assert net.parents == [0, 0, 0, 0, 0, 0, 8, 0, 16, 128, 0, 138, 194, 544]
+    assert net.total_score == 24254.714830145604
 
 
 def test_hill_climb_deterministic(fixture_tables):
