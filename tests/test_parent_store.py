@@ -47,10 +47,20 @@ def test_exclusion_chain_worked_example(worked_table):
     e4 = cursor_exclude(t, 0, 3)
     assert best_in(t, _pool(t, e4)) == best_in(t, X2 | X3) \
         == best_in(t, _pool(t, 0)) == (5.0, X2 | X3)
-    # a sibling chain from the empty mask leaves the other answers alone
-    e2 = cursor_exclude(t, 0, 1)
+
+
+def test_cursors_are_persistent(worked_table):
+    # deriving an exclusion leaves its parent mask and answer unchanged, so
+    # the parent can branch again after a child was derived
+    t = worked_table
+    e = 0
+    snapshot = best_in(t, _pool(t, e))
+    e3 = cursor_exclude(t, e, 2)
+    assert e == 0
+    assert best_in(t, _pool(t, e)) == snapshot
+    e2 = cursor_exclude(t, e, 1)
     assert best_in(t, _pool(t, e2)) == best_in(t, X3 | X4) == (6.0, X3)
-    assert best_in(t, _pool(t, e3)) == (8.0, X2)
+    assert best_in(t, _pool(t, e3)) == best_in(t, X2 | X4) == (8.0, X2)
 
 
 def test_missing_empty_set_raises():
