@@ -16,8 +16,7 @@ from importlib import import_module
 _MODULES = {
     "dataset": ("Dataset", "RawTable", "binarize_mean", "counts",
                 "drop_incomplete", "load_dataset", "load_delimited"),
-    "scoring": ("build_score_tables", "mdl_local_score", "parent_limit",
-                "prune_scores"),
+    "scoring": ("build_score_tables", "mdl_local_score", "parent_limit"),
     "parent_store": ("DataError", "ScoreSet", "ScoreTable", "best_in",
                      "format_score_file", "read_score_file",
                      "write_score_file"),

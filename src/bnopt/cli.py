@@ -22,9 +22,8 @@ from .heuristics import (PDB_ENTRY_BYTES, DynamicHeuristic, SimpleHeuristic,
 from .parent_store import (DataError, ScoreSet, check_names,
                            format_score_file, is_score_file, read_score_file,
                            write_score_file)
-from .search import (DEFAULT_MEM_BUDGET, DP_NODE_BYTES, LearnedNetwork,
-                     MemoryBudgetError, SearchStats, astar, bfbnb,
-                     check_exhaustive, components, dp_oracle,
+from .search import (DEFAULT_MEM_BUDGET, LearnedNetwork, MemoryBudgetError,
+                     SearchStats, astar, bfbnb, check_exhaustive, components,
                      initial_upper_bound)
 
 # dataset, scoring and verify load numpy; they are imported inside the
@@ -96,10 +95,9 @@ def _build_report(scores: ScoreSet, net: LearnedNetwork, stats: SearchStats,
             "reopened": stats.reopened,
             "peak_open_size": stats.peak_open_size,
             "pdb_size": pdb_size,
+            "forced_skipped": stats.forced_skipped,
         },
     }
-    if config["algorithm"] != "dp":  # dp generates every successor
-        report["stats"]["forced_skipped"] = stats.forced_skipped
     return json.dumps(report, indent=2) + "\n"
 
 
@@ -172,27 +170,20 @@ def _load_input(args) -> tuple[ScoreSet | None, Dataset | None]:
 
 
 def cmd_learn(args) -> int:
-    dp = args.algorithm == "dp"
     if args.k is not None and args.heuristic != "dynamic":
         raise UsageError("--k only makes sense with --heuristic dynamic")
     if args.groups is not None and args.heuristic != "static":
         raise UsageError("--groups only makes sense with --heuristic static")
-    if dp and (args.k, args.groups) != (None, None):
-        raise UsageError("--k and --groups have no effect with --algorithm dp")
     mem_budget = _mem_budget(args)
     scores, data = _load_input(args)
     n = scores.n if data is None else data.n
-    # dp builds no heuristic; k and groups belong to their own heuristic
-    heuristic = None if dp else args.heuristic
     k = groups = None
-    if heuristic == "dynamic":
+    if args.heuristic == "dynamic":
         k = args.k if args.k is not None else min(3, n)
-    elif heuristic == "static":
+    elif args.heuristic == "static":
         groups = "auto" if args.groups is None else args.groups
     # checked before scoring, so a typo costs no scoring run
     try:
-        if dp:
-            check_exhaustive(n)
         if k is not None:
             check_pattern_cap(k, n)
         grouping = None if groups is None else parse_grouping(groups, n)
@@ -205,13 +196,10 @@ def cmd_learn(args) -> int:
     pdb_bytes = entries * PDB_ENTRY_BYTES
     if pdb_bytes > mem_budget:
         raise MemoryBudgetError(
-            f"the {heuristic} pattern database prices {entries} patterns, "
-            f"~{pdb_bytes} bytes, over the {mem_budget}-byte budget")
+            f"the {args.heuristic} pattern database prices {entries} "
+            f"patterns, ~{pdb_bytes} bytes, over the {mem_budget}-byte "
+            "budget")
     mem_budget -= pdb_bytes
-    if dp and DP_NODE_BYTES << n > mem_budget:
-        raise MemoryBudgetError(
-            f"the dp oracle prices {1 << n} nodes, ~{DP_NODE_BYTES << n} "
-            f"bytes, over the {mem_budget}-byte budget")
     N = limit = None
     if data is not None:
         from .scoring import build_score_tables, parent_limit
@@ -222,42 +210,35 @@ def cmd_learn(args) -> int:
     tables = scores.tables
 
     t0 = time.perf_counter()
-    h = None
-    if heuristic == "simple":
+    if args.heuristic == "simple":
         h = SimpleHeuristic(tables)
-    elif heuristic == "dynamic":
+    elif args.heuristic == "dynamic":
         h = DynamicHeuristic(tables, k)
-    elif heuristic == "static":
+    else:
         h = StaticHeuristic(tables, grouping)
     pdb_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if dp:
-        net, _ = dp_oracle(tables)
-        stats = SearchStats(nodes_expanded=1 << scores.n,
-                            nodes_generated=1 << scores.n)
-    elif args.algorithm == "astar":
+    if args.algorithm == "astar":
         net, stats = astar(tables, h, mem_budget=mem_budget)
     else:
         net, stats = bfbnb(tables, h, initial_upper_bound(tables),
                            mem_budget=mem_budget)
     search_time = time.perf_counter() - t0
     # A* and BFBnB search the parent graph's components one at a time
-    sizes = "" if dp else \
-        f", components {[C.bit_count() for C in components(tables)]}"
-    print(f"# pdb build {pdb_time:.3f}s, search {search_time:.3f}s{sizes}",
-          file=sys.stderr)
+    sizes = [C.bit_count() for C in components(tables)]
+    print(f"# pdb build {pdb_time:.3f}s, search {search_time:.3f}s, "
+          f"components {sizes}", file=sys.stderr)
 
-    config = {"algorithm": args.algorithm, "heuristic": heuristic, "k": k,
-              "groups": groups, "parent_limit": limit}
-    text = _build_report(scores, net, stats, config, N,
-                         h.size if h else None)
+    config = {"algorithm": args.algorithm, "heuristic": args.heuristic,
+              "k": k, "groups": groups, "parent_limit": limit}
+    text = _build_report(scores, net, stats, config, N, h.size)
     sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w") as f:
+        with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
     if args.dot:
-        with open(args.dot, "w") as f:
+        with open(args.dot, "w", encoding="utf-8") as f:
             f.write(emit_dot(net, scores.names))
     return EXIT_OK
 
@@ -303,7 +284,7 @@ def _make_parser() -> _Parser:
     pl = sub.add_parser("learn", help="learn an optimal network from a data "
                                       "or score file")
     pl.add_argument("input")
-    pl.add_argument("--algorithm", choices=["astar", "bfbnb", "dp"],
+    pl.add_argument("--algorithm", choices=["astar", "bfbnb"],
                     default="astar")
     pl.add_argument("--heuristic", choices=["simple", "dynamic", "static"],
                     default="simple")

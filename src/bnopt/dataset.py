@@ -71,6 +71,16 @@ class Dataset:
         weights = np.diff(np.append(starts, self.N)).astype(np.float64)
         return np.ascontiguousarray(ordered[starts].T), weights
 
+    @cached_property
+    def count_terms(self) -> np.ndarray:
+        """c * log2(c) for every cell count c from 0 to N, with 0.0 for
+        0 and 1, as float64. The logarithms are libm's (math.log2): numpy's
+        log2 differs from it in the last bit at some counts, depending on
+        the CPU features numpy dispatches to, and scores must not. Computed
+        on first use, once per dataset."""
+        return np.array([0.0, 0.0] + [c * math.log2(c)
+                                      for c in range(2, self.N + 1)])
+
 
 def load_delimited(
     path,

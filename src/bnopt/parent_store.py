@@ -130,18 +130,29 @@ def best_in(table: ScoreTable, candidates: int) -> tuple[float, int]:
 
 def check_names(names: list[str]) -> None:
     """Raise ValueError for the first name a score file cannot hold: an
-    empty one or one with whitespace."""
-    for name in names:
+    empty one, one with whitespace, or a repeat of an earlier one."""
+    for i, name in enumerate(names):
         if not name or any(c.isspace() for c in name):
             raise ValueError(f"variable name {name!r} not representable")
+        if name in names[:i]:
+            raise ValueError(f"duplicate variable name {name!r}")
 
 
 def format_score_file(scores: ScoreSet) -> str:
+    """The score file of scores; raises ValueError for names that
+    read_score_file would refuse or that do not match the tables one to
+    one, and for a non-finite score."""
     check_names(scores.names)
+    if len(scores.names) != len(scores.tables):
+        raise ValueError(f"{len(scores.names)} variable names for "
+                         f"{len(scores.tables)} score tables")
     chunks = [f"n {scores.n}\n"]
     for name, table in zip(scores.names, scores.tables):
         chunks.append(f"var {name} {len(table)}\n")
         for i, pa in enumerate(table.parent_sets):
+            if not math.isfinite(table.scores[i]):
+                raise ValueError(f"block for {name}: non-finite score "
+                                 f"{table.scores[i]!r}")
             parents = " ".join(scores.names[y] for y in bits(pa))
             k = pa.bit_count()
             chunks.append(f"{table.scores[i]:.17g} {k}" +
@@ -151,7 +162,7 @@ def format_score_file(scores: ScoreSet) -> str:
 
 def write_score_file(path, scores: ScoreSet) -> None:
     text = format_score_file(scores)  # before open, so a refusal keeps path
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
 

@@ -20,7 +20,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .bitset import bits
 from .dataset import Dataset, check_cell_limit, counts
 from .parent_store import ScoreSet, ScoreTable
 
@@ -29,9 +28,10 @@ from .parent_store import ScoreSet, ScoreTable
 BATCH_CELLS = 2048
 
 
-def _nh_bits(joints: np.ndarray) -> np.ndarray:
+def _nh_bits(joints: np.ndarray, count_terms: np.ndarray) -> np.ndarray:
     """N*H(x|pa) in bits for each (parent config, x value) count table of an
-    (m, configs, arity[x]) stack.
+    (m, configs, arity[x]) stack; count_terms is the dataset's c * log2(c)
+    table (Dataset.count_terms).
 
     N*H(x|pa) = sum N(pa) log2 N(pa) - sum N(x,pa) log2 N(x,pa). Cells with
     a count of 0 or 1 add an exact 0.0, and the terms are summed one at a
@@ -40,8 +40,8 @@ def _nh_bits(joints: np.ndarray) -> np.ndarray:
     """
     m, npa, _ = joints.shape
     cells = np.concatenate([joints.sum(axis=2), joints.reshape(m, -1)],
-                           axis=1).astype(np.float64)
-    terms = cells * np.log2(np.maximum(cells, 1.0))
+                           axis=1)
+    terms = count_terms[cells.astype(np.intp)]
     terms[:, npa:] *= -1.0
     return np.add.accumulate(terms, axis=1)[:, -1]
 
@@ -52,7 +52,7 @@ def mdl_local_score(data: Dataset, x: int, pa: int) -> float:
     joint = counts(data, x, pa).T  # (parent config, x value)
     npa, rx = joint.shape
     penalty = math.log2(data.N) / 2.0 * (rx - 1) * npa
-    return float(_nh_bits(joint[np.newaxis])[0]) + penalty
+    return float(_nh_bits(joint[np.newaxis], data.count_terms)[0]) + penalty
 
 
 def parent_limit(N: int) -> int:
@@ -65,30 +65,6 @@ def parent_limit(N: int) -> int:
 def _entry_sort_key(score: float, pa: int):
     # equal scores: smaller set first, then ascending bitmask
     return (score, pa.bit_count(), pa)
-
-
-def prune_scores(raw: dict[int, float]) -> list[tuple[float, int]]:
-    """Keep the possibly-optimal parent sets of a raw (mask -> score) map.
-
-    A set survives only when its score is strictly better than every proper
-    subset's; on ties the superset is dropped. The sweep runs in ascending
-    cardinality, propagating best-so-far down the lattice, so each set is
-    compared against the best of all its subsets. Result sorted ascending.
-    """
-    best: dict[int, float] = {}
-    kept: list[tuple[float, int]] = []
-    for pa in sorted(raw, key=int.bit_count):
-        s = raw[pa]
-        best_sub = math.inf
-        for y in bits(pa):
-            b = best[pa ^ (1 << y)]
-            if b < best_sub:
-                best_sub = b
-        if s < best_sub or pa == 0:
-            kept.append((s, pa))
-        best[pa] = min(s, best_sub)
-    kept.sort(key=lambda e: _entry_sort_key(*e))
-    return kept
 
 
 def family_scores(data: Dataset,
@@ -112,6 +88,7 @@ def family_scores(data: Dataset,
     cols, weights = data.distinct
     arity = data.arity
     half_log_n = math.log2(data.N) / 2.0
+    count_terms = data.count_terms
     max_size = min(limit, data.n - 1) + 1
     # shape (arities, lowest variable first) -> each set's mask and
     # members (ascending), and its count table
@@ -129,7 +106,8 @@ def family_scores(data: Dataset,
                 axes.append(axes.pop(size - i))  # x's axis last
                 joints = stacked.transpose(axes).reshape(m, -1, rx)
                 penalty = half_log_n * (rx - 1) * joints.shape[1]
-                for (S, members), nh in zip(sets, _nh_bits(joints).tolist()):
+                nhs = _nh_bits(joints, count_terms).tolist()
+                for (S, members), nh in zip(sets, nhs):
                     x = members[i]
                     families.append((x, S ^ 1 << x, nh + penalty))
         queued.clear()
@@ -165,8 +143,9 @@ def build_score_tables(
 
     A family joins its variable's kept list only when its score is
     strictly below the first kept subset's (the best, as in best_in).
-    family_scores delivers every subset first, so the lists equal
-    prune_scores over all families without any raw score being held.
+    family_scores delivers every subset first, so each list keeps exactly
+    the families that score strictly below every proper subset, without
+    any raw score being held.
     """
     limit = parent_limit(data.N)
     if max_parents is not None:

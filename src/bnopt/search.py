@@ -398,10 +398,6 @@ def initial_upper_bound(
     return reconstruct(tables, best_perm)
 
 
-# dp_oracle's array('d') distance and array('b') predecessor of a node
-DP_NODE_BYTES = 9
-
-
 def dp_oracle(tables: Sequence[ScoreTable]) -> tuple[LearnedNetwork, float]:
     """Forward dynamic programming over all 2^n nodes; exact optimum."""
     n = tables[0].n

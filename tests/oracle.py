@@ -2,9 +2,9 @@
 
 Everything here is written from first principles with plain dicts and
 loops so it shares no code path with the package: per-cell CSV ingest,
-entropy-based local scores, brute-force best-score queries, the one-pass
-greedy dynamic-PDB cover, subset-lattice shortest paths and full DAG
-enumeration.
+entropy-based local scores, parent-set pruning, brute-force best-score
+queries, the one-pass greedy dynamic-PDB cover, subset-lattice shortest
+paths and full DAG enumeration.
 """
 
 import csv
@@ -109,6 +109,31 @@ def all_scores(rows, arity, x, limit):
         for pa in itertools.combinations(others, k):
             out[frozenset(pa)] = local_score(rows, arity, x, pa)
     return out
+
+
+def prune_scores(raw):
+    """Keep the possibly-optimal parent sets of a raw (mask -> score) map,
+    as a list of (score, mask) pairs.
+
+    A set survives only when its score is strictly better than every proper
+    subset's; on ties the superset is dropped. The sweep runs in ascending
+    cardinality, propagating best-so-far down the lattice, so each set is
+    compared against the best of all its subsets. Result sorted ascending
+    by score, then by set size, then by mask.
+    """
+    best = {}
+    kept = []
+    for pa in sorted(raw, key=int.bit_count):
+        s = raw[pa]
+        best_sub = math.inf
+        for y in range(pa.bit_length()):
+            if pa >> y & 1 and best[pa ^ 1 << y] < best_sub:
+                best_sub = best[pa ^ 1 << y]
+        if s < best_sub or pa == 0:
+            kept.append((s, pa))
+        best[pa] = min(s, best_sub)
+    kept.sort(key=lambda e: (e[0], e[1].bit_count(), e[1]))
+    return kept
 
 
 def best_score(raw, cands):

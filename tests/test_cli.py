@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -20,7 +21,7 @@ from bnopt.synth import random_dataset
 from conftest import DATA_DIR, FIXTURE_CSV, OPT_SCORE
 
 GOLDEN_SCORES = DATA_DIR / "fixture4.scores"
-GOLDEN_DOT = DATA_DIR / "fixture4_dp.dot"
+GOLDEN_DOT = DATA_DIR / "fixture4.dot"
 
 
 def write_csv(tmp_path, data, name="synth.csv"):
@@ -63,16 +64,17 @@ def test_score_max_parents_upward_rejected(capsys):
     assert "limit 2" in capsys.readouterr().err
 
 
-def test_learn_dp_fixture(tmp_path, capsys):
+def test_learn_fixture_dot(tmp_path, capsys):
+    # the fixture's optimum ties between networks; this setup returns the
+    # one of the golden DOT file
     dot = tmp_path / "net.dot"
-    rc = main(["learn", str(FIXTURE_CSV), "--algorithm", "dp",
-               "--dot", str(dot)])
+    rc = main(["learn", str(FIXTURE_CSV), "--algorithm", "astar",
+               "--heuristic", "static", "--dot", str(dot)])
     assert rc == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["total_score"] == OPT_SCORE
     assert report["dataset"] == {"n": 4, "N": 8, "names": ["A", "B", "C", "D"]}
     assert report["config"]["parent_limit"] == 2
-    assert "forced_skipped" not in report["stats"]  # dp prunes nothing
     assert dot.read_text() == GOLDEN_DOT.read_text()
 
 
@@ -118,7 +120,7 @@ def test_learn_from_score_file_matches_data(tmp_path, capsys):
 
 def test_learn_report_written_to_out(tmp_path, capsys):
     out = tmp_path / "report.json"
-    assert main(["learn", str(FIXTURE_CSV), "--algorithm", "dp",
+    assert main(["learn", str(FIXTURE_CSV), "--algorithm", "astar",
                  "--out", str(out)]) == EXIT_OK
     assert out.read_text() == capsys.readouterr().out
 
@@ -522,9 +524,8 @@ NO_EMPTY_SET_2 = "n 2\nvar A 1\n1.0 1 B\nvar B 1\n0.5 0\n"
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
 @pytest.mark.parametrize("flags", [[], ["--algorithm", "bfbnb"],
                                    ["--heuristic", "dynamic"],
-                                   ["--heuristic", "static"],
-                                   ["--algorithm", "dp"]],
-                         ids=["astar", "bfbnb", "dynamic", "static", "dp"])
+                                   ["--heuristic", "static"]],
+                         ids=["astar", "bfbnb", "dynamic", "static"])
 def test_score_file_without_empty_set(tmp_path, optimize, flags):
     # holds under -O too, whatever the search queries: a missing empty
     # parent set must not turn into a read past the admissible entries and
@@ -552,10 +553,10 @@ def test_verify_rejects_score_file_without_empty_set(tmp_path, capsys):
     assert len(err) == 1 and "variable 0" in err[0], err
 
 
-@pytest.mark.parametrize("algorithm", ["astar", "bfbnb", "dp"])
+@pytest.mark.parametrize("algorithm", ["astar", "bfbnb"])
 def test_learn_rejects_unsorted_score_file(tmp_path, capsys, algorithm):
     # read as given, A's first entry would be taken as its best for every
-    # pool, and all three searches would report 6.0 instead of 2.0
+    # pool, and both searches would report 6.0 instead of 2.0
     bad = tmp_path / "unsorted.scores"
     bad.write_text("n 2\nvar A 2\n5.0 0\n1.0 1 B\nvar B 2\n1.0 0\n4.0 1 A\n")
     assert main(["learn", str(bad), "--algorithm", algorithm]) == EXIT_INPUT
@@ -573,7 +574,7 @@ def test_learn_one_variable(tmp_path, capsys):
     p.write_text("n 1\nvar A 1\n1.0 0\n")
     setups = [["--algorithm", a, "--heuristic", h] for a in ("astar", "bfbnb")
               for h in ("simple", "dynamic", "static")]
-    for flags in setups + [["--algorithm", "dp"]]:
+    for flags in setups:
         assert main(["learn", str(p), *flags]) == EXIT_OK, flags
         report = json.loads(capsys.readouterr().out)
         assert report["total_score"] == 1.0 and report["parents"] == {"A": []}
@@ -617,7 +618,7 @@ def test_learn_zero_flag_is_usage_error(capsys, flags):
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("algorithm", ["astar", "bfbnb", "dp"])
+@pytest.mark.parametrize("algorithm", ["astar", "bfbnb"])
 @pytest.mark.parametrize("flag", [["--seed", "3"], ["--restarts", "2"]],
                          ids=["seed", "restarts"])
 def test_learn_has_no_incumbent_flags(capsys, algorithm, flag):
@@ -638,22 +639,14 @@ def test_learn_has_no_incumbent_flags(capsys, algorithm, flag):
     ["score", str(FIXTURE_CSV), "--delimiter", ";;"],
     ["learn", str(FIXTURE_CSV), "--delimiter", ";;"],
     ["verify", str(FIXTURE_CSV), "--delimiter", ""],
-    # dp builds no heuristic, so it takes neither --k nor --groups
-    ["learn", str(FIXTURE_CSV), "--algorithm", "dp", "--heuristic", "dynamic",
-     "--k", "99"],
-    ["learn", str(FIXTURE_CSV), "--algorithm", "dp", "--heuristic", "dynamic",
-     "--k", "3"],
-    ["learn", str(FIXTURE_CSV), "--algorithm", "dp", "--heuristic", "static",
-     "--groups", "1-99"],
-    ["learn", str(FIXTURE_CSV), "--algorithm", "dp", "--heuristic", "static",
-     "--groups", "1-2,3-4"],
+    # brute-force dynamic programming is a test reference, not a learner
+    ["learn", str(FIXTURE_CSV), "--algorithm", "dp"],
     ["verify", str(FIXTURE_CSV), "--max-n", "0"],
     ["verify", str(FIXTURE_CSV), "--max-n", "-1"],
 ], ids=["max-parents-negative", "mem-budget-negative", "mem-budget-zero",
         "delimiter-empty", "delimiter-two-chars", "learn-delimiter",
-        "verify-delimiter", "dp-k-out-of-range",
-        "dp-k-valid", "dp-groups-out-of-range", "dp-groups-valid",
-        "verify-max-n-zero", "verify-max-n-negative"])
+        "verify-delimiter", "learn-algorithm-dp", "verify-max-n-zero",
+        "verify-max-n-negative"])
 def test_out_of_range_flag_is_usage_error(capsys, argv):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
@@ -744,24 +737,6 @@ def test_pdb_counted_against_budget_before_scoring(capsys, monkeypatch):
                  "--mem-budget", str(1 << 20)]) == EXIT_OK
 
 
-def test_dp_counted_against_budget_before_scoring(capsys, monkeypatch):
-    from bnopt import scoring
-    real = scoring.build_score_tables
-    monkeypatch.setattr(scoring, "build_score_tables",
-                        lambda *a: pytest.fail("scoring started"))
-    # dp keeps 9 bytes for each of the fixture's 2^4 nodes
-    assert main(["learn", str(FIXTURE_CSV), "--algorithm", "dp",
-                 "--mem-budget", "143"]) == EXIT_MEMORY
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "bnopt: the dp oracle prices 16 nodes, ~144 bytes, over the "
-        "143-byte budget"]
-    monkeypatch.setattr(scoring, "build_score_tables", real)
-    assert main(["learn", str(FIXTURE_CSV), "--algorithm", "dp",
-                 "--mem-budget", "144"]) == EXIT_OK
-
-
 def _flat_score_file(tmp_path, n):
     """A score file of n variables whose tables hold only the empty set."""
     p = tmp_path / f"flat{n}.scores"
@@ -829,19 +804,6 @@ def test_learn_past_64_variables(tmp_path, capsys, algorithm):
     assert report["dataset"]["n"] == 65
     assert report["total_score"] == 65.0
     assert all(pa == [] for pa in report["parents"].values())
-
-
-def test_dp_limit_checked_before_scoring(capsys, monkeypatch):
-    from bnopt import scoring, search
-    monkeypatch.setattr(search, "DP_MAX_VARS", 3)
-    monkeypatch.setattr(scoring, "build_score_tables",
-                        lambda *a, **kw: pytest.fail("scored a refused file"))
-    assert main(["learn", str(FIXTURE_CSV), "--algorithm", "dp"]) \
-        == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "bnopt: 4 variables exceed the exhaustive limit 3"]
 
 
 @pytest.mark.parametrize("path", [FIXTURE_CSV, GOLDEN_SCORES],
@@ -982,6 +944,43 @@ def test_write_score_file_formats_before_opening(tmp_path):
     assert out.read_bytes() == b"old bytes\n"
 
 
+@pytest.mark.parametrize("names, d_score, message", [
+    (["A", "A", "C", "D"], 1.0, "^duplicate variable name 'A'$"),
+    (["A", "B", "C", "D", "E"], 1.0, "^5 variable names for 4 score tables$"),
+    (["A", "B", "C"], 1.0, "^3 variable names for 4 score tables$"),
+    (list("ABCD"), float("nan"), "^block for D: non-finite score nan$"),
+    (list("ABCD"), float("inf"), "^block for D: non-finite score inf$"),
+], ids=["repeated", "extra-name", "missing-name", "nan", "inf"])
+def test_writer_refuses_what_the_reader_refuses(tmp_path, names, d_score,
+                                                message):
+    # each would write a file that read_score_file refuses, or fail
+    # halfway through; the refusal comes before the file is opened
+    scores = read_score_file(GOLDEN_SCORES)
+    scores.names = names
+    scores.tables[3].scores = [d_score]  # D's one entry, the empty set
+    out = tmp_path / "old.scores"
+    out.write_bytes(b"old bytes\n")
+    with pytest.raises(ValueError, match=message):
+        write_score_file(out, scores)
+    assert out.read_bytes() == b"old bytes\n"
+
+
+def test_files_written_as_utf8_in_an_ascii_locale(tmp_path):
+    # every reader decodes UTF-8, so the writers must not take the
+    # locale's encoding, ASCII here
+    p = tmp_path / "umlaut.csv"
+    p.write_text("Größe,Wert\n1,0\n0,1\n1,1\n0,0\n", encoding="utf-8")
+    scores, dot = tmp_path / "umlaut.scores", tmp_path / "umlaut.dot"
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C"}
+    for args in (["score", str(p), "--out", str(scores)],
+                 ["learn", str(p), "--dot", str(dot)]):
+        r = subprocess.run([sys.executable, "-m", "bnopt", *args],
+                           capture_output=True, env=env)
+        assert r.returncode == EXIT_OK, r.stderr
+    assert read_score_file(scores).names == ["Größe", "Wert"]
+    assert dot.read_text(encoding="utf-8").splitlines()[1] == '  "Größe";'
+
+
 def test_emit_dot_shapes():
     assert emit_dot(LearnedNetwork([0, 0], 0.0), ["A", "B"]) == (
         'digraph bn {\n  "A";\n  "B";\n}\n')
@@ -1061,8 +1060,8 @@ def test_bfbnb_static_report_matches_library_setup(capsys):
 
 
 @pytest.mark.parametrize("algorithm,sizes", [
-    ("astar", ", components [1, 12, 1]"), ("bfbnb", ", components [1, 12, 1]"),
-    ("dp", "")])
+    ("astar", ", components [1, 12, 1]"),
+    ("bfbnb", ", components [1, 12, 1]")])
 def test_timing_line_names_component_sizes(capsys, algorithm, sizes):
     assert main(["learn", str(DATA_DIR / "gen14.scores"), "--algorithm",
                  algorithm]) == EXIT_OK

@@ -9,6 +9,8 @@ import bnopt
 from bnopt.cli import EXIT_OK, main
 from conftest import DATA_DIR
 
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
 # ingest, scoring and the synthetic generator work on numpy arrays; the
 # parent store, heuristics, search, verifier and CLI use plain Python
 NUMPY_MODULES = {"dataset.py", "scoring.py", "synth.py"}
@@ -142,3 +144,28 @@ def test_import_loads_no_submodule():
                        capture_output=True, text=True)
     assert c.returncode == 0, c.stderr
     assert c.stdout.split() == []
+
+
+FAILING_PROPERTY = """\
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(derandomize=True, database=None)
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 5
+"""
+
+
+def test_failing_property_prints_its_example(tmp_path):
+    # under the repository's pytest settings, a falsified property ends as
+    # a test failure that shows the example, not as an internal error
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    c = subprocess.run([sys.executable, "-m", "pytest", "-c", str(PYPROJECT),
+                        "--rootdir", str(tmp_path), "-p", "no:cacheprovider",
+                        "test_property.py"],
+                       cwd=tmp_path, capture_output=True, text=True)
+    assert c.returncode == 1, c.stdout + c.stderr
+    assert "Falsifying example: test_fails(" in c.stdout, c.stdout
+    assert "x=5," in c.stdout

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from bnopt import (DataError, ScoreTable, SimpleHeuristic, astar, best_in,
-                   dp_oracle)
+from bnopt import (DataError, ScoreSet, ScoreTable, SimpleHeuristic, astar,
+                   best_in, dp_oracle, read_score_file, write_score_file)
 from bnopt.bitset import full_mask, mask_of
 from bnopt.parent_store import cursor_exclude, ordered_sum
 from bnopt.scoring import build_score_tables, parent_limit
@@ -225,3 +227,45 @@ def test_ordered_sum_adds_left_to_right():
     assert ordered_sum([1e16, 1.0, -1e16]) == 0.0
     assert ordered_sum(x / 10 for x in (1, 2, 3)) == 0.1 + 0.2 + 0.3
     assert ordered_sum([]) == 0.0
+
+
+# one or more characters, none of them whitespace (Z) or control (Cc)
+NAMES = st.text(st.characters(codec="utf-8", exclude_categories=("Z", "Cc")),
+                min_size=1, max_size=5)
+# ties, and zeros of both signs, besides any finite float
+SCORES = st.sampled_from([-1.5, -0.0, 0.0, 2.0]) | st.floats(
+    allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def score_sets(draw):
+    """ScoreSets of 1-6 uniquely named variables; each table holds the
+    empty set and other unique masks over the other variables, in any
+    order, with ascending finite scores."""
+    n = draw(st.integers(1, 6), label="n")
+    names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True),
+                 label="names")
+    tables = []
+    for x in range(n):
+        others = [m for m in range(1, 1 << n) if not m >> x & 1]
+        masks = [0]
+        if others:
+            masks += draw(st.lists(st.sampled_from(others), unique=True,
+                                   max_size=7))
+        masks = draw(st.permutations(masks))
+        scores = sorted(draw(st.lists(SCORES, min_size=len(masks),
+                                      max_size=len(masks))))
+        tables.append(ScoreTable(x, n, list(zip(scores, masks))))
+    return ScoreSet(names, tables)
+
+
+@settings(derandomize=True, deadline=None)
+@given(scores=score_sets())
+def test_score_file_round_trip(tmp_path_factory, scores):
+    path = tmp_path_factory.getbasetemp() / "round_trip.scores"
+    write_score_file(path, scores)
+    back = read_score_file(path)
+    assert back.names == scores.names
+    for t1, t2 in zip(scores.tables, back.tables, strict=True):
+        assert t2.parent_sets == t1.parent_sets
+        assert [s.hex() for s in t2.scores] == [s.hex() for s in t1.scores]

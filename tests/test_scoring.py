@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations, product
 from unittest import mock
 
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 import oracle
 from bnopt import (DataError, Dataset, ScoreTable, best_in,
                    build_score_tables, counts, format_score_file,
-                   mdl_local_score, parent_limit, prune_scores,
+                   load_dataset, mdl_local_score, parent_limit,
                    read_score_file, write_score_file)
 from bnopt import dataset, scoring
 from bnopt.bitset import mask_of
@@ -75,16 +78,53 @@ def test_mdl_entropy_degenerate_columns():
 
 def sequential_score(data, x, pa):
     """Per-set reference: N*H(x|pa) summed one term at a time, marginal
-    terms then joint terms in index order, plus the MDL penalty."""
+    terms then joint terms in index order, with libm's log2, plus the MDL
+    penalty."""
     joint = counts(data, x, pa).T  # (parent config, x value)
     npa, rx = joint.shape
     marginal = joint.sum(axis=1)
     nh = 0.0
-    for c in marginal[marginal > 1]:
-        nh += c * np.log2(np.float64(c))
-    for c in joint[joint > 1]:
-        nh -= c * np.log2(np.float64(c))
-    return float(nh) + math.log2(data.N) / 2.0 * (rx - 1) * npa
+    for c in marginal[marginal > 1].tolist():
+        nh += c * math.log2(c)
+    for c in joint[joint > 1].tolist():
+        nh -= c * math.log2(c)
+    return nh + math.log2(data.N) / 2.0 * (rx - 1) * npa
+
+
+def _ones_7957_csv(tmp_path):
+    # on a host where numpy's log2 dispatches to AVX-512, its log2(7957)
+    # differs from libm's in the last bit
+    p = tmp_path / "ones7957.csv"
+    rows = [f"{int(i < 7957)},{i % 2},{i % 3}\n" for i in range(10_000)]
+    p.write_text("A,B,C\n" + "".join(rows))
+    return p
+
+
+def test_scores_use_libm_log2(tmp_path):
+    # A alone, 2,043 zeros then 7,957 ones: the marginal term, then the
+    # joint terms in index order, then the penalty
+    data = load_dataset(_ones_7957_csv(tmp_path))
+    nh = 10_000 * math.log2(10_000)
+    nh -= 2043 * math.log2(2043)
+    nh -= 7957 * math.log2(7957)
+    expect = nh + math.log2(10_000) / 2.0
+    assert mdl_local_score(data, 0, 0) == expect
+    a = build_score_tables(data).tables[0]
+    assert (a.scores[0], a.parent_sets[0]) == (expect, 0)
+    assert f"{expect:.17g}" == "7311.0956269440003"
+
+
+def test_score_bytes_independent_of_numpy_dispatch(tmp_path):
+    p = _ones_7957_csv(tmp_path)
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    runs = [subprocess.run([sys.executable, "-m", "bnopt", "score", str(p)],
+                           capture_output=True, env={**env, **extra})
+            for extra in ({}, {"NPY_DISABLE_CPU_FEATURES":
+                               "X86_V4 AVX512_ICL AVX512_SPR"})]
+    assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout.splitlines()[2] == b"7311.0956269440003 0"
 
 
 @st.composite
@@ -114,7 +154,7 @@ def streamed_scores(data, limit):
 def _assert_tables_are_pruned(scores, raw):
     for x, table in enumerate(scores.tables):
         assert list(zip(table.scores, table.parent_sets)) == \
-            prune_scores(raw[x]), x
+            oracle.prune_scores(raw[x]), x
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -294,7 +334,7 @@ def test_prune_worked_example():
     x2, x3, x4 = 0b0010, 0b0100, 0b1000
     raw = {0: 10.0, x2: 8.0, x3: 6.0, x4: 12.0,
            x2 | x3: 5.0, x2 | x4: 9.0, x3 | x4: 7.0, x2 | x3 | x4: 6.0}
-    kept = prune_scores(raw)
+    kept = oracle.prune_scores(raw)
     assert kept == [(5.0, x2 | x3), (6.0, x3), (8.0, x2), (10.0, 0)]
 
 
