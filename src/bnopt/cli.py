@@ -310,6 +310,10 @@ def _make_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # every reader decodes UTF-8, so stdout is UTF-8 whatever the locale;
+    # a stream the caller swapped in, such as a StringIO, has none to set
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)

@@ -28,16 +28,17 @@ CELL_LIMIT = 1 << 22
 
 @dataclass
 class RawTable:
-    """Tokenized delimited file; None marks a missing cell. load_delimited
-    gives equal records one shared cells list, so edit a row by replacing
-    it, not in place."""
+    """Tokenized delimited file. records holds the cells of each distinct
+    record once, in first-appearance order, with None for a missing cell;
+    index[i] is the record number of row i."""
 
     column_names: list[str]
-    cells: list[list[str | None]]
+    records: list[list[str | None]]
+    index: list[int]
 
     @property
     def n_rows(self) -> int:
-        return len(self.cells)
+        return len(self.index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +97,7 @@ def load_delimited(
     with the name, bytes that are not text with the path, and a field the
     csv reader refuses with the path and line. A leading UTF-8 byte-order
     mark is skipped. Each distinct record is stripped and missing-tested
-    once; equal records share one cells list.
+    once.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
@@ -132,37 +133,35 @@ def _tabulate(path, records, missing_tokens, header: bool) -> RawTable:
     if ncol < 2:  # a score file whose header is lost reads as one column
         raise DataError(f"{path}: one column; a data file needs at least "
                         "two, a score file its 'n <count>' header")
-    seen: dict[tuple[str, ...], list[str | None]] = {}
-    cells: list[list[str | None]] = []
+    seen: dict[tuple[str, ...], int] = {}
+    distinct: list[list[str | None]] = []
+    index: list[int] = []
     for i, rec in enumerate(records, offset):
         key = tuple(rec)
-        row = seen.get(key)
-        if row is None:  # equal records have equal lengths
+        r = seen.get(key)
+        if r is None:  # equal records have equal lengths
             if len(rec) != ncol:
                 raise DataError(
                     f"{path}: row {i} has {len(rec)} cells, expected {ncol}")
-            row = seen[key] = [None if t in missing_tokens else t
-                               for t in map(str.strip, rec)]
-        cells.append(row)
-    if not cells:
+            r = seen[key] = len(distinct)
+            distinct.append([None if t in missing_tokens else t
+                             for t in map(str.strip, rec)])
+        index.append(r)
+    if not index:
         raise DataError(f"{path}: no records")
-    return RawTable(names, cells)
+    return RawTable(names, distinct, index)
 
 
 def drop_incomplete(raw: RawTable) -> RawTable:
-    """Keep only rows with no absent cells, preserving order. Equal
-    records share one cells list, so each list is tested once."""
-    complete: dict[int, bool] = {}
-    kept = []
-    for row in raw.cells:
-        ok = complete.get(id(row))
-        if ok is None:
-            ok = complete[id(row)] = None not in row
-        if ok:
-            kept.append(row)
-    if not kept:
+    """Keep only rows with no absent cells, preserving order. Each record
+    is tested once; the complete ones keep their order and are renumbered."""
+    complete = [None not in rec for rec in raw.records]
+    renumber = list(itertools.accumulate(complete, initial=0))
+    index = [renumber[r] for r in raw.index if complete[r]]
+    if not index:
         raise DataError("all records incomplete: empty dataset")
-    return RawTable(list(raw.column_names), kept)
+    return RawTable(list(raw.column_names),
+                    list(itertools.compress(raw.records, complete)), index)
 
 
 def _parse_numeric(col: list[str]) -> list[float] | None:
@@ -183,28 +182,20 @@ def binarize_mean(raw: RawTable) -> Dataset:
     row's value in row order.
     """
     ncol = len(raw.column_names)
-    nrow = len(raw.cells)
+    nrow = raw.n_rows
     if nrow == 0:
         raise DataError("empty dataset")
-    # distinct records in first-appearance order, and each row's one; a
-    # record is known by its cells list, which load_delimited shares
-    # between equal records
-    by_list = dict(zip(map(id, raw.cells), raw.cells))
-    distinct = list(by_list.values())
-    slot = dict(zip(by_list, range(len(distinct))))
-    index = list(map(slot.__getitem__, map(id, raw.cells)))
-    del by_list, slot
-    coded = np.empty((len(distinct), ncol), dtype=np.int64)
+    coded = np.empty((len(raw.records), ncol), dtype=np.int64)
     arity = []
     for j in range(ncol):
-        col = [rec[j] for rec in distinct]
+        col = [rec[j] for rec in raw.records]
         if None in col:
             raise DataError(f"column {raw.column_names[j]!r} has missing cells; "
                             "drop_incomplete first")
         vals = _parse_numeric(col)
         if vals is not None:
             # every row's value, in row order
-            mean = ordered_sum(map(vals.__getitem__, index)) / nrow
+            mean = ordered_sum(map(vals.__getitem__, raw.index)) / nrow
             codes = [0 if v < mean else 1 for v in vals]
         else:
             # a category first appears in the record that first appears
@@ -217,7 +208,7 @@ def binarize_mean(raw: RawTable) -> Dataset:
             raise DataError(f"column {raw.column_names[j]!r} is constant")
         coded[:, j] = codes
         arity.append(k)
-    return Dataset(list(raw.column_names), arity, coded[index])
+    return Dataset(list(raw.column_names), arity, coded[raw.index])
 
 
 def load_dataset(

@@ -979,6 +979,21 @@ def test_files_written_as_utf8_in_an_ascii_locale(tmp_path):
         assert r.returncode == EXIT_OK, r.stderr
     assert read_score_file(scores).names == ["Größe", "Wert"]
     assert dot.read_text(encoding="utf-8").splitlines()[1] == '  "Größe";'
+    # stdout is UTF-8 too: score prints its score file's bytes, and a
+    # verify violation that names Größe prints it and exits 5
+    r = subprocess.run([sys.executable, "-m", "bnopt", "score", str(p)],
+                       capture_output=True, env=env)
+    assert r.returncode == EXIT_OK, r.stderr
+    assert r.stdout == scores.read_bytes()
+    bad = tmp_path / "unpruned.scores"
+    bad.write_text("n 2\nvar Größe 2\n1.0 0\n2.0 1 Wert\nvar Wert 1\n"
+                   "1.0 0\n", encoding="utf-8")
+    r = subprocess.run([sys.executable, "-m", "bnopt", "verify", str(bad)],
+                       capture_output=True, env=env)
+    assert r.returncode == EXIT_VERIFY, r.stderr
+    assert r.stdout.decode("utf-8").splitlines()[:2] == [
+        "FAIL table shape (1 violation(s))",
+        "  table Größe: {Wert} kept although subset {} scores no worse"]
 
 
 def test_emit_dot_shapes():

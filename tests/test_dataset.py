@@ -23,13 +23,15 @@ def test_load_passthrough(tmp_path):
     raw = load_delimited(p)
     assert raw.column_names == ["a", "b", "c"]
     assert raw.n_rows == 5
-    assert all(all(c is not None for c in row) for row in raw.cells)
+    assert raw.records == [["1", "2", "3"]]
+    assert raw.index == [0] * 5
 
 
 def test_missing_token_mapping(tmp_path):
     p = write(tmp_path, "a,b,c\n1.2,?,0\n")
     raw = load_delimited(p, missing_tokens={"?"})
-    assert raw.cells[0] == ["1.2", None, "0"]
+    assert raw.records == [["1.2", None, "0"]]
+    assert raw.index == [0]
 
 
 def test_ragged_row_names_record(tmp_path):
@@ -65,23 +67,42 @@ def test_drop_incomplete_counts(tmp_path):
 def test_drop_incomplete_identity(tmp_path):
     p = write(tmp_path, "a,b\n1,2\n3,4\n")
     raw = load_delimited(p)
-    assert drop_incomplete(raw).cells == raw.cells
+    kept = drop_incomplete(raw)
+    assert (kept.records, kept.index) == ([["1", "2"], ["3", "4"]], [0, 1])
+    assert (kept.records, kept.index) == (raw.records, raw.index)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "unshared"])
 def test_drop_incomplete_keeps_rows_in_order(shared):
-    # equal records share one cells list after load_delimited, but a
-    # RawTable built by hand may hold separate equal lists
-    records = [["1", "2"], ["1", None], ["3", "4"], ["1", "2"], ["1", None],
-               [None, None], ["3", "4"], ["1", "2"]]
-    pool: dict[tuple, list] = {}
-    cells = [pool.setdefault(tuple(r), r) if shared else list(r)
-             for r in records]
-    assert len({id(r) for r in cells}) == (4 if shared else 8)
-    kept = drop_incomplete(RawTable(["a", "b"], cells)).cells
-    want = [r for r in cells if None not in r]
-    assert len(kept) == len(want) == 5
-    assert all(a is b for a, b in zip(kept, want))
+    # load_delimited lists each distinct record once, but a RawTable built
+    # by hand may list an equal record twice
+    if shared:
+        records = [["1", "2"], ["1", None], ["3", "4"], [None, None]]
+        index = [0, 1, 2, 0, 1, 3, 2, 0]
+    else:
+        records = [["1", "2"], ["1", None], ["3", "4"], ["1", "2"],
+                   [None, None], ["3", "4"]]
+        index = [0, 1, 2, 3, 1, 4, 5, 0]
+    raw = RawTable(["a", "b"], records, index)
+    kept = drop_incomplete(raw)
+    rows = [raw.records[r] for r in raw.index]
+    assert [kept.records[r] for r in kept.index] == [
+        r for r in rows if None not in r]
+    assert kept.n_rows == 5
+    assert kept.records == [r for r in records if None not in r]
+    assert kept.index == ([0, 1, 0, 1, 0] if shared else [0, 1, 2, 3, 0])
+
+
+def test_codes_renumbered_after_a_drop(tmp_path):
+    # category x first appears in a dropped row, so its code follows the
+    # kept rows: y (row 2) is 0 and x (row 3) is 1
+    p = write(tmp_path, "a,b\nx,?\ny,1\nx,0\ny,?\n")
+    raw = drop_incomplete(load_delimited(p))
+    assert (raw.records, raw.index) == ([["y", "1"], ["x", "0"]], [0, 1])
+    data = load_dataset(p)
+    assert data.arity == [2, 2]
+    assert data.rows.tolist() == [[0, 1], [1, 0]]
+    assert (data.names, data.arity, data.rows.tolist()) == oracle.ingest(p)
 
 
 def test_drop_incomplete_empty_errors(tmp_path):
@@ -94,10 +115,9 @@ def test_drop_incomplete_empty_errors(tmp_path):
 def test_equal_records_share_one_cells_list(tmp_path):
     # stripped once per distinct raw record; a padded variant is its own
     p = write(tmp_path, "a,b\n1,?\n1,?\n 1,?\n1,?\n")
-    cells = load_delimited(p).cells
-    assert cells == [["1", None]] * 4
-    assert cells[0] is cells[1] is cells[3]
-    assert cells[2] is not cells[0]
+    raw = load_delimited(p)
+    assert raw.records == [["1", None]] * 2
+    assert raw.index == [0, 0, 1, 0]
 
 
 def test_ragged_repeated_record_names_its_first_row(tmp_path):
@@ -130,16 +150,17 @@ def test_binarize_mean_summed_in_row_order():
     # 0.1 + 0.2 + 0.3 summed left to right is 0.6000000000000001, so 0.2 is
     # below the mean; the compensated sum() of Python 3.12+ gives 0.6 and
     # would put 0.2 at the mean, coding it 1
-    data = binarize_mean(RawTable(["a"], [["0.1"], ["0.2"], ["0.3"]]))
+    data = binarize_mean(RawTable(["a"], [["0.1"], ["0.2"], ["0.3"]],
+                                  [0, 1, 2]))
     assert data.rows[:, 0].tolist() == [0, 0, 1]
 
 
 def test_binarize_mean_counts_every_row():
     # the row mean 0.8 puts 1 above it; the mean of the distinct values,
-    # 4/3, would put it below; equal rows need not share one list
-    cells = [["0"]] * 3 + [["1"], ["3"]]
-    for rows in (cells, [list(row) for row in cells]):
-        data = binarize_mean(RawTable(["a"], rows))
+    # 4/3, would put it below; equal rows need not share one record
+    for records, index in (([["0"], ["1"], ["3"]], [0, 0, 0, 1, 2]),
+                           ([["0"]] * 3 + [["1"], ["3"]], [0, 1, 2, 3, 4])):
+        data = binarize_mean(RawTable(["a"], records, index))
         assert data.rows[:, 0].tolist() == [0, 0, 0, 1, 1]
 
 
@@ -168,7 +189,9 @@ def test_non_finite_column_is_categorical(tmp_path, odd):
 
 def test_cells_stripped_before_missing_test(tmp_path):
     p = write(tmp_path, "a,b\n 1 , ? \n x ,2\n")
-    assert load_delimited(p).cells == [["1", None], ["x", "2"]]
+    raw = load_delimited(p)
+    assert raw.records == [["1", None], ["x", "2"]]
+    assert raw.index == [0, 1]
 
 
 @pytest.mark.parametrize("body, message", [
