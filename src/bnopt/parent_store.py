@@ -9,9 +9,9 @@ bit vector per excluded variable; in pure Python on these short tables the
 scan is faster, so no bit vectors are kept.
 
 The ScoreTable constructor, the one way to build a table, checks that
-every table draws its parents from the other variables, is sorted
-ascending and holds the empty parent set. The empty set fits every pool,
-so no query can run past it: each has an answer.
+every table draws its parents from the other variables, has finite
+scores, is sorted ascending and holds the empty parent set. The empty set
+fits every pool, so no query can run past it: each has an answer.
 
 Ordering-based hill climbing rules candidate parents out one at a time:
 cursor_exclude adds one variable to an int mask of the ruled-out ones, and
@@ -44,10 +44,10 @@ class ScoreTable:
 
     Built from (score, parent mask) pairs kept in the given order: scores
     ascend and parent_sets holds the parallel bitmasks. Raises DataError
-    when a mask holds the variable itself or a bit at or above n, the
-    scores do not ascend (ties pass, a NaN does not) or mask 0 (the empty
-    parent set) is missing, so the first fitting entry of every candidate
-    pool exists and is its best.
+    when a mask holds the variable itself or a bit at or above n, a score
+    is not finite (NaN or infinite), the scores do not ascend (ties pass)
+    or mask 0 (the empty parent set) is missing, so the first fitting
+    entry of every candidate pool exists and is its best.
     """
 
     def __init__(self, variable: int, n: int,
@@ -62,8 +62,11 @@ class ScoreTable:
                 raise DataError(f"score table of variable {variable} names a "
                                 f"parent outside the other {n - 1} variables "
                                 f"at entry {i} (mask {pa:#b})")
-        for i in range(1, len(self.scores)):
-            if not self.scores[i - 1] <= self.scores[i]:
+        for i, score in enumerate(self.scores):
+            if not math.isfinite(score):
+                raise DataError(f"score table of variable {variable} has the "
+                                f"non-finite score {score!r} at entry {i}")
+            if i and self.scores[i - 1] > score:
                 raise DataError(f"score table of variable {variable} is "
                                 f"not in ascending order at entry {i}")
         if 0 not in self.parent_sets:

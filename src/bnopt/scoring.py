@@ -5,17 +5,16 @@ some candidate pool: supersets whose score is not strictly better than every
 proper subset are dropped, and sets larger than the record-count in-degree
 limit are never scored at all. One pass counts each variable set once and
 scores from that table the family of every member x with the other members
-as parents; each family is pruned as it arrives, against the kept families
-of its subsets, so no unpruned score is held. The kept entries go into a
-ScoreTable of the parent store (sorted ascending by score), and the tables
-of a dataset into a ScoreSet, which the parent store also writes to and
-reads from score files. Only data-file input needs this module.
+as parents; a family is dropped as it arrives when a kept family of a
+subset scores as well, so no unpruned score is held. The kept families
+are sorted once into each variable's ScoreTable (parent store), and a
+dataset's tables into a ScoreSet, which the parent store also writes to
+and reads from score files. Only data-file input needs this module.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
 from typing import Iterator
 
 import numpy as np
@@ -62,9 +61,9 @@ def parent_limit(N: int) -> int:
     return math.floor(math.log2(2.0 * N / math.log2(N)))
 
 
-def _entry_sort_key(score: float, pa: int):
+def _entry_sort_key(entry: tuple[float, int]):
     # equal scores: smaller set first, then ascending bitmask
-    return (score, pa.bit_count(), pa)
+    return (entry[0], entry[1].bit_count(), entry[1])
 
 
 def family_scores(data: Dataset,
@@ -141,11 +140,11 @@ def build_score_tables(
     """Score tables for every variable; the in-degree limit defaults to
     parent_limit(N) and may only be tightened.
 
-    A family joins its variable's kept list only when its score is
-    strictly below the first kept subset's (the best, as in best_in).
-    family_scores delivers every subset first, so each list keeps exactly
-    the families that score strictly below every proper subset, without
-    any raw score being held.
+    A family joins its variable's kept list only when no kept subset
+    scores as well (at or below its score). family_scores delivers every
+    subset first, so each list keeps exactly the families that score
+    strictly below every proper subset, without any raw score being
+    held; each list is sorted once, when its ScoreTable is built.
     """
     limit = parent_limit(data.N)
     if max_parents is not None:
@@ -153,15 +152,13 @@ def build_score_tables(
             raise ValueError(
                 f"max parents {max_parents} above the record-count limit {limit}")
         limit = max_parents
-    kept: list[list[tuple[float, int, int]]] = [[] for _ in range(data.n)]
+    kept: list[list[tuple[float, int]]] = [[] for _ in range(data.n)]
     for x, pa, score in family_scores(data, limit):
-        for best, _, sub in kept[x]:
-            if sub & pa == sub:
-                break
+        for s, sub in kept[x]:
+            if sub & pa == sub and s <= score:
+                break  # a kept subset scores as well
         else:
-            best = math.inf
-        if score < best:
-            insort(kept[x], _entry_sort_key(score, pa))
-    tables = [ScoreTable(x, data.n, [(s, pa) for s, _, pa in entries])
+            kept[x].append((score, pa))
+    tables = [ScoreTable(x, data.n, sorted(entries, key=_entry_sort_key))
               for x, entries in enumerate(kept)]
     return ScoreSet(list(data.names), tables)

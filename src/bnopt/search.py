@@ -280,9 +280,12 @@ def bfbnb(
     component C is feasible there, so its score over C's variables bounds
     C's sweep: a generated node is dropped when g + h >= that score, and C
     keeps the incumbent's parent sets unless its goal is reached strictly
-    below it. The incumbent is returned when no component beats it. Pass
-    incumbent=None to disable the bound and the forced arcs (one
-    exhaustive sweep of the whole lattice, mainly for testing).
+    below it. Each kept set P is read back as best_in(table, P), P itself
+    when reconstruct built the incumbent, and the total is summed in
+    variable order as reconstruct sums it, so a network no component
+    beats has the incumbent's parents and total. Pass incumbent=None to
+    disable the bound and the forced arcs (one exhaustive sweep of the
+    whole lattice, mainly for testing).
     """
     n = tables[0].n
     full = full_mask(n)
@@ -295,7 +298,6 @@ def bfbnb(
               if forced else [(math.inf, 0)] * n)
     scores = [s for s, _ in chosen]
     parents = [P for _, P in chosen]
-    improved = False
     E = 0
     for C in components(tables) if forced else [full]:
         goal = E | C
@@ -336,14 +338,11 @@ def bfbnb(
         if goal in layer and layer[goal] < bound:
             _place(tables, _order_from_preds(pred.get, goal, E), E, parents,
                    scores, layer[goal])
-            improved = True
+        elif incumbent is None:
+            raise RuntimeError("goal unreachable with the bound disabled")
         E = goal
-    if improved:
-        # the canonical total adds in ascending variable index
-        return LearnedNetwork(parents, ordered_sum(scores)), stats
-    if incumbent is None:
-        raise RuntimeError("goal unreachable with the bound disabled")
-    return incumbent, stats
+    # the canonical total adds in ascending variable index
+    return LearnedNetwork(parents, ordered_sum(scores)), stats
 
 
 def _ordering_scores(tables, perm) -> list[float]:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,11 +70,15 @@ def test_cursors_are_persistent(worked_table):
 def test_missing_empty_set_raises():
     # a table is checked once, when built (a real error, also under
     # python -O), so no query can run past its last entry or take a first
-    # fit that is not the best
+    # fit that is not the best; unchecked, a lone NaN made A*'s total nan
+    # and a table of inf made dp_oracle raise "negative shift count"
     for n, entries, what in (
             (3, [(1.0, 0b010), (2.0, 0b100)], "lacks the empty parent set"),
             (3, [], "lacks the empty parent set"),
-            (2, [(5.0, 0), (1.0, 0b10)], "is not in ascending order")):
+            (2, [(5.0, 0), (1.0, 0b10)], "is not in ascending order"),
+            (2, [(math.nan, 0)], "has the non-finite score nan at entry 0"),
+            (2, [(1.0, 0), (math.inf, 0b10)],
+             "has the non-finite score inf at entry 1")):
         with pytest.raises(DataError,
                            match=f"score table of variable 0 {what}"):
             ScoreTable(0, n, entries)

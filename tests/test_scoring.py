@@ -338,6 +338,25 @@ def test_prune_worked_example():
     assert kept == [(5.0, x2 | x3), (6.0, x3), (8.0, x2), (10.0, 0)]
 
 
+def test_pruning_boundary_on_crafted_families(fixture_data):
+    # MDL data does not tie a kept subset exactly, so crafted families of
+    # x = 3 arrive in increasing mask order: {0,2} ties its kept subset {2}
+    # and is pruned, and {2} precedes {0,1} at 6.0 (size orders ties
+    # before mask does)
+    crafted = [(0, 10.0), (0b001, 8.0), (0b010, 8.0), (0b011, 6.0),
+               (0b100, 6.0), (0b101, 6.0), (0b110, 5.0)]
+
+    def families(data, limit):
+        yield from ((x, 0, 1.0) for x in range(3))
+        yield from ((3, pa, s) for pa, s in crafted)
+
+    with mock.patch.object(scoring, "family_scores", families):
+        table = build_score_tables(fixture_data).tables[3]
+    assert list(zip(table.scores, table.parent_sets)) == [
+        (5.0, 0b110), (6.0, 0b100), (6.0, 0b011), (8.0, 0b001),
+        (8.0, 0b010), (10.0, 0)]
+
+
 def test_worked_example_exclusion_rows():
     # excluding one variable: X2 rules out {X2,X3} and {X2}, X3 rules out
     # {X2,X3} and {X3}, and X4 rules out nothing

@@ -475,9 +475,22 @@ def test_bfbnb_component_keeps_incumbent_choice():
     assert net.parents == [0b0010, 0, 0, 0b0100]
     assert net.total_score == 9.0
     assert (stats.nodes_expanded, stats.nodes_generated) == (4, 5)
-    # an incumbent optimal on every component is returned as it is
+    # an incumbent optimal on every component keeps its parents and total
     best = LearnedNetwork([0b0010, 0, 0b1000, 0], 9.0)
-    assert bfbnb(tables, h, best)[0] is best
+    net, _ = bfbnb(tables, h, best)
+    assert net.parents == best.parents
+    assert net.total_score.hex() == best.total_score.hex()
+    # hill climbing finds fixture4's optimum, so no sweep gets strictly
+    # below it under any bound, and the network read back from the
+    # incumbent's parent sets has its parents and total
+    tables = read_score_file(DATA_DIR / "fixture4.scores").tables
+    inc = initial_upper_bound(tables)
+    assert inc.total_score == OPT_SCORE
+    for h in (SimpleHeuristic(tables), DynamicHeuristic(tables, 3),
+              StaticHeuristic(tables, default_grouping(4))):
+        net, _ = bfbnb(tables, h, inc)
+        assert net.parents == inc.parents
+        assert net.total_score.hex() == inc.total_score.hex()
 
 
 def test_budget_stats_sum_over_components():
