@@ -1,9 +1,9 @@
 """Command-line front end: score, learn, verify.
 
 Exit codes: 0 success, 2 input error, 3 flag/usage error, 4 memory budget
-exceeded, 5 verification failure. Reports go to stdout (and --out) as JSON
-with a fixed key order; wall-clock timings go to stderr so identical inputs
-and flags produce byte-identical reports.
+exceeded, 5 verification failure, 141 stdout closed by its reader. Reports
+go to stdout (and --out) as JSON with a fixed key order; wall-clock timings
+go to stderr so identical inputs and flags produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ EXIT_INPUT = 2
 EXIT_USAGE = 3
 EXIT_MEMORY = 4
 EXIT_VERIFY = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 class UsageError(Exception):
@@ -233,13 +234,13 @@ def cmd_learn(args) -> int:
     config = {"algorithm": args.algorithm, "heuristic": args.heuristic,
               "k": k, "groups": groups, "parent_limit": limit}
     text = _build_report(scores, net, stats, config, N, h.size)
-    sys.stdout.write(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(text)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as f:
             f.write(emit_dot(net, scores.names))
+    sys.stdout.write(text)  # only once every file is written
     return EXIT_OK
 
 
@@ -317,7 +318,14 @@ def main(argv=None) -> int:
     parser = _make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what stdout still buffers goes to devnull,
+        # so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except UsageError as e:
         print(f"bnopt: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -43,8 +43,11 @@ class RawTable:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Complete, discretized records. rows is an (N, n) int64 array of value
-    indices; immutable once built."""
+    """Complete, discretized records. rows is an (N, n) array of value
+    indices of any integer dtype (load_dataset stores the narrowest
+    unsigned one that holds every arity, uint8 for binary data); immutable
+    once built. distinct and counts widen them to int64 before any
+    arithmetic."""
 
     names: list[str]
     arity: list[int]
@@ -65,22 +68,27 @@ class Dataset:
     def distinct(self) -> tuple[np.ndarray, np.ndarray]:
         """The distinct records as an (n, D) array of contiguous columns,
         and each one's multiplicity as float64 bincount weights (they sum
-        to N). Computed on first use, once per dataset."""
+        to N). The columns are int64 whatever the dtype of rows, so codes
+        built from them do not wrap. Computed on first use, once per
+        dataset."""
         ordered = self.rows[np.lexsort(self.rows.T)]
         starts = np.flatnonzero(np.concatenate(
             ([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
         weights = np.diff(np.append(starts, self.N)).astype(np.float64)
-        return np.ascontiguousarray(ordered[starts].T), weights
+        cols = np.ascontiguousarray(ordered[starts].T, dtype=np.int64)
+        return cols, weights
 
     @cached_property
     def count_terms(self) -> np.ndarray:
         """c * log2(c) for every cell count c from 0 to N, with 0.0 for
         0 and 1, as float64. The logarithms are libm's (math.log2): numpy's
         log2 differs from it in the last bit at some counts, depending on
-        the CPU features numpy dispatches to, and scores must not. Computed
-        on first use, once per dataset."""
-        return np.array([0.0, 0.0] + [c * math.log2(c)
-                                      for c in range(2, self.N + 1)])
+        the CPU features numpy dispatches to, and scores must not. Filled
+        straight from the generator, with no list of N floats. Computed on
+        first use, once per dataset."""
+        terms = itertools.chain((0.0, 0.0), (c * math.log2(c)
+                                             for c in range(2, self.N + 1)))
+        return np.fromiter(terms, dtype=np.float64, count=self.N + 1)
 
 
 def load_delimited(
@@ -179,7 +187,9 @@ def binarize_mean(raw: RawTable) -> Dataset:
     otherwise. Non-numeric columns get category codes in first-appearance
     order. A column that ends up with a single state is an error. Each
     distinct record is parsed and coded once; the mean still adds every
-    row's value in row order.
+    row's value in row order. The rows are stored in the narrowest
+    unsigned dtype that holds every code: uint8 up to 256 states, uint16
+    up to 65,536.
     """
     ncol = len(raw.column_names)
     nrow = raw.n_rows
@@ -208,7 +218,8 @@ def binarize_mean(raw: RawTable) -> Dataset:
             raise DataError(f"column {raw.column_names[j]!r} is constant")
         coded[:, j] = codes
         arity.append(k)
-    return Dataset(list(raw.column_names), arity, coded[raw.index])
+    narrow = coded.astype(np.min_scalar_type(max(arity) - 1))
+    return Dataset(list(raw.column_names), arity, narrow[raw.index])
 
 
 def load_dataset(
@@ -252,10 +263,10 @@ def counts(data: Dataset, x: int, pa: int) -> np.ndarray:
     for y in pa_list:
         npa *= data.arity[y]
     check_cell_limit(x, pa, rx * npa)
-    codes = np.zeros(data.N, dtype=np.int64)
-    stride = 1
+    codes = data.rows[:, x].astype(np.int64)
+    stride = rx
     for y in pa_list:
-        codes += data.rows[:, y] * stride
+        codes += data.rows[:, y].astype(np.int64) * stride
         stride *= data.arity[y]
-    joint = np.bincount(codes * rx + data.rows[:, x], minlength=npa * rx)
+    joint = np.bincount(codes, minlength=npa * rx)
     return joint.reshape(npa, rx).T.copy()

@@ -15,8 +15,8 @@ from bnopt import (DataError, LearnedNetwork, StaticHeuristic, bfbnb,
                    initial_upper_bound, parse_grouping, read_score_file,
                    write_score_file)
 from bnopt.bitset import bits
-from bnopt.cli import (EXIT_INPUT, EXIT_MEMORY, EXIT_OK, EXIT_USAGE,
-                       EXIT_VERIFY, emit_dot, main)
+from bnopt.cli import (EXIT_INPUT, EXIT_MEMORY, EXIT_OK, EXIT_PIPE,
+                       EXIT_USAGE, EXIT_VERIFY, emit_dot, main)
 from bnopt.synth import random_dataset
 from conftest import DATA_DIR, FIXTURE_CSV, OPT_SCORE
 
@@ -123,6 +123,44 @@ def test_learn_report_written_to_out(tmp_path, capsys):
     assert main(["learn", str(FIXTURE_CSV), "--algorithm", "astar",
                  "--out", str(out)]) == EXIT_OK
     assert out.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dot"])
+def test_unwritable_output_file_prints_no_report(tmp_path, capsys, flag):
+    # the report reaches stdout only once every file is written
+    target = tmp_path / "missing" / "x"
+    assert main(["learn", str(DATA_DIR / "gen14.scores"), "--algorithm",
+                 "bfbnb", "--heuristic", "static", flag,
+                 str(target)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines()
+              if ln.startswith("bnopt:")]
+    assert len(errors) == 1 and str(target) in errors[0]
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("args", [
+    ["verify", str(GOLDEN_SCORES)], ["learn", str(GOLDEN_SCORES)],
+    ["score", str(FIXTURE_CSV)]], ids=["verify", "learn", "score"])
+def test_closed_stdout_exits_141(args, buffered):
+    # the pipe's read end is closed before the child starts, so its first
+    # write or flush to stdout fails
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run([sys.executable, "-m", "bnopt", *args],
+                           stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert r.returncode == EXIT_PIPE == 141
+    assert "bnopt:" not in r.stderr.decode()
+    assert "Broken pipe" not in r.stderr.decode()
 
 
 def test_verify_fixture_passes(capsys):

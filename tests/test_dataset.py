@@ -1,4 +1,6 @@
 import csv
+import math
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -7,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from bnopt import (DataError, Dataset, RawTable, binarize_mean, counts,
-                   dataset, drop_incomplete, load_dataset, load_delimited)
+from bnopt import (DataError, Dataset, RawTable, binarize_mean,
+                   build_score_tables, counts, dataset, drop_incomplete,
+                   format_score_file, load_dataset, load_delimited,
+                   mdl_local_score)
+from bnopt.scoring import family_scores
 from conftest import DATA_DIR, FIXTURE_CSV
 
 
@@ -344,3 +349,45 @@ def test_fixture_codes(fixture_data):
     assert list(fixture_data.rows[:, 1]) == [0, 0, 0, 0, 1, 1, 1, 1]
     assert list(fixture_data.rows[:, 2]) == [0, 0, 0, 1, 1, 1, 1, 0]
     assert list(fixture_data.rows[:, 3]) == [0, 1, 1, 0, 0, 1, 1, 0]
+
+
+def test_narrow_rows_score_like_int64_rows(tmp_path):
+    # two wide categorical columns, so that a code or a stride times a
+    # value passes 65,535 and would wrap if computed in the rows' uint16
+    N = 2000
+    rng = np.random.default_rng(29)
+    wide = rng.integers(300, size=N)
+    wide[:300] = np.arange(300)
+    wide2 = rng.integers(260, size=N)
+    wide2[:260] = np.arange(260)
+    lines = ["W,V,B,T"] + [
+        f"w{a},v{b},{c:.2f},t{d}" for a, b, c, d in
+        zip(wide, wide2, rng.random(N), rng.integers(3, size=N))]
+    data = load_dataset(write(tmp_path, "\n".join(lines) + "\n"))
+    assert data.arity == [300, 260, 2, 3] and data.rows.dtype == np.uint16
+    assert load_dataset(FIXTURE_CSV).rows.dtype == np.uint8
+    ref, u64 = (Dataset(list(data.names), list(data.arity),
+                        data.rows.astype(dtype))
+                for dtype in (np.int64, np.uint64))
+    for x in range(data.n):
+        others = [y for y in range(data.n) if y != x]
+        for size in range(4):
+            for pa in combinations(others, size):
+                mask = sum(1 << y for y in pa)
+                table = counts(ref, x, mask)
+                assert np.array_equal(counts(data, x, mask), table), (x, pa)
+                assert np.array_equal(counts(u64, x, mask), table), (x, pa)
+                assert mdl_local_score(data, x, mask) == \
+                    mdl_local_score(ref, x, mask), (x, pa)
+    (cols, weights), (ref_cols, ref_weights) = data.distinct, ref.distinct
+    assert cols.dtype == np.int64 and cols.flags.c_contiguous
+    assert np.array_equal(cols, ref_cols)
+    assert np.array_equal(weights, ref_weights)
+    # every family's score, not only the kept ones: the pruned families
+    # of both wide columns are the ones whose codes pass 65,535
+    assert list(family_scores(data, 3)) == list(family_scores(ref, 3))
+    assert format_score_file(build_score_tables(data)) == \
+        format_score_file(build_score_tables(ref))
+    listed = np.array([0.0, 0.0] + [c * math.log2(c)
+                                    for c in range(2, N + 1)])
+    assert data.count_terms.tobytes() == listed.tobytes()
