@@ -204,8 +204,11 @@ def binarize_mean(raw: RawTable) -> Dataset:
                             "drop_incomplete first")
         vals = _parse_numeric(col)
         if vals is not None:
-            # every row's value, in row order
+            # every row's value, in row order; a sum that overflows
+            # gives way to the correctly rounded sum of the values / nrow
             mean = ordered_sum(map(vals.__getitem__, raw.index)) / nrow
+            if not math.isfinite(mean):
+                mean = math.fsum(vals[i] / nrow for i in raw.index)
             codes = [0 if v < mean else 1 for v in vals]
         else:
             # a category first appears in the record that first appears

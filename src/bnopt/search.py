@@ -19,8 +19,7 @@ whenever the heuristic is, because C's parents never lie in L (Fan, Malone
 & Yuan, UAI 2014). A*'s open list and BFBnB's stored nodes are then
 bounded by the largest component's lattice, not by the whole lattice; A*
 keeps every component's stored nodes for its one predecessor chain, at
-most the sum of the components' lattices. The bound-disabled BFBnB sweeps
-the whole lattice as one component.
+most the sum of the components' lattices.
 
 Both generate only U|{x} when some x outside U already has its overall
 best parent set inside U (a forced arc; the lowest such x): moving x to
@@ -29,8 +28,8 @@ widens the other variables' candidate pools, so goal distances, and with
 them admissibility, consistency and the optimum, are unchanged (Yuan &
 Malone, JAIR 2013; Yuan, Malone & Wu, IJCAI 2011). Where several networks
 tie at the optimum, the one returned can differ from an unpruned search's.
-BFBnB without an incumbent stays exhaustive. Both are exact; dp_oracle and
-exact_distances_to_goal are the unsplit, unpruned brute-force references.
+Both are exact; dp_oracle and exact_distances_to_goal are the unsplit,
+unpruned brute-force references.
 """
 
 from __future__ import annotations
@@ -85,14 +84,12 @@ class SearchStats:
     peak_open_size is the largest open list or layer of any component.
     """
 
-    def __init__(self, nodes_expanded: int = 0, nodes_generated: int = 0,
-                 reopened: int = 0, peak_open_size: int = 0,
-                 forced_skipped: int = 0):
-        self.nodes_expanded = nodes_expanded
+    def __init__(self, nodes_generated: int = 0):
+        self.nodes_expanded = 0
         self.nodes_generated = nodes_generated
-        self.reopened = reopened
-        self.peak_open_size = peak_open_size
-        self.forced_skipped = forced_skipped
+        self.reopened = 0
+        self.peak_open_size = 0
+        self.forced_skipped = 0
 
 
 class LearnedNetwork:
@@ -269,8 +266,7 @@ def astar(
 
 
 def bfbnb(
-    tables: Sequence[ScoreTable], heuristic,
-    incumbent: LearnedNetwork | None = None,
+    tables: Sequence[ScoreTable], heuristic, incumbent: LearnedNetwork,
     mem_budget: int = DEFAULT_MEM_BUDGET,
 ) -> tuple[LearnedNetwork, SearchStats]:
     """Layered breadth-first sweep with bound pruning, one component of
@@ -283,23 +279,18 @@ def bfbnb(
     below it. Each kept set P is read back as best_in(table, P), P itself
     when reconstruct built the incumbent, and the total is summed in
     variable order as reconstruct sums it, so a network no component
-    beats has the incumbent's parents and total. Pass incumbent=None to
-    disable the bound and the forced arcs (one exhaustive sweep of the
-    whole lattice, mainly for testing).
+    beats has the incumbent's parents and total.
     """
-    n = tables[0].n
-    full = full_mask(n)
+    full = full_mask(tables[0].n)
     stats = SearchStats()
     best = [t.parent_sets[0] for t in tables]
-    forced = incumbent is not None  # the bound-disabled sweep is exhaustive
-    # each variable's incumbent choice; infinite scores leave the one
-    # sweep without an incumbent unbounded
-    chosen = ([best_in(t, P) for t, P in zip(tables, incumbent.parents)]
-              if forced else [(math.inf, 0)] * n)
+    # one incumbent parent set per variable, else ValueError
+    chosen = [best_in(t, P)
+              for t, P in zip(tables, incumbent.parents, strict=True)]
     scores = [s for s, _ in chosen]
     parents = [P for _, P in chosen]
     E = 0
-    for C in components(tables) if forced else [full]:
+    for C in components(tables):
         goal = E | C
         later = full ^ goal
         bound = ordered_sum(scores[x] for x in bits(C))
@@ -313,9 +304,7 @@ def bfbnb(
             for U in sorted(layer):
                 g = layer[U]
                 stats.nodes_expanded += 1
-                rest = goal & ~U
-                for x in (_successors(best, U, rest, stats) if forced
-                          else bits(rest)):
+                for x in _successors(best, U, goal & ~U, stats):
                     arc, _ = best_in(tables[x], U)
                     child = U | 1 << x
                     gc = g + arc
@@ -338,8 +327,6 @@ def bfbnb(
         if goal in layer and layer[goal] < bound:
             _place(tables, _order_from_preds(pred.get, goal, E), E, parents,
                    scores, layer[goal])
-        elif incumbent is None:
-            raise RuntimeError("goal unreachable with the bound disabled")
         E = goal
     # the canonical total adds in ascending variable index
     return LearnedNetwork(parents, ordered_sum(scores)), stats

@@ -11,7 +11,8 @@ sys.path[:0] = [SRC_DIR, str(Path(__file__).parent)]
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
 
-from bnopt import build_score_tables, load_dataset
+from bnopt import LearnedNetwork, best_in, build_score_tables, load_dataset
+from bnopt.parent_store import ordered_sum
 
 DATA_DIR = Path(__file__).parent / "data"
 FIXTURE_CSV = DATA_DIR / "fixture4.csv"
@@ -26,6 +27,13 @@ TRIPLE_ABC_COST = 21.990224995673064
 TRIPLE_ABC_DIFF = 6.5
 GREEDY_K2_AT_START = 31.480449991346127
 STATIC_H_AT_START = 31.480449991346127
+
+
+def empty_network(tables):
+    """The network with no arcs, an incumbent every BFBnB bound admits
+    short of it: on pruned tables no acyclic network scores worse."""
+    return LearnedNetwork([0] * len(tables),
+                          ordered_sum(best_in(t, 0)[0] for t in tables))
 
 
 @pytest.fixture(scope="session")

@@ -17,8 +17,9 @@ def ingest(path, missing=("?", ""), header=True):
     columns, one cell at a time: strip every cell, test it for a missing
     token, drop incomplete rows, then code each column (finite floats
     split at their row-order mean, anything else categorical in
-    first-appearance order). An input error raises ValueError with the
-    text load_dataset gives."""
+    first-appearance order; where the row-order sum overflows, the mean
+    is math.fsum of each value / N). An input error raises ValueError
+    with the text load_dataset gives."""
     def fail(what):
         raise ValueError(f"{path}: {what}")
 
@@ -67,6 +68,8 @@ def ingest(path, missing=("?", ""), header=True):
             for v in values:
                 mean += v
             mean /= len(values)
+            if not math.isfinite(mean):  # the row-order sum overflowed
+                mean = math.fsum(v / len(values) for v in values)
             codes = [0 if v < mean else 1 for v in values]
         else:
             order = []

@@ -21,7 +21,7 @@ from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
 from bnopt.bitset import bits, full_mask, mask_of
 from bnopt.parent_store import cursor_exclude
 from bnopt.synth import prefix_dataset, random_dataset
-from conftest import FIXTURE_CSV
+from conftest import FIXTURE_CSV, empty_network
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-9
@@ -236,12 +236,18 @@ def test_c08_sparseness_trend():
 
 
 def test_c09_bfbnb_exhaustive_sanity():
-    data = random_dataset(6, 60, seed=77)
-    tables = build_score_tables(data).tables
-    _, stats = bfbnb(tables, SimpleHeuristic(tables), None)
-    assert stats.nodes_generated == 64
-    _report("PASS criterion 9: bound-disabled BFBnB generated exactly "
-            "2^6 = 64 distinct nodes")
+    # each variable scores 1.0 with every other as its parents, 2.0 with
+    # none: one component, no forced arc before the last layer, and the
+    # empty network's bound (12.0) prunes no node on the way to 11.0
+    full = full_mask(6)
+    tables = [ScoreTable(x, 6, [(1.0, full ^ 1 << x), (2.0, 0)])
+              for x in range(6)]
+    net, stats = bfbnb(tables, SimpleHeuristic(tables), empty_network(tables))
+    assert (stats.nodes_generated, stats.nodes_expanded) == (64, 63)
+    assert stats.forced_skipped == 0
+    assert net.total_score == dp_oracle(tables)[1] == 11.0
+    _report("PASS criterion 9: BFBnB under a bound that prunes nothing "
+            "generated exactly 2^6 = 64 distinct nodes")
 
 
 def test_c10_cli_determinism(tmp_path):

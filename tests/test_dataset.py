@@ -169,6 +169,23 @@ def test_binarize_mean_counts_every_row():
         assert data.rows[:, 0].tolist() == [0, 0, 0, 1, 1]
 
 
+FLOAT_MAX = "1.7976931348623157e308"
+
+
+@pytest.mark.parametrize("text, codes", [
+    ("A,B\n1e308,0\n1e308,1\n-1e308,0\n-1e308,1\n0,1\n", [1, 1, 0, 0, 1]),
+    ("A,B\n" + f"{FLOAT_MAX},0\n" * 3 + "0,1\n", [1, 1, 1, 0]),
+], ids=["cancelling", "three-max"])
+def test_binarize_mean_of_overflowing_sum(tmp_path, text, codes):
+    # column A sums past the largest float in row order; its mean is then
+    # the correctly rounded sum of value / N (0, and 0.75 * FLOAT_MAX), so
+    # A is split, not refused as constant
+    p = write(tmp_path, text)
+    data = load_dataset(p)
+    assert data.rows[:, 0].tolist() == codes
+    assert (data.names, data.arity, data.rows.tolist()) == oracle.ingest(p)
+
+
 def test_binarize_categorical_first_appearance(tmp_path):
     p = write(tmp_path, "a,pad\na,0\nb,1\na,0\n")
     data = binarize_mean(drop_incomplete(load_delimited(p)))

@@ -17,7 +17,7 @@ from bnopt.dataset import Dataset
 from bnopt.scoring import build_score_tables, parent_limit
 from bnopt.search import G_EPS, components
 from bnopt.synth import random_dataset
-from conftest import DATA_DIR, OPT_SCORE
+from conftest import DATA_DIR, OPT_SCORE, empty_network
 
 
 def permuted(data, seed):
@@ -130,11 +130,10 @@ def test_bfbnb_accepts_optimal_incumbent(fixture_tables):
     assert result.total_score == opt
 
 
-def test_bfbnb_without_bound_generates_full_lattice():
+def test_bfbnb_empty_incumbent_reaches_optimum():
     data = random_dataset(6, 60, seed=3)
     tables = build_score_tables(data).tables
-    net, stats = bfbnb(tables, SimpleHeuristic(tables), None)
-    assert stats.nodes_generated == 2 ** 6
+    net, _ = bfbnb(tables, SimpleHeuristic(tables), empty_network(tables))
     _, opt = dp_oracle(tables)
     assert net.total_score == pytest.approx(opt, abs=1e-9)
 
@@ -284,8 +283,10 @@ def test_memory_budget_astar(fixture_tables):
 def test_memory_budget_bfbnb():
     data = random_dataset(8, 100, seed=71)
     tables = build_score_tables(data).tables
-    with pytest.raises(MemoryBudgetError):
-        bfbnb(tables, SimpleHeuristic(tables), None, mem_budget=2000)
+    with pytest.raises(MemoryBudgetError) as exc:
+        bfbnb(tables, SimpleHeuristic(tables), empty_network(tables),
+              mem_budget=2000)
+    assert exc.value.stats.nodes_expanded > 0
 
 
 def test_reconstructed_score_matches_g_everywhere(fixture_tables):
@@ -317,16 +318,13 @@ def test_forced_arc_keeps_goal_distance(n, seed):
     assert forced > 0
 
 
-def test_forced_arcs_counted_only_with_a_bound():
+def test_forced_arcs_counted_by_both_solvers():
     tables = build_score_tables(random_dataset(8, 100, seed=203)).tables
     h = StaticHeuristic(tables, default_grouping(8))
     _, stats = astar(tables, h)
     assert stats.forced_skipped > 0
     _, stats = bfbnb(tables, h, initial_upper_bound(tables, seed=1))
     assert stats.forced_skipped > 0
-    _, stats = bfbnb(tables, h, None)
-    assert stats.forced_skipped == 0
-    assert stats.nodes_generated == 2 ** 8
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -348,9 +346,10 @@ def test_solvers_match_oracles_on_random_data(n, N, seed):
     for h in (SimpleHeuristic(tables), DynamicHeuristic(tables, 3),
               StaticHeuristic(tables, default_grouping(n))):
         nets += [astar(tables, h)[0], bfbnb(tables, h, inc)[0]]
-    net, stats = bfbnb(tables, SimpleHeuristic(tables), None)
-    assert stats.forced_skipped == 0 and stats.nodes_generated == 2 ** n
-    for net in nets + [net]:
+    # the worst incumbent: the optimum does not depend on the bound
+    nets.append(bfbnb(tables, SimpleHeuristic(tables),
+                      empty_network(tables))[0])
+    for net in nets:
         assert oracle.is_acyclic(net.parents)
         for ref in refs:
             assert abs(net.total_score - ref) <= 1e-9 * max(1.0, abs(ref))
@@ -469,7 +468,8 @@ def test_bfbnb_component_keeps_incumbent_choice():
     # the sweeps alone take 1 <- 0; the incumbent takes 0 <- 1, which is
     # optimal on its pair, and no arc on the other (2.0 + 1.0 + 5.0 + 5.0)
     assert dp_oracle(tables)[0].parents[:2] == [0, 0b0001]
-    assert bfbnb(tables, h, None)[0].parents[:2] == [0, 0b0001]
+    assert bfbnb(tables, h, empty_network(tables))[0].parents[:2] == \
+        [0, 0b0001]
     inc = LearnedNetwork([0b0010, 0, 0, 0], 13.0)
     net, stats = bfbnb(tables, h, inc)
     assert net.parents == [0b0010, 0, 0, 0b0100]
@@ -491,6 +491,16 @@ def test_bfbnb_component_keeps_incumbent_choice():
         net, _ = bfbnb(tables, h, inc)
         assert net.parents == inc.parents
         assert net.total_score.hex() == inc.total_score.hex()
+
+
+@pytest.mark.parametrize("n_parents", [3, 5])
+def test_bfbnb_refuses_incumbent_of_wrong_length(n_parents):
+    # one parent set per variable: a short list is not read past its end,
+    # a long one is not cut short
+    tables = _two_pairs()
+    with pytest.raises(ValueError):
+        bfbnb(tables, SimpleHeuristic(tables),
+              LearnedNetwork([0] * n_parents, 0.0))
 
 
 def test_budget_stats_sum_over_components():
