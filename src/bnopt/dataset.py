@@ -12,6 +12,7 @@ import csv
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -187,9 +188,10 @@ def binarize_mean(raw: RawTable) -> Dataset:
     otherwise. Non-numeric columns get category codes in first-appearance
     order. A column that ends up with a single state is an error. Each
     distinct record is parsed and coded once; the mean still adds every
-    row's value in row order. The rows are stored in the narrowest
-    unsigned dtype that holds every code: uint8 up to 256 states, uint16
-    up to 65,536.
+    row's value in row order, and where that sum overflows a value is
+    coded 0 when it lies strictly below the exact mean. The rows are
+    stored in the narrowest unsigned dtype that holds every code: uint8
+    up to 256 states, uint16 up to 65,536.
     """
     ncol = len(raw.column_names)
     nrow = raw.n_rows
@@ -204,12 +206,15 @@ def binarize_mean(raw: RawTable) -> Dataset:
                             "drop_incomplete first")
         vals = _parse_numeric(col)
         if vals is not None:
-            # every row's value, in row order; a sum that overflows
-            # gives way to the correctly rounded sum of the values / nrow
+            # every row's value, in row order
             mean = ordered_sum(map(vals.__getitem__, raw.index)) / nrow
-            if not math.isfinite(mean):
-                mean = math.fsum(vals[i] / nrow for i in raw.index)
-            codes = [0 if v < mean else 1 for v in vals]
+            if math.isfinite(mean):
+                codes = [0 if v < mean else 1 for v in vals]
+            else:
+                # the sum overflowed: compare with the exact mean instead
+                count = np.bincount(raw.index, minlength=len(vals)).tolist()
+                total = sum(Fraction(v) * c for v, c in zip(vals, count))
+                codes = [0 if Fraction(v) * nrow < total else 1 for v in vals]
         else:
             # a category first appears in the record that first appears
             # with it, so coding the distinct records in order keeps the

@@ -10,6 +10,7 @@ paths and full DAG enumeration.
 import csv
 import itertools
 import math
+from fractions import Fraction
 
 
 def ingest(path, missing=("?", ""), header=True):
@@ -17,9 +18,9 @@ def ingest(path, missing=("?", ""), header=True):
     columns, one cell at a time: strip every cell, test it for a missing
     token, drop incomplete rows, then code each column (finite floats
     split at their row-order mean, anything else categorical in
-    first-appearance order; where the row-order sum overflows, the mean
-    is math.fsum of each value / N). An input error raises ValueError
-    with the text load_dataset gives."""
+    first-appearance order; where the row-order sum overflows, a value
+    is coded 0 when it lies strictly below the exact mean). An input
+    error raises ValueError with the text load_dataset gives."""
     def fail(what):
         raise ValueError(f"{path}: {what}")
 
@@ -68,9 +69,12 @@ def ingest(path, missing=("?", ""), header=True):
             for v in values:
                 mean += v
             mean /= len(values)
-            if not math.isfinite(mean):  # the row-order sum overflowed
-                mean = math.fsum(v / len(values) for v in values)
-            codes = [0 if v < mean else 1 for v in values]
+            if math.isfinite(mean):
+                codes = [0 if v < mean else 1 for v in values]
+            else:  # the row-order sum overflowed: use the exact mean
+                total = sum(Fraction(v) for v in values)
+                codes = [0 if Fraction(v) * len(values) < total else 1
+                         for v in values]
         else:
             order = []
             for t in tokens:

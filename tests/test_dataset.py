@@ -13,6 +13,7 @@ from bnopt import (DataError, Dataset, RawTable, binarize_mean,
                    build_score_tables, counts, dataset, drop_incomplete,
                    format_score_file, load_dataset, load_delimited,
                    mdl_local_score)
+from bnopt.cli import EXIT_INPUT, main
 from bnopt.scoring import family_scores
 from conftest import DATA_DIR, FIXTURE_CSV
 
@@ -170,20 +171,35 @@ def test_binarize_mean_counts_every_row():
 
 
 FLOAT_MAX = "1.7976931348623157e308"
+BELOW_MAX = "1.7976931348623155e308"  # the next float down
 
 
 @pytest.mark.parametrize("text, codes", [
     ("A,B\n1e308,0\n1e308,1\n-1e308,0\n-1e308,1\n0,1\n", [1, 1, 0, 0, 1]),
     ("A,B\n" + f"{FLOAT_MAX},0\n" * 3 + "0,1\n", [1, 1, 1, 0]),
-], ids=["cancelling", "three-max"])
+    (f"A,B\n{FLOAT_MAX},0\n{BELOW_MAX},1\n{FLOAT_MAX},1\n", [1, 0, 1]),
+], ids=["cancelling", "three-max", "near-max"])
 def test_binarize_mean_of_overflowing_sum(tmp_path, text, codes):
-    # column A sums past the largest float in row order; its mean is then
-    # the correctly rounded sum of value / N (0, and 0.75 * FLOAT_MAX), so
-    # A is split, not refused as constant
+    # column A sums past the largest float in row order; each value is
+    # then compared with the exact mean (0, 0.75 * FLOAT_MAX, and one
+    # third of an ulp below FLOAT_MAX), so A is split, not refused as
+    # constant
     p = write(tmp_path, text)
     data = load_dataset(p)
     assert data.rows[:, 0].tolist() == codes
     assert (data.names, data.arity, data.rows.tolist()) == oracle.ingest(p)
+
+
+def test_overflowing_constant_column_is_refused(tmp_path, capsys):
+    # three FLOAT_MAX overflow in row order, and their exact mean is
+    # FLOAT_MAX itself: the column is constant, an input error (exit 2)
+    p = write(tmp_path, f"A,B\n{FLOAT_MAX},0\n{FLOAT_MAX},1\n{FLOAT_MAX},0\n")
+    with pytest.raises(DataError, match="column 'A' is constant"):
+        load_dataset(p)
+    with pytest.raises(ValueError, match="column 'A' is constant"):
+        oracle.ingest(p)
+    assert main(["score", str(p)]) == EXIT_INPUT
+    assert "column 'A' is constant" in capsys.readouterr().err
 
 
 def test_binarize_categorical_first_appearance(tmp_path):
