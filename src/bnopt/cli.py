@@ -17,8 +17,7 @@ from typing import TYPE_CHECKING
 
 from .bitset import bits
 from .heuristics import (PDB_ENTRY_BYTES, DynamicHeuristic, SimpleHeuristic,
-                         StaticHeuristic, check_pattern_cap, parse_grouping,
-                         pattern_count)
+                         StaticHeuristic, check_pattern_cap, parse_grouping)
 from .parent_store import (DataError, ScoreSet, check_names,
                            format_score_file, is_score_file, read_score_file,
                            write_score_file)
@@ -178,22 +177,25 @@ def cmd_learn(args) -> int:
     mem_budget = _mem_budget(args)
     scores, data = _load_input(args)
     n = scores.n if data is None else data.n
+    # the one place the bound is decided: the report's k and groups, the
+    # patterns its PDB prices (the simple bound keeps only n floats) and
+    # its constructor; checked before scoring, so a typo costs no scoring run
     k = groups = None
-    if args.heuristic == "dynamic":
-        k = args.k if args.k is not None else min(3, n)
-    elif args.heuristic == "static":
-        groups = "auto" if args.groups is None else args.groups
-    # checked before scoring, so a typo costs no scoring run
     try:
-        if k is not None:
-            check_pattern_cap(k, n)
-        grouping = None if groups is None else parse_grouping(groups, n)
+        if args.heuristic == "simple":
+            entries, make = 0, SimpleHeuristic
+        elif args.heuristic == "dynamic":
+            k = args.k if args.k is not None else min(3, n)
+            entries = check_pattern_cap(k, n)
+            make = lambda tables: DynamicHeuristic(tables, k)
+        else:
+            groups = "auto" if args.groups is None else args.groups
+            grouping = parse_grouping(groups, n)
+            entries = sum(1 << g.bit_count() for g in grouping)
+            make = lambda tables: StaticHeuristic(tables, grouping)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    # the PDB is priced against the budget before it is built, and before
-    # scoring; the simple bound keeps only n floats. The search gets the rest
-    entries = (pattern_count(n, k) if k is not None else
-               sum(1 << g.bit_count() for g in grouping or ()))
+    # priced against the budget before scoring; the search gets the rest
     pdb_bytes = entries * PDB_ENTRY_BYTES
     if pdb_bytes > mem_budget:
         raise MemoryBudgetError(
@@ -211,12 +213,7 @@ def cmd_learn(args) -> int:
     tables = scores.tables
 
     t0 = time.perf_counter()
-    if args.heuristic == "simple":
-        h = SimpleHeuristic(tables)
-    elif args.heuristic == "dynamic":
-        h = DynamicHeuristic(tables, k)
-    else:
-        h = StaticHeuristic(tables, grouping)
+    h = make(tables)
     pdb_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()

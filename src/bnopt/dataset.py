@@ -241,7 +241,9 @@ def load_dataset(
     raw = load_delimited(path, delimiter=delimiter,
                          missing_tokens=missing_tokens, header=header)
     try:
-        return binarize_mean(drop_incomplete(raw))
+        # rebound, so load_delimited's row index is freed before binarizing
+        raw = drop_incomplete(raw)
+        return binarize_mean(raw)
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
 

@@ -90,23 +90,19 @@ def pattern_costs(
     return cost
 
 
-def pattern_count(n: int, k: int) -> int:
-    """Patterns of at most k of n variables, the empty one included: what
-    the dynamic PDB prices."""
-    return sum(math.comb(n, i) for i in range(k + 1))
-
-
-def check_pattern_cap(k: int, n: int, least: int = 2) -> None:
-    """Raise ValueError unless k may cap the pattern size over n variables:
-    min(least, n)..n, pricing at most 2^GROUP_CAP patterns. --k keeps the
-    default least = 2, since k = 1 is --heuristic simple."""
+def check_pattern_cap(k: int, n: int, least: int = 2) -> int:
+    """The patterns of at most k of n variables, the empty one included,
+    that the dynamic PDB prices; raise ValueError unless k may cap the
+    pattern size: min(least, n)..n, pricing at most 2^GROUP_CAP patterns.
+    --k keeps the default least = 2, since k = 1 is --heuristic simple."""
     least = min(least, n)
     if not least <= k <= n:
         raise ValueError(f"pattern size cap {k} outside {least}..{n}")
-    count = pattern_count(n, k)
+    count = sum(math.comb(n, i) for i in range(k + 1))
     if count > 1 << GROUP_CAP:
         raise ValueError(f"pattern size cap {k} over {n} variables prices "
                          f"{count} patterns, over the cap 2^{GROUP_CAP}")
+    return count
 
 
 class DynamicHeuristic:

@@ -317,13 +317,13 @@ def bfbnb(
                         nxt[child] = gc
                         pred[child] = x
                         stats.nodes_generated += 1
+                if (1 + len(pred)) * NODE_BYTES > mem_budget:
+                    raise MemoryBudgetError(
+                        f"layer storage passed the {mem_budget}-byte budget",
+                        stats)
             layer = nxt
             if len(nxt) > stats.peak_open_size:
                 stats.peak_open_size = len(nxt)
-            if (1 + len(pred)) * NODE_BYTES > mem_budget:
-                raise MemoryBudgetError(
-                    f"layer storage passed the {mem_budget}-byte budget",
-                    stats)
         if goal in layer and layer[goal] < bound:
             _place(tables, _order_from_preds(pred.get, goal, E), E, parents,
                    scores, layer[goal])

@@ -815,9 +815,16 @@ def test_auto_groups_checked_like_explicit_ones(tmp_path, capsys,
         "entries)"]
 
 
+@pytest.mark.parametrize("bound, groups, entries", [
+    # the simple bound prices no pattern; the default k = 3 prices every
+    # pattern of at most 3 of the fixture's 4 variables, 1 + 4 + 6 + 4;
+    # the auto groups, which are 1-2,3-4, price 2 * 2^2
+    ("simple", None, 0), ("dynamic", None, 15), ("static", None, 8),
+    ("static", "1-2,3-4", 8)],
+    ids=["simple", "dynamic", "static", "static-groups"])
 @pytest.mark.parametrize("algorithm", ["astar", "bfbnb"])
-def test_search_budget_is_what_the_pdb_leaves(capsys, monkeypatch,
-                                              algorithm):
+def test_search_budget_is_what_the_pdb_leaves(capsys, monkeypatch, algorithm,
+                                              bound, groups, entries):
     from bnopt import cli, heuristics
     real = getattr(cli, algorithm)
     budgets = []
@@ -826,11 +833,16 @@ def test_search_budget_is_what_the_pdb_leaves(capsys, monkeypatch,
         budgets.append(mem_budget)
         return real(*args, mem_budget=mem_budget)
     monkeypatch.setattr(cli, algorithm, spy)
-    # the fixture's auto groups price 2 * 2^2 patterns
+    budget = 1 << 20
+    flags = [] if groups is None else ["--groups", groups]
     assert main(["learn", str(GOLDEN_SCORES), "--algorithm", algorithm,
-                 "--heuristic", "static", "--mem-budget",
-                 str(1 << 20)]) == EXIT_OK
-    assert budgets == [(1 << 20) - 8 * heuristics.PDB_ENTRY_BYTES]
+                 "--heuristic", bound, *flags, "--mem-budget",
+                 str(budget)]) == EXIT_OK
+    assert budgets == [budget - entries * heuristics.PDB_ENTRY_BYTES]
+    if bound == "static":  # the price is the size of the PDB it builds
+        h = StaticHeuristic(read_score_file(GOLDEN_SCORES).tables,
+                            parse_grouping(groups or "auto", 4))
+        assert budget - budgets[0] == h.size * heuristics.PDB_ENTRY_BYTES
 
 
 @pytest.mark.parametrize("algorithm", ["astar", "bfbnb"])

@@ -1,5 +1,7 @@
 import csv
+import gc
 import math
+import weakref
 from itertools import combinations
 from unittest import mock
 
@@ -116,6 +118,29 @@ def test_drop_incomplete_empty_errors(tmp_path):
     raw = load_delimited(p)
     with pytest.raises(DataError, match="empty"):
         drop_incomplete(raw)
+
+
+def test_load_dataset_frees_the_row_index_before_binarizing(monkeypatch):
+    # load_delimited's table holds an N-long row index; it must be gone
+    # before binarize_mean builds its own, so the two never peak together
+    tables = []
+    real_load, real_binarize = dataset.load_delimited, dataset.binarize_mean
+
+    def load(*args, **kwargs):
+        raw = real_load(*args, **kwargs)
+        tables.append(weakref.ref(raw))
+        return raw
+
+    def binarize(raw):
+        gc.collect()
+        assert tables[0]() is None
+        return real_binarize(raw)
+    monkeypatch.setattr(dataset, "load_delimited", load)
+    monkeypatch.setattr(dataset, "binarize_mean", binarize)
+    # repeat8.csv has incomplete rows, so drop_incomplete drops some
+    data = load_dataset(DATA_DIR / "repeat8.csv")
+    assert len(tables) == 1
+    assert data.N < load_delimited(DATA_DIR / "repeat8.csv").n_rows
 
 
 def test_equal_records_share_one_cells_list(tmp_path):

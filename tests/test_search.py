@@ -15,7 +15,7 @@ from bnopt import (DynamicHeuristic, LearnedNetwork, MemoryBudgetError,
 from bnopt.bitset import bits, full_mask
 from bnopt.dataset import Dataset
 from bnopt.scoring import build_score_tables, parent_limit
-from bnopt.search import G_EPS, components
+from bnopt.search import G_EPS, NODE_BYTES, components
 from bnopt.synth import random_dataset
 from conftest import DATA_DIR, OPT_SCORE, empty_network
 
@@ -287,6 +287,22 @@ def test_memory_budget_bfbnb():
         bfbnb(tables, SimpleHeuristic(tables), empty_network(tables),
               mem_budget=2000)
     assert exc.value.stats.nodes_expanded > 0
+
+
+@pytest.fixture(scope="module")
+def r16_tables():
+    return build_score_tables(random_dataset(16, 200, seed=500)).tables
+
+
+@pytest.mark.parametrize("nodes", [50, 2000, 10000])
+def test_bfbnb_stops_within_one_expansion_of_budget(r16_tables, nodes):
+    # components [15, 1]; the budget is tested after each expansion, so
+    # it is passed by one node's n = 16 successors at most, never a layer
+    tables = r16_tables
+    with pytest.raises(MemoryBudgetError) as exc:
+        bfbnb(tables, SimpleHeuristic(tables), empty_network(tables),
+              mem_budget=nodes * NODE_BYTES)
+    assert exc.value.stats.nodes_generated <= nodes + 16
 
 
 def test_reconstructed_score_matches_g_everywhere(fixture_tables):
