@@ -127,7 +127,7 @@ class DynamicHeuristic:
         n = tables[0].n
         check_pattern_cap(k, n, least=1)
         self.n = n
-        self.h0 = [t.scores[0] for t in tables]
+        self.h0 = [t.entries[0][0] for t in tables]
         diffs: dict[int, float] = {}
         self.patterns: dict[int, tuple[float, float]] = {}
         # ascending size: immediate sub-patterns' differentials come first

@@ -1,12 +1,12 @@
 """The sparse parent store: per-variable score tables and their queries.
 
-A ScoreTable keeps one variable's possibly-optimal parent sets as a list of
-unique bitmasks sorted ascending by score, the sparse representation of
-Yuan & Malone (JAIR 2013). Sortedness makes the first entry whose parents
-fit inside a candidate pool the best one, so BestScore(X, U) is a
-front-to-back first-fit scan (best_in). The paper answers it by OR-ing one
-bit vector per excluded variable; in pure Python on these short tables the
-scan is faster, so no bit vectors are kept.
+A ScoreTable keeps one variable's possibly-optimal parent sets as one list
+of (score, unique bitmask) entries sorted ascending by score, the sparse
+representation of Yuan & Malone (JAIR 2013). Sortedness makes the first
+entry whose parents fit inside a candidate pool the best one, so
+BestScore(X, U) is a front-to-back first-fit scan (best_in). The paper
+answers it by OR-ing one bit vector per excluded variable; in pure Python on
+these short tables the scan is faster, so no bit vectors are kept.
 
 The ScoreTable constructor, the one way to build a table, checks that
 every table draws its parents from the other variables, has finite
@@ -42,39 +42,39 @@ class DataError(ValueError):
 class ScoreTable:
     """Sorted unique pruned (score, parent set) list for one variable.
 
-    Built from (score, parent mask) pairs kept in the given order: scores
-    ascend and parent_sets holds the parallel bitmasks. Raises DataError
-    when a mask holds the variable itself or a bit at or above n, a score
-    is not finite (NaN or infinite), the scores do not ascend (ties pass)
-    or mask 0 (the empty parent set) is missing, so the first fitting
-    entry of every candidate pool exists and is its best.
+    entries holds the given (score, parent mask) pairs in the given order,
+    each score a Python float. Raises DataError when a mask holds the
+    variable itself or a bit at or above n, a score is not finite (NaN or
+    infinite), the scores do not ascend (ties pass) or mask 0 (the empty
+    parent set) is missing, so the first fitting entry of every candidate
+    pool exists and is its best.
     """
 
     def __init__(self, variable: int, n: int,
                  entries: Sequence[tuple[float, int]]):
         self.variable = variable
         self.n = n
-        self.scores = [float(s) for s, _ in entries]
-        self.parent_sets = [p for _, p in entries]
+        self.entries = [(float(s), pa) for s, pa in entries]
         forbidden = -1 << n | 1 << variable  # negative masks included
-        for i, pa in enumerate(self.parent_sets):
+        prev, empty = -math.inf, False
+        for i, (score, pa) in enumerate(self.entries):
             if pa & forbidden:
                 raise DataError(f"score table of variable {variable} names a "
                                 f"parent outside the other {n - 1} variables "
                                 f"at entry {i} (mask {pa:#b})")
-        for i, score in enumerate(self.scores):
             if not math.isfinite(score):
                 raise DataError(f"score table of variable {variable} has the "
                                 f"non-finite score {score!r} at entry {i}")
-            if i and self.scores[i - 1] > score:
+            if prev > score:
                 raise DataError(f"score table of variable {variable} is "
                                 f"not in ascending order at entry {i}")
-        if 0 not in self.parent_sets:
+            prev, empty = score, empty or not pa
+        if not empty:
             raise DataError(f"score table of variable {variable} lacks the "
                             "empty parent set")
 
     def __len__(self) -> int:
-        return len(self.parent_sets)
+        return len(self.entries)
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -118,9 +118,9 @@ def best_in(table: ScoreTable, candidates: int) -> tuple[float, int]:
     if candidates >> table.variable & 1:
         raise ValueError("candidate set must not contain the variable itself")
     out = ~candidates
-    for i, pa in enumerate(table.parent_sets):
-        if not pa & out:
-            return table.scores[i], pa
+    for entry in table.entries:
+        if not entry[1] & out:
+            return entry
 
 
 # ------------------------------------------------------------- score file IO
@@ -152,13 +152,13 @@ def format_score_file(scores: ScoreSet) -> str:
     chunks = [f"n {scores.n}\n"]
     for name, table in zip(scores.names, scores.tables):
         chunks.append(f"var {name} {len(table)}\n")
-        for i, pa in enumerate(table.parent_sets):
-            if not math.isfinite(table.scores[i]):
+        for score, pa in table.entries:
+            if not math.isfinite(score):
                 raise ValueError(f"block for {name}: non-finite score "
-                                 f"{table.scores[i]!r}")
+                                 f"{score!r}")
             parents = " ".join(scores.names[y] for y in bits(pa))
             k = pa.bit_count()
-            chunks.append(f"{table.scores[i]:.17g} {k}" +
+            chunks.append(f"{score:.17g} {k}" +
                           (f" {parents}\n" if k else "\n"))
     return "".join(chunks)
 

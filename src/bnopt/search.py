@@ -16,10 +16,9 @@ earlier components) to E|C and adds only C's variables. Its heuristic is
 the caller's, asked at U|L, where L holds the later components' variables;
 that bounds the distance from U to E|C from below, and is consistent
 whenever the heuristic is, because C's parents never lie in L (Fan, Malone
-& Yuan, UAI 2014). A*'s open list and BFBnB's stored nodes are then
-bounded by the largest component's lattice, not by the whole lattice; A*
-keeps every component's stored nodes for its one predecessor chain, at
-most the sum of the components' lattices.
+& Yuan, UAI 2014). Both hold one component's stored nodes at a time, so
+their memory is bounded by the largest component's lattice, not by the
+whole lattice.
 
 Both generate only U|{x} when some x outside U already has its overall
 best parent set inside U (a forced arc; the lowest such x): moving x to
@@ -171,7 +170,7 @@ def components(tables: Sequence[ScoreTable]) -> list[int]:
     anc = []  # anc[x]: every variable with a path to x
     for t in tables:
         support = 0
-        for P in t.parent_sets:
+        for _, P in t.entries:
             support |= P
         anc.append(support)
     for k in range(n):  # Warshall's transitive closure over bit rows
@@ -215,19 +214,20 @@ def astar(
 
     Ordered by f = g + h, ties broken toward larger g then ascending mask.
     A closed node is reopened whenever a strictly better g reaches it;
-    under a consistent heuristic that never happens. Every stored node is
-    kept until the end, where one predecessor chain gives the order.
+    under a consistent heuristic that never happens. Each component's
+    stored nodes are dropped once its path joins the order.
     """
     stats = SearchStats(nodes_generated=1)
-    best = [t.parent_sets[0] for t in tables]
-    g_best = {0: 0.0}
-    pred: dict[int, int] = {}
-    closed: set[int] = set()
+    best = [t.entries[0][1] for t in tables]
     later = full_mask(tables[0].n)
+    order: list[int] = []
     U, g = 0, 0.0
     for C in components(tables):
         later ^= C
-        goal = U | C
+        start, goal = U, U | C
+        g_best = {start: g}
+        pred: dict[int, int] = {}
+        closed: set[int] = set()
         open_heap = [(g + heuristic.value(U | later), -g, U)]
         while open_heap:
             f, neg_g, U = heapq.heappop(open_heap)
@@ -262,7 +262,8 @@ def astar(
                     "budget", stats)
         else:
             raise RuntimeError("order graph exhausted without reaching the goal")
-    return reconstruct(tables, _order_from_preds(pred.get, U), g), stats
+        order += _order_from_preds(pred.get, goal, start)
+    return reconstruct(tables, order, g), stats
 
 
 def bfbnb(
@@ -283,7 +284,7 @@ def bfbnb(
     """
     full = full_mask(tables[0].n)
     stats = SearchStats()
-    best = [t.parent_sets[0] for t in tables]
+    best = [t.entries[0][1] for t in tables]
     # one incumbent parent set per variable, else ValueError
     chosen = [best_in(t, P)
               for t, P in zip(tables, incumbent.parents, strict=True)]

@@ -31,10 +31,9 @@ def check_table_shape(scores: ScoreSet) -> list[str]:
     order and the empty parent set)."""
     out = []
     for name, t in zip(scores.names, scores.tables):
-        for i, pi in enumerate(t.parent_sets):
-            for j, pj in enumerate(t.parent_sets):
-                if i != j and pi != pj and pi & ~pj == 0 \
-                        and t.scores[i] <= t.scores[j]:
+        for si, pi in t.entries:
+            for sj, pj in t.entries:
+                if pi != pj and pi & ~pj == 0 and si <= sj:
                     out.append(
                         f"table {name}: {format_set(pj, scores.names)} kept "
                         f"although subset {format_set(pi, scores.names)} "
@@ -63,8 +62,7 @@ def check_best_score(scores: ScoreSet,
             if cands >> x & 1:
                 continue
             got = best_in(t, cands)
-            full_min = min(s for s, pa in zip(t.scores, t.parent_sets)
-                           if pa & ~cands == 0)
+            full_min = min(s for s, pa in t.entries if pa & ~cands == 0)
             if got[0] != full_min or got[1] & ~cands:
                 out.append(f"best-score: first hit {got} is not a fitting "
                            f"list minimum {full_min} at {where(x, cands)}")

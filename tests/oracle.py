@@ -210,11 +210,10 @@ def _is_acyclic(parent_lists, n):
     return seen == n
 
 
-def fitting_minimum(scores, parent_sets, cands):
+def fitting_minimum(entries, cands):
     """Order-independent BestScore: the least (score, parent mask) over
     every entry whose parents all lie inside the candidate mask."""
-    return min((s, pa) for s, pa in zip(scores, parent_sets)
-               if pa & ~cands == 0)
+    return min((s, pa) for s, pa in entries if pa & ~cands == 0)
 
 
 def greedy_order(diffs):

@@ -131,8 +131,7 @@ def test_c05_sparse_store_equivalence():
                                 if m >> j & 1)
                 got = best_in(t, cands)
                 assert got[1] & ~cands == 0
-                assert got[0] == oracle.fitting_minimum(
-                    t.scores, t.parent_sets, cands)[0]
+                assert got[0] == oracle.fitting_minimum(t.entries, cands)[0]
                 excluded = 0
                 for y in others:
                     if not cands >> y & 1:
@@ -147,7 +146,7 @@ def test_c05_sparse_store_equivalence():
     x2, x3 = 0b0010, 0b0100
     t = ScoreTable(0, 4, [(5.0, x2 | x3), (6.0, x3),
                           (8.0, x2), (10.0, 0)])
-    assert list(t.scores) == [5.0, 6.0, 8.0, 10.0]
+    assert [s for s, _ in t.entries] == [5.0, 6.0, 8.0, 10.0]
     assert best_in(t, x3 | 0b1000) == (6.0, x3)
     assert best_in(t, x2 | 0b1000) == (8.0, x2)
     assert best_in(t, x2 | x3) == (5.0, x2 | x3)

@@ -55,7 +55,7 @@ def test_score_max_parents_zero(tmp_path):
     assert main(["score", str(FIXTURE_CSV), "--max-parents", "0",
                  "--out", str(out)]) == EXIT_OK
     scores = read_score_file(out)
-    assert all(len(t) == 1 and t.parent_sets == [0] for t in scores.tables)
+    assert all(len(t) == 1 and t.entries[0][1] == 0 for t in scores.tables)
 
 
 def test_score_max_parents_upward_rejected(capsys):
@@ -248,8 +248,7 @@ def test_verify_fails_first_hit_not_minimal(capsys, monkeypatch):
     from bnopt import verify
 
     def last_fit(t, cands):
-        return max((s, pa) for s, pa in zip(t.scores, t.parent_sets)
-                   if pa & ~cands == 0)
+        return max((s, pa) for s, pa in t.entries if pa & ~cands == 0)
     monkeypatch.setattr(verify, "best_in", last_fit)
     rc, out = _verify_out(capsys, GOLDEN_SCORES)
     assert rc == EXIT_VERIFY
@@ -746,7 +745,9 @@ def test_bad_mem_budget_env_is_usage_error(monkeypatch, capsys, value):
 
 
 def test_memory_budget_exit(tmp_path, capsys, monkeypatch):
-    data = random_dataset(8, 60, seed=9)
+    # one 9-variable component: its first expansion stores 10 nodes, over
+    # the 1,500-byte budget (7 nodes)
+    data = random_dataset(9, 150, seed=18)
     csv = write_csv(tmp_path, data)
     rc = main(["learn", str(csv), "--mem-budget", "1500"])
     assert rc == EXIT_MEMORY
@@ -1007,7 +1008,7 @@ def test_writer_refuses_what_the_reader_refuses(tmp_path, names, d_score,
     # halfway through; the refusal comes before the file is opened
     scores = read_score_file(GOLDEN_SCORES)
     scores.names = names
-    scores.tables[3].scores = [d_score]  # D's one entry, the empty set
+    scores.tables[3].entries = [(d_score, 0)]  # D's one entry, the empty set
     out = tmp_path / "old.scores"
     out.write_bytes(b"old bytes\n")
     with pytest.raises(ValueError, match=message):

@@ -36,7 +36,7 @@ def test_simple_h_boundaries(fixture_tables, random_score_sets):
         n = tables[0].n
         h = SimpleHeuristic(tables)
         assert h.size == n
-        h0 = [t.scores[0] for t in tables]
+        h0 = [t.entries[0][0] for t in tables]
         for U in range(1 << n):
             expect = 0.0
             for x in range(n):
@@ -46,7 +46,7 @@ def test_simple_h_boundaries(fixture_tables, random_score_sets):
 
 
 def test_pattern_cost_singleton(fixture_tables):
-    h0 = [t.scores[0] for t in fixture_tables]
+    h0 = [t.entries[0][0] for t in fixture_tables]
     for x in range(4):
         assert pattern_cost_exact(1 << x, fixture_tables) == h0[x]
 
@@ -167,7 +167,7 @@ def _greedy_reference(R, cost_diff, h0):
 
 def test_greedy_pruning_safe(fixture_tables):
     # value with the pruned store equals the value with every pattern priced
-    h0 = [t.scores[0] for t in fixture_tables]
+    h0 = [t.entries[0][0] for t in fixture_tables]
     h = DynamicHeuristic(fixture_tables, 3)
     unpruned = {}
     for P in range(1, 1 << 4):
@@ -187,7 +187,7 @@ def test_greedy_pruning_safe_k4_random():
     # immediate, so this exercises the pruning rule beyond the default k
     data = random_dataset(6, 80, seed=47)
     tables = build_score_tables(data).tables
-    h0 = [t.scores[0] for t in tables]
+    h0 = [t.entries[0][0] for t in tables]
     h = DynamicHeuristic(tables, 4)
     unpruned = {}
     for P in range(1, 1 << 6):
@@ -244,7 +244,7 @@ def test_static_pdb_fixture_tables(fixture_tables):
 
 def test_static_pdb_basics(fixture_tables):
     pdb = StaticHeuristic(fixture_tables, default_grouping(4))
-    h0 = [t.scores[0] for t in fixture_tables]
+    h0 = [t.entries[0][0] for t in fixture_tables]
     for gi, g in enumerate(pdb.groups):
         assert pdb.costs[gi][0] == 0.0
         for x in bits(g):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -67,6 +68,12 @@ def test_cursors_are_persistent(worked_table):
     assert best_in(t, _pool(t, e3)) == best_in(t, X2 | X4) == (8.0, X2)
 
 
+def test_entries_are_the_given_pairs_with_float_scores():
+    t = ScoreTable(0, 3, [(1, X2), (Fraction(3, 2), X3), (2.0, 0)])
+    assert t.entries == [(1.0, X2), (1.5, X3), (2.0, 0)]
+    assert all(type(s) is float for s, _ in t.entries)
+
+
 def test_missing_empty_set_raises():
     # a table is checked once, when built (a real error, also under
     # python -O), so no query can run past its last entry or take a first
@@ -131,7 +138,7 @@ def test_exclude_preconditions(worked_table):
 
 
 def _fitting_minimum(t, cands):
-    return oracle.fitting_minimum(t.scores, t.parent_sets, cands)
+    return oracle.fitting_minimum(t.entries, cands)
 
 
 def test_best_in_matches_fitting_minimum(worked_table):
@@ -145,6 +152,7 @@ def test_best_in_matches_fitting_minimum(worked_table):
         assert _pool(worked_table, excluded) == cands
         got = best_in(worked_table, cands)
         assert got == _fitting_minimum(worked_table, cands)
+        assert any(got is e for e in worked_table.entries)  # not a copy
 
 
 def _equivalence_exhaustive(data, limit):
@@ -192,13 +200,13 @@ def test_popcount_never_increases():
             if y == x:
                 continue
             excluded = cursor_exclude(t, excluded, y)
-            count = sum(1 for pa in t.parent_sets if not pa & excluded)
+            count = sum(1 for _, pa in t.entries if not pa & excluded)
             best = best_in(t, _pool(t, excluded))[0]
             assert count <= prev_count
             assert best >= prev_best
             prev_count, prev_best = count, best
         assert best_in(t, _pool(t, excluded)) == \
-            (float(t.scores[t.parent_sets.index(0)]), 0)
+            next((s, pa) for s, pa in t.entries if pa == 0)
 
 
 def test_irrelevant_exclusion_is_identity():
@@ -206,7 +214,7 @@ def test_irrelevant_exclusion_is_identity():
     scores = build_score_tables(data)
     for x, t in enumerate(scores.tables):
         in_some_set = 0
-        for p in t.parent_sets:
+        for _, p in t.entries:
             in_some_set |= p
         for y in range(7):
             if y != x and not in_some_set >> y & 1:
@@ -273,5 +281,6 @@ def test_score_file_round_trip(tmp_path_factory, scores):
     back = read_score_file(path)
     assert back.names == scores.names
     for t1, t2 in zip(scores.tables, back.tables, strict=True):
-        assert t2.parent_sets == t1.parent_sets
-        assert [s.hex() for s in t2.scores] == [s.hex() for s in t1.scores]
+        assert [pa for _, pa in t2.entries] == [pa for _, pa in t1.entries]
+        assert [s.hex() for s, _ in t2.entries] == \
+            [s.hex() for s, _ in t1.entries]

@@ -110,7 +110,7 @@ def test_scores_use_libm_log2(tmp_path):
     expect = nh + math.log2(10_000) / 2.0
     assert mdl_local_score(data, 0, 0) == expect
     a = build_score_tables(data).tables[0]
-    assert (a.scores[0], a.parent_sets[0]) == (expect, 0)
+    assert a.entries[0] == (expect, 0)
     assert f"{expect:.17g}" == "7311.0956269440003"
 
 
@@ -153,8 +153,7 @@ def streamed_scores(data, limit):
 
 def _assert_tables_are_pruned(scores, raw):
     for x, table in enumerate(scores.tables):
-        assert list(zip(table.scores, table.parent_sets)) == \
-            oracle.prune_scores(raw[x]), x
+        assert table.entries == oracle.prune_scores(raw[x]), x
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -317,15 +316,15 @@ def test_parent_limit_guard():
 
 def test_fixture_tables(fixture_scores):
     a, b, c, d = fixture_scores.tables
-    assert [(s, p) for s, p in zip(a.scores, a.parent_sets)] == [
+    assert a.entries == [
         (3.0, 0b0010), (SCORE_C_GIVEN_A, 0b0100), (9.5, 0)]
-    assert [(s, p) for s, p in zip(b.scores, b.parent_sets)] == [
+    assert b.entries == [
         (3.0, 0b0001), (SCORE_C_GIVEN_A, 0b0100), (9.5, 0)]
     # equal scores, incomparable sets: both kept, ascending mask order
-    assert [(s, p) for s, p in zip(c.scores, c.parent_sets)] == [
+    assert c.entries == [
         (SCORE_C_GIVEN_A, 0b0001), (SCORE_C_GIVEN_A, 0b0010), (9.5, 0)]
     # D is independent of everything: single empty-set entry
-    assert len(d) == 1 and d.parent_sets == [0]
+    assert len(d) == 1 and d.entries[0][1] == 0
 
 
 def test_prune_worked_example():
@@ -352,7 +351,7 @@ def test_pruning_boundary_on_crafted_families(fixture_data):
 
     with mock.patch.object(scoring, "family_scores", families):
         table = build_score_tables(fixture_data).tables[3]
-    assert list(zip(table.scores, table.parent_sets)) == [
+    assert table.entries == [
         (5.0, 0b110), (6.0, 0b100), (6.0, 0b011), (8.0, 0b001),
         (8.0, 0b010), (10.0, 0)]
 
@@ -424,14 +423,15 @@ def test_tables_sorted_and_antichain():
     data = random_dataset(7, 90, seed=3)
     scores = build_score_tables(data)
     for t in scores.tables:
-        assert all(t.scores[i] <= t.scores[i + 1] for i in range(len(t) - 1))
-        assert 0 in t.parent_sets
-        for i, pi in enumerate(t.parent_sets):
-            for j, pj in enumerate(t.parent_sets):
-                if i == j or pi == pj:
+        assert all(t.entries[i][0] <= t.entries[i + 1][0]
+                   for i in range(len(t) - 1))
+        assert any(pa == 0 for _, pa in t.entries)
+        for si, pi in t.entries:
+            for sj, pj in t.entries:
+                if pi == pj:
                     continue
                 if pi & ~pj == 0:  # pi proper subset of pj
-                    assert t.scores[i] > t.scores[j], (
+                    assert si > sj, (
                         "superset kept although a subset scores no worse")
 
 
@@ -450,7 +450,7 @@ def test_sparseness_reported():
 def test_max_parents_zero(fixture_data):
     scores = build_score_tables(fixture_data, max_parents=0)
     for t in scores.tables:
-        assert len(t) == 1 and t.parent_sets == [0]
+        assert len(t) == 1 and t.entries[0][1] == 0
 
 
 def test_max_parents_only_downward(fixture_data):
@@ -464,8 +464,8 @@ def test_score_file_roundtrip(tmp_path, fixture_scores):
     back = read_score_file(p)
     assert back.names == fixture_scores.names
     for t1, t2 in zip(fixture_scores.tables, back.tables):
-        assert np.array_equal(t1.scores, t2.scores)  # bit identical
-        assert t1.parent_sets == t2.parent_sets
+        assert [(s.hex(), pa) for s, pa in t1.entries] == \
+            [(s.hex(), pa) for s, pa in t2.entries]  # bit identical
         for cands in range(1 << back.n):
             if not cands >> t1.variable & 1:
                 assert best_in(t1, cands) == best_in(t2, cands)
@@ -478,8 +478,8 @@ def test_score_file_roundtrip_random(tmp_path):
     write_score_file(p, scores)
     back = read_score_file(p)
     for t1, t2 in zip(scores.tables, back.tables):
-        assert np.array_equal(t1.scores, t2.scores)
-        assert t1.parent_sets == t2.parent_sets
+        assert [(s.hex(), pa) for s, pa in t1.entries] == \
+            [(s.hex(), pa) for s, pa in t2.entries]
 
 
 def test_score_file_rejects_garbage(tmp_path):

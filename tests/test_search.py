@@ -51,7 +51,7 @@ def test_astar_single_variable():
     tables = single_var_tables()
     net, stats = astar(tables, SimpleHeuristic(tables))
     assert net.parents == [0]
-    assert net.total_score == float(tables[0].scores[0])
+    assert net.total_score == tables[0].entries[0][0]
     assert stats.nodes_expanded == 1
 
 
@@ -85,7 +85,7 @@ def test_dp_oracle_matches_dag_enumeration(fixture_data, fixture_tables):
 def test_dp_oracle_single_variable():
     tables = single_var_tables()
     net, opt = dp_oracle(tables)
-    assert opt == float(tables[0].scores[0])
+    assert opt == tables[0].entries[0][0]
     assert net.parents == [0]
 
 
@@ -142,7 +142,7 @@ def test_hill_climb_single_variable():
     tables = single_var_tables()
     net = initial_upper_bound(tables, seed=0, restarts=1)
     assert net.parents == [0]
-    assert net.total_score == float(tables[0].scores[0])
+    assert net.total_score == tables[0].entries[0][0]
 
 
 def test_hill_climb_upper_bound_property(fixture_tables):
@@ -311,8 +311,8 @@ def test_reconstructed_score_matches_g_everywhere(fixture_tables):
         net, _ = astar(fixture_tables, h)
         total = 0.0
         for x in range(4):
-            i = fixture_tables[x].parent_sets.index(net.parents[x])
-            total += float(fixture_tables[x].scores[i])
+            total += next(s for s, pa in fixture_tables[x].entries
+                          if pa == net.parents[x])
         assert net.total_score == pytest.approx(total, abs=1e-12)
 
 
@@ -326,7 +326,7 @@ def test_forced_arc_keeps_goal_distance(n, seed):
     forced = 0
     for U in range(1 << n):
         for x in bits(full & ~U):
-            if tables[x].parent_sets[0] & ~U == 0:
+            if tables[x].entries[0][1] & ~U == 0:
                 via_x = best_in(tables[x], U)[0] + dist[U | 1 << x]
                 assert abs(via_x - dist[U]) <= G_EPS * max(1.0, abs(dist[U])), \
                     (bin(U), x)
@@ -376,7 +376,7 @@ def _reach(tables):
     depth-first search from every variable."""
     n = tables[0].n
     children = [[x for x in range(n)
-                 if any(P >> y & 1 for P in tables[x].parent_sets)]
+                 if any(P >> y & 1 for _, P in tables[x].entries)]
                 for y in range(n)]
     reach = []
     for y in range(n):
@@ -415,7 +415,7 @@ def test_components_are_ordered_sccs(label, tables):
     for C in comps:
         placed |= C
         for x in bits(C):
-            assert all(P & ~placed == 0 for P in tables[x].parent_sets)
+            assert all(P & ~placed == 0 for _, P in tables[x].entries)
     # each strongly connected, and maximal
     where = {x: i for i, C in enumerate(comps) for x in bits(C)}
     for x in range(n):
@@ -520,15 +520,29 @@ def test_bfbnb_refuses_incumbent_of_wrong_length(n_parents):
 
 
 def test_budget_stats_sum_over_components():
-    # eight unrelated variables: eight one-variable components, searched in
-    # turn; A* keeps every stored node, so the 1,500-byte budget (7 nodes)
-    # trips in the sixth, and the stats count all six
+    # three unrelated variables, then the cycle 3 <-> 4: four components,
+    # searched in turn. A one-variable component stores 3 nodes, within
+    # the 700-byte budget (3 nodes); the cycle's first expansion stores 5,
+    # so the budget trips there, and the stats count all four components
+    tables = [ScoreTable(x, 5, [(1.0, 0)]) for x in range(3)]
+    tables += [ScoreTable(3, 5, [(1.0, 1 << 4), (2.0, 0)]),
+               ScoreTable(4, 5, [(1.0, 1 << 3), (2.0, 0)])]
+    assert components(tables) == [1, 2, 4, 0b11000]
+    with pytest.raises(MemoryBudgetError) as exc:
+        astar(tables, SimpleHeuristic(tables), mem_budget=700)
+    stats = exc.value.stats
+    assert (stats.nodes_expanded, stats.nodes_generated) == (3 + 1, 1 + 3 + 2)
+    net, stats = astar(tables, SimpleHeuristic(tables))
+    assert (stats.nodes_expanded, stats.nodes_generated) == (3 + 2, 1 + 3 + 3)
+    assert net.total_score == 6.0
+
+
+def test_astar_holds_one_component_at_a_time():
+    # eight one-variable components each store 3 nodes, within the
+    # 1,500-byte budget (7 nodes); A* drops a component's nodes before
+    # the next, so their sum over all eight does not count
     tables = [ScoreTable(x, 8, [(1.0, 0)]) for x in range(8)]
     assert components(tables) == [1 << x for x in range(8)]
-    with pytest.raises(MemoryBudgetError) as exc:
-        astar(tables, SimpleHeuristic(tables), mem_budget=1500)
-    stats = exc.value.stats
-    assert (stats.nodes_expanded, stats.nodes_generated) == (6, 7)
-    net, stats = astar(tables, SimpleHeuristic(tables))
+    net, stats = astar(tables, SimpleHeuristic(tables), mem_budget=1500)
     assert (stats.nodes_expanded, stats.nodes_generated) == (8, 9)
-    assert net.total_score == 8.0
+    assert net.parents == [0] * 8 and net.total_score == 8.0
