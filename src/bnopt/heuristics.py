@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .bitset import bits, full_mask, mask_of
-from .parent_store import ScoreTable, best_in, ordered_sum
+from .parent_store import G_EPS, ScoreTable, best_in, ordered_sum
 
 # largest static group: its table holds 2^size entries; a dynamic PDB may
 # price no more patterns than that
@@ -112,7 +112,9 @@ class DynamicHeuristic:
 
     patterns maps each stored pattern to (exact cost, differential); a
     pattern is stored only when its differential is positive and differs
-    from every immediate sub-pattern's differential (singletons all have
+    from every immediate sub-pattern's by more than the tie band G_EPS
+    relative to its cost, since differently ordered sums of tied
+    differentials may differ in the last bits (singletons all have
     differential zero and live implicitly in h0). order holds (pattern,
     differential) sorted by descending differential (ties: smaller pattern,
     then ascending bitmask) for the greedy cover. The greedy cover need not
@@ -134,8 +136,9 @@ class DynamicHeuristic:
         for P, cost in pattern_costs(tables, full_mask(n), k).items():
             diff = cost - ordered_sum(self.h0[x] for x in bits(P))
             diffs[P] = diff
+            tie = G_EPS * max(1.0, abs(cost))
             if P.bit_count() >= 2 and diff > 0.0 and all(
-                    diff != diffs[P ^ (1 << x)] for x in bits(P)):
+                    abs(diff - diffs[P ^ 1 << x]) > tie for x in bits(P)):
                 self.patterns[P] = (cost, diff)
         self.order = [(P, diff) for P, (_, diff) in sorted(
             self.patterns.items(),

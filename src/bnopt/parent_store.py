@@ -77,6 +77,10 @@ class ScoreTable:
         return len(self.entries)
 
 
+# relative band within which two differently ordered sums count as tied
+G_EPS = 1e-12
+
+
 def ordered_sum(values: Iterable[float]) -> float:
     """values added one at a time, left to right, from 0.0."""
     total = 0.0

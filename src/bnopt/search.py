@@ -41,7 +41,8 @@ from typing import Sequence
 
 from .bitset import bits, full_mask
 from .heuristics import pattern_costs
-from .parent_store import ScoreTable, best_in, cursor_exclude, ordered_sum
+from .parent_store import (G_EPS, ScoreTable, best_in, cursor_exclude,
+                           ordered_sum)
 
 DP_MAX_VARS = 20
 
@@ -56,11 +57,8 @@ DEFAULT_MEM_BUDGET = 4 << 30
 
 # Paths that are mathematically tied can differ by an ulp because their arc
 # costs are summed in different orders; treating those as improvements would
-# reopen closed nodes under perfectly consistent heuristics. Anything inside
-# this relative band counts as a tie.
-G_EPS = 1e-12
-
-
+# reopen closed nodes under perfectly consistent heuristics, so a gain inside
+# the G_EPS band counts as a tie.
 def _improves(gc: float, old: float) -> bool:
     return gc < old - G_EPS * max(1.0, abs(old))
 

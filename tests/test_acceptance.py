@@ -185,12 +185,16 @@ def test_c06_consistency_and_zero_reopenings():
 # component of the parent graph on its own: n8 and n9 split into
 # components of 5, 1 and 2 (and 1) variables, so A* searches lattices of
 # at most 2^5 nodes; fixture4 (3 and 1) and n7 (one component of 7)
-# keep their counts
+# keep their counts. Re-pinned when each family's score became the
+# difference of two exactly rounded set sums and the dynamic PDB began
+# dropping patterns whose differential ties a sub-pattern's within G_EPS:
+# the PDBs change, so the dynamic counts do (n7 k3 36 -> 34, n8 k2 17 ->
+# 16 and k3 11 -> 12, n9 k2 18 -> 17 and k3 12 -> 13)
 TREND_SUITE = [
     ("fixture4", None, (4, 4, 4)),
-    ("n7 seed=201", (7, 201), (79, 54, 36)),
-    ("n8 seed=203", (8, 203), (24, 17, 11)),
-    ("n9 seed=203", (9, 203), (25, 18, 12)),
+    ("n7 seed=201", (7, 201), (79, 54, 34)),
+    ("n8 seed=203", (8, 203), (24, 16, 12)),
+    ("n9 seed=203", (9, 203), (25, 17, 13)),
 ]
 
 

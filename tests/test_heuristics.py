@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import oracle
@@ -8,6 +10,7 @@ from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
 from bnopt import heuristics
 from bnopt.bitset import bits, full_mask, mask_of
 from bnopt.heuristics import check_pattern_cap
+from bnopt.parent_store import G_EPS
 from bnopt.scoring import build_score_tables
 from bnopt.synth import random_dataset
 from conftest import (DATA_DIR, GREEDY_K2_AT_START, PAIR_AB_COST, PAIR_AB_DIFF,
@@ -49,6 +52,11 @@ def test_pattern_cost_singleton(fixture_tables):
     h0 = [t.entries[0][0] for t in fixture_tables]
     for x in range(4):
         assert pattern_cost_exact(1 << x, fixture_tables) == h0[x]
+
+
+def test_pattern_cost_empty_pattern_rejected(fixture_tables):
+    with pytest.raises(ValueError, match="empty pattern"):
+        pattern_cost_exact(0, fixture_tables)
 
 
 def test_pattern_cost_mutual_pair(fixture_tables):
@@ -101,6 +109,25 @@ def test_dynamic_diffs_nonnegative():
     for P, (cost, diff) in h.patterns.items():
         assert diff > 0.0
         assert cost == pytest.approx(pattern_cost_exact(P, tables), abs=1e-9)
+
+
+def test_dynamic_pdb_stores_no_pattern_tied_with_a_sub_pattern():
+    # a differential within the G_EPS band of an immediate sub-pattern's
+    # is that differential summed in another order; on gen14.scores at
+    # k = 3 the PDB held 113 patterns while only an exactly equal
+    # differential counted as a tie, 61 of them inside the band
+    tables = read_score_file(DATA_DIR / "gen14.scores").tables
+    h = DynamicHeuristic(tables, 3)
+    assert h.patterns
+
+    def differential(P):
+        return pattern_cost_exact(P, tables) - math.fsum(
+            h.h0[x] for x in bits(P))
+
+    for P, (cost, diff) in h.patterns.items():
+        for x in bits(P):
+            assert abs(diff - differential(P ^ 1 << x)) > \
+                G_EPS * max(1.0, cost), (bin(P), x)
 
 
 def test_greedy_no_pattern_is_simple(fixture_tables):

@@ -76,18 +76,18 @@ def test_mdl_entropy_degenerate_columns():
     assert mdl_local_score(data, 1, 0) == pytest.approx(10.0 + penalty)
 
 
+def set_sum(table):
+    """T of a count table: the exactly rounded sum of c * log2(c) over its
+    cells, with libm's log2."""
+    return math.fsum(c * math.log2(c) for c in table.ravel().tolist() if c)
+
+
 def sequential_score(data, x, pa):
-    """Per-set reference: N*H(x|pa) summed one term at a time, marginal
-    terms then joint terms in index order, with libm's log2, plus the MDL
-    penalty."""
-    joint = counts(data, x, pa).T  # (parent config, x value)
-    npa, rx = joint.shape
-    marginal = joint.sum(axis=1)
-    nh = 0.0
-    for c in marginal[marginal > 1].tolist():
-        nh += c * math.log2(c)
-    for c in joint[joint > 1].tolist():
-        nh -= c * math.log2(c)
+    """Per-family reference: N*H(x|pa) = T(pa) - T(pa | {x}), each T taken
+    over counts(), plus the MDL penalty."""
+    joint = counts(data, x, pa)  # (x value, parent config)
+    rx, npa = joint.shape
+    nh = set_sum(joint.sum(axis=0)) - set_sum(joint)
     return nh + math.log2(data.N) / 2.0 * (rx - 1) * npa
 
 
@@ -101,17 +101,16 @@ def _ones_7957_csv(tmp_path):
 
 
 def test_scores_use_libm_log2(tmp_path):
-    # A alone, 2,043 zeros then 7,957 ones: the marginal term, then the
-    # joint terms in index order, then the penalty
+    # A alone, 2,043 zeros then 7,957 ones: T of the empty set (one cell
+    # of 10,000), less T of A's two cells, plus the penalty
     data = load_dataset(_ones_7957_csv(tmp_path))
-    nh = 10_000 * math.log2(10_000)
-    nh -= 2043 * math.log2(2043)
-    nh -= 7957 * math.log2(7957)
+    nh = 10_000 * math.log2(10_000) - math.fsum(
+        [2043 * math.log2(2043), 7957 * math.log2(7957)])
     expect = nh + math.log2(10_000) / 2.0
     assert mdl_local_score(data, 0, 0) == expect
     a = build_score_tables(data).tables[0]
     assert a.entries[0] == (expect, 0)
-    assert f"{expect:.17g}" == "7311.0956269440003"
+    assert f"{expect:.17g}" == "7311.0956269439857"
 
 
 def test_score_bytes_independent_of_numpy_dispatch(tmp_path):
@@ -124,7 +123,7 @@ def test_score_bytes_independent_of_numpy_dispatch(tmp_path):
                                "X86_V4 AVX512_ICL AVX512_SPR"})]
     assert [r.returncode for r in runs] == [0, 0], runs[1].stderr
     assert runs[0].stdout == runs[1].stdout
-    assert runs[0].stdout.splitlines()[2] == b"7311.0956269440003 0"
+    assert runs[0].stdout.splitlines()[2] == b"7311.0956269439857 0"
 
 
 @st.composite
@@ -158,13 +157,10 @@ def _assert_tables_are_pruned(scores, raw):
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(data=mixed_arity_data(), draw=st.data())
-def test_batched_scores_bit_identical(data, draw):
+def test_streamed_scores_bit_identical(data, draw):
     limit = draw.draw(st.integers(0, parent_limit(data.N)), label="limit")
-    # any batch size, so that flushes fall mid-walk as well as at its end
-    batch = draw.draw(st.integers(1, 2 * scoring.BATCH_CELLS), label="batch")
-    with mock.patch.object(scoring, "BATCH_CELLS", batch):
-        raw = streamed_scores(data, limit)
-        scores = build_score_tables(data, max_parents=limit)
+    raw = streamed_scores(data, limit)
+    scores = build_score_tables(data, max_parents=limit)
     for x in range(data.n):
         others = [y for y in range(data.n) if y != x]
         expect = {mask_of(c): sequential_score(data, x, mask_of(c))
@@ -175,21 +171,6 @@ def test_batched_scores_bit_identical(data, draw):
             assert raw[x][pa] == s, (x, bin(pa), raw[x][pa].hex(), s.hex())
             assert mdl_local_score(data, x, pa) == s, (x, bin(pa))
     _assert_tables_are_pruned(scores, raw)
-
-
-def test_streamed_tables_equal_pruning_for_every_batch_size():
-    # mixed arities give tables of 2 to 48 cells; every batch size up to
-    # past the largest moves the flushes, and with them the arrival order
-    arity = [2, 3, 2, 4]
-    rng = np.random.default_rng(12)
-    data = Dataset(list("ABCD"), arity, np.column_stack(
-        [rng.integers(0, r, size=40) for r in arity]).astype(np.int64))
-    limit = parent_limit(data.N)
-    for batch in range(1, 101):
-        with mock.patch.object(scoring, "BATCH_CELLS", batch):
-            raw = streamed_scores(data, limit)
-            scores = build_score_tables(data)
-        _assert_tables_are_pruned(scores, raw)
 
 
 def _all_scores_match(data):
@@ -451,6 +432,11 @@ def test_max_parents_zero(fixture_data):
     scores = build_score_tables(fixture_data, max_parents=0)
     for t in scores.tables:
         assert len(t) == 1 and t.entries[0][1] == 0
+
+
+def test_family_scores_negative_limit(fixture_data):
+    with pytest.raises(ValueError, match="negative parent limit"):
+        next(scoring.family_scores(fixture_data, -1))
 
 
 def test_max_parents_only_downward(fixture_data):

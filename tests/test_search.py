@@ -145,6 +145,11 @@ def test_hill_climb_single_variable():
     assert net.total_score == tables[0].entries[0][0]
 
 
+def test_hill_climb_needs_a_restart(fixture_tables):
+    with pytest.raises(ValueError, match="at least one restart"):
+        initial_upper_bound(fixture_tables, restarts=0)
+
+
 def test_hill_climb_upper_bound_property(fixture_tables):
     _, opt = dp_oracle(fixture_tables)
     for seed in range(6):
@@ -253,8 +258,11 @@ def test_astar_no_reopen_with_consistent_heuristics():
 
 def test_astar_reopens_under_dynamic_heuristic():
     # the greedy pattern cover is not consistent here: a closed node is
-    # reached again on a strictly better g, and the optimum still holds
-    tables = build_score_tables(random_dataset(9, 150, seed=18)).tables
+    # reached again on a strictly better g, and the optimum still holds.
+    # seed=18 reopened until scores became differences of exactly rounded
+    # set sums: other patterns then tie a sub-pattern exactly, 8 of its
+    # 38 stored patterns changed, and that cover no longer reopens
+    tables = build_score_tables(random_dataset(9, 150, seed=10)).tables
     _, opt = dp_oracle(tables)
     net, stats = astar(tables, DynamicHeuristic(tables, 3))
     assert stats.reopened >= 1
