@@ -22,7 +22,7 @@ from .parent_store import (DataError, ScoreSet, check_names,
                            format_score_file, is_score_file, read_score_file,
                            write_score_file)
 from .search import (DEFAULT_MEM_BUDGET, LearnedNetwork, MemoryBudgetError,
-                     SearchStats, astar, bfbnb, check_exhaustive, components,
+                     SearchStats, astar, bfbnb, check_exhaustive,
                      initial_upper_bound)
 
 # dataset, scoring and verify load numpy; they are imported inside the
@@ -223,10 +223,8 @@ def cmd_learn(args) -> int:
         net, stats = bfbnb(tables, h, initial_upper_bound(tables),
                            mem_budget=mem_budget)
     search_time = time.perf_counter() - t0
-    # A* and BFBnB search the parent graph's components one at a time
-    sizes = [C.bit_count() for C in components(tables)]
     print(f"# pdb build {pdb_time:.3f}s, search {search_time:.3f}s, "
-          f"components {sizes}", file=sys.stderr)
+          f"components {stats.component_sizes}", file=sys.stderr)
 
     config = {"algorithm": args.algorithm, "heuristic": args.heuristic,
               "k": k, "groups": groups, "parent_limit": limit}

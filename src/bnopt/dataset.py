@@ -105,13 +105,13 @@ def load_delimited(
     with its 1-based record number, a header that names a column twice
     with the name, bytes that are not text with the path, and a field the
     csv reader refuses with the path and line. A leading UTF-8 byte-order
-    mark is skipped. Each distinct record is stripped and missing-tested
-    once.
+    mark, and every line that is empty or holds one all-whitespace field,
+    are skipped. Each distinct record is stripped and missing-tested once.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.reader(f, delimiter=delimiter)
-            records = filter(None, reader)  # ignore fully blank lines
+            records = (r for r in reader if len(r) > 1 or r and r[0].strip())
             try:
                 return _tabulate(path, records, missing_tokens, header)
             except (DataError, csv.Error) as e:

@@ -244,9 +244,7 @@ class StaticHeuristic:
     parents; a query is one lookup per group."""
 
     def __init__(self, tables: Sequence[ScoreTable], grouping: Sequence[int]):
-        n = tables[0].n
-        self.n = n
-        self.groups = list(_check_grouping(grouping, n))
+        self.groups = list(_check_grouping(grouping, tables[0].n))
         # one pattern-cost sweep per group over its full subset lattice
         self.costs = [pattern_costs(tables, g, g.bit_count())
                       for g in self.groups]

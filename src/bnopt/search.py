@@ -78,7 +78,8 @@ class SearchStats:
     it. forced_skipped counts the successors the forced-arc rule left out.
     A solve that searches the components one at a time sums
     nodes_expanded, nodes_generated, reopened and forced_skipped over them;
-    peak_open_size is the largest open list or layer of any component.
+    peak_open_size is the largest open list or layer of any component, and
+    component_sizes lists each component's variable count as it starts.
     """
 
     def __init__(self, nodes_generated: int = 0):
@@ -87,6 +88,7 @@ class SearchStats:
         self.reopened = 0
         self.peak_open_size = 0
         self.forced_skipped = 0
+        self.component_sizes: list[int] = []
 
 
 class LearnedNetwork:
@@ -221,6 +223,7 @@ def astar(
     order: list[int] = []
     U, g = 0, 0.0
     for C in components(tables):
+        stats.component_sizes.append(C.bit_count())
         later ^= C
         start, goal = U, U | C
         g_best = {start: g}
@@ -290,6 +293,7 @@ def bfbnb(
     parents = [P for _, P in chosen]
     E = 0
     for C in components(tables):
+        stats.component_sizes.append(C.bit_count())
         goal = E | C
         later = full ^ goal
         bound = ordered_sum(scores[x] for x in bits(C))
@@ -349,9 +353,9 @@ def _ordering_scores(tables, perm) -> list[float]:
 def initial_upper_bound(
     tables: Sequence[ScoreTable], seed: int = 0, restarts: int = 8,
 ) -> LearnedNetwork:
-    """Ordering-based hill climbing: first-improvement sweeps over adjacent
-    transpositions, restarting from fresh seeded shuffles. The defaults are
-    BFBnB's incumbent under `learn`; other values only vary the incumbent."""
+    """Hill climbing by adjacent transpositions of seeded shuffled orders;
+    a swap at position i > 0 changes only the pair ending there, so that is
+    tested next. The defaults give `learn`'s BFBnB incumbent."""
     if restarts < 1:
         raise ValueError("need at least one restart")
     n = tables[0].n
@@ -362,20 +366,20 @@ def initial_upper_bound(
         perm = list(range(n))
         rng.shuffle(perm)
         scores = _ordering_scores(tables, perm)
-        improved = True
-        while improved:
-            improved = False
-            prefix = 0
-            for i in range(n - 1):
-                a, b = perm[i], perm[i + 1]
-                nb = best_in(tables[b], prefix)[0]
-                na = best_in(tables[a], prefix | 1 << b)[0]
-                if nb + na < scores[i] + scores[i + 1]:
-                    perm[i], perm[i + 1] = b, a
-                    scores[i], scores[i + 1] = nb, na
-                    improved = True
-                    break
-                prefix |= 1 << a
+        i, prefix = 0, 0  # prefix: the variables before position i
+        while i < n - 1:
+            a, b = perm[i], perm[i + 1]
+            nb = best_in(tables[b], prefix)[0]
+            na = best_in(tables[a], prefix | 1 << b)[0]
+            if nb + na < scores[i] + scores[i + 1]:
+                perm[i], perm[i + 1] = b, a
+                scores[i], scores[i + 1] = nb, na
+                if i > 0:  # pairs before i - 1 are as they failed
+                    i -= 1
+                    prefix ^= 1 << perm[i]
+                    continue
+            prefix |= 1 << perm[i]
+            i += 1
         total = ordered_sum(scores)  # in addition order
         if total < best_total:
             best_total = total

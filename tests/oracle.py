@@ -4,12 +4,13 @@ Everything here is written from first principles with plain dicts and
 loops so it shares no code path with the package: per-cell CSV ingest,
 entropy-based local scores, parent-set pruning, brute-force best-score
 queries, the one-pass greedy dynamic-PDB cover, subset-lattice shortest
-paths and full DAG enumeration.
+paths, full DAG enumeration and restart-from-0 ordering hill climbing.
 """
 
 import csv
 import itertools
 import math
+import random
 from fractions import Fraction
 
 
@@ -26,7 +27,9 @@ def ingest(path, missing=("?", ""), header=True):
 
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
-            records = [r for r in csv.reader(f) if r]
+            # a line that is empty or one all-whitespace cell is blank
+            records = [r for r in csv.reader(f)
+                       if len(r) > 1 or r and r[0].strip()]
     except UnicodeDecodeError as e:
         fail(f"not utf-8 text ({e.reason})")
     if not records:
@@ -214,6 +217,58 @@ def fitting_minimum(entries, cands):
     """Order-independent BestScore: the least (score, parent mask) over
     every entry whose parents all lie inside the candidate mask."""
     return min((s, pa) for s, pa in entries if pa & ~cands == 0)
+
+
+def first_fit(entries, cands):
+    """BestScore as a table lists it: the first (score, parent mask) entry
+    whose parents all lie inside the candidate mask."""
+    return next((s, pa) for s, pa in entries if pa & ~cands == 0)
+
+
+def hill_climb_restart(entries_per_var, seed, restarts):
+    """(parents, total) of ordering hill climbing that rescans every order
+    from position 0 after each improving adjacent swap, until a full scan
+    finds none. Each restart shuffles range(n) with one seeded
+    random.Random; the best order (by its scores added in order, the first
+    of equal ones) gives each variable its first fitting entry among the
+    variables before it, and the total adds those in variable order."""
+    n = len(entries_per_var)
+    rng = random.Random(seed)
+
+    def scores_of(perm):
+        out, before = [], 0
+        for x in perm:
+            out.append(first_fit(entries_per_var[x], before)[0])
+            before |= 1 << x
+        return out
+
+    best_perm, best_total = None, math.inf
+    for _ in range(restarts):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        scores = scores_of(perm)
+        swapped = True
+        while swapped:
+            swapped = False
+            for i in range(n - 1):
+                trial = perm[:i] + [perm[i + 1], perm[i]] + perm[i + 2:]
+                new = scores_of(trial)
+                if new[i] + new[i + 1] < scores[i] + scores[i + 1]:
+                    perm, scores, swapped = trial, new, True
+                    break
+        total = 0.0
+        for s in scores:
+            total += s
+        if total < best_total:
+            best_perm, best_total = perm, total
+    parents, chosen, before = [0] * n, [0.0] * n, 0
+    for x in best_perm:
+        chosen[x], parents[x] = first_fit(entries_per_var[x], before)
+        before |= 1 << x
+    total = 0.0
+    for s in chosen:
+        total += s
+    return parents, total
 
 
 def greedy_order(diffs):

@@ -365,10 +365,11 @@ def test_header_only_csv_has_no_records(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["score", "learn", "verify"])
-@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+@pytest.mark.parametrize("text", ["", "\n\n", "  \n\t\n"],
+                         ids=["empty", "blank", "whitespace"])
 def test_empty_file_has_no_records(tmp_path, capsys, command, text):
-    # no line at all, or only blank ones: no score-file header, and no
-    # header row either
+    # no line at all, or only blank or whitespace ones: no score-file
+    # header, and no header row either
     csv = tmp_path / "empty.csv"
     csv.write_text(text)
     assert main([command, str(csv)]) == EXIT_INPUT
@@ -1128,6 +1129,7 @@ def test_bfbnb_static_report_matches_library_setup(capsys):
     tables = scores.tables
     h = StaticHeuristic(tables, parse_grouping("auto", scores.n))
     net, stats = bfbnb(tables, h, initial_upper_bound(tables))
+    assert stats.component_sizes == [1, 12, 1]
     names = scores.names
     assert report["parents"] == {names[x]: [names[y] for y in bits(P)]
                                  for x, P in enumerate(net.parents)}

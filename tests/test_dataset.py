@@ -49,6 +49,26 @@ def test_ragged_row_names_record(tmp_path):
         load_delimited(p)
 
 
+def test_whitespace_only_file_has_no_records(tmp_path):
+    p = write(tmp_path, "  \n\t\n")
+    with pytest.raises(DataError) as e:
+        load_dataset(p)
+    assert str(e.value) == f"{p}: no records"
+
+
+def test_whitespace_lines_are_blank(tmp_path):
+    # skipped before the header and between records, as in a score file;
+    # row numbers count records, not lines
+    p = write(tmp_path, " \n\ta,b\n1,x\n  \t \n2,y\n \n")
+    raw = load_delimited(p)
+    assert raw.column_names == ["a", "b"]
+    assert raw.records == [["1", "x"], ["2", "y"]]
+    data = load_dataset(p)
+    assert (data.names, data.arity, data.rows.tolist()) == oracle.ingest(p)
+    with pytest.raises(DataError, match="row 3 has 1 cells"):
+        load_delimited(write(tmp_path, "a,b\n1,x\n \n2\n"))
+
+
 def test_duplicate_header_name_rejected(tmp_path):
     p = write(tmp_path, "A, B ,A\n1,2,3\n")
     with pytest.raises(DataError, match="header names column 'A' twice"):

@@ -194,6 +194,40 @@ def test_hill_climb_counts_one_exclusion_per_ruled_out_variable(monkeypatch):
     assert net.total_score == 24254.714830145604
 
 
+# ties among small values, besides other finite scores
+TABLE_SCORES = st.sampled_from([0.0, 1.0, 1.5, 2.0]) | st.floats(-50.0, 50.0)
+
+
+@st.composite
+def random_tables(draw):
+    """Tables of 2-9 variables; each holds the empty set and up to six
+    other masks over the other variables, in any order, with ascending
+    scores."""
+    n = draw(st.integers(2, 9), label="n")
+    tables = []
+    for x in range(n):
+        drawn = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=6))
+        masks = list(dict.fromkeys([0] + [m & ~(1 << x) for m in drawn]))
+        masks = draw(st.permutations(masks))
+        scores = sorted(draw(st.lists(TABLE_SCORES, min_size=len(masks),
+                                      max_size=len(masks))))
+        tables.append(ScoreTable(x, n, list(zip(scores, masks))))
+    return tables
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(tables=random_tables(), seed=st.integers(0, 2 ** 16),
+       restarts=st.integers(1, 3))
+def test_hill_climb_matches_restart_from_zero_sweep(tables, seed, restarts):
+    # re-testing only the pair a swap changed makes the same swaps as
+    # rescanning each order from position 0 after every swap
+    parents, total = oracle.hill_climb_restart(
+        [t.entries for t in tables], seed, restarts)
+    net = initial_upper_bound(tables, seed=seed, restarts=restarts)
+    assert net.parents == parents
+    assert net.total_score.hex() == total.hex()
+
+
 def test_hill_climb_deterministic(fixture_tables):
     a = initial_upper_bound(fixture_tables, seed=7, restarts=3)
     b = initial_upper_bound(fixture_tables, seed=7, restarts=3)
@@ -540,6 +574,7 @@ def test_budget_stats_sum_over_components():
         astar(tables, SimpleHeuristic(tables), mem_budget=700)
     stats = exc.value.stats
     assert (stats.nodes_expanded, stats.nodes_generated) == (3 + 1, 1 + 3 + 2)
+    assert stats.component_sizes == [1, 1, 1, 2]
     net, stats = astar(tables, SimpleHeuristic(tables))
     assert (stats.nodes_expanded, stats.nodes_generated) == (3 + 2, 1 + 3 + 3)
     assert net.total_score == 6.0
@@ -553,4 +588,5 @@ def test_astar_holds_one_component_at_a_time():
     assert components(tables) == [1 << x for x in range(8)]
     net, stats = astar(tables, SimpleHeuristic(tables), mem_budget=1500)
     assert (stats.nodes_expanded, stats.nodes_generated) == (8, 9)
+    assert stats.component_sizes == [1] * 8
     assert net.parents == [0] * 8 and net.total_score == 8.0
