@@ -10,8 +10,7 @@ U to the goal:
 * DynamicHeuristic -- exact goal distances for all nodes in the last k
                       layers, stored as patterns keyed by the
                       remaining-variable set and combined greedily per
-                      query by differential cost, through one bit vector
-                      of pattern hits per variable.
+                      query by differential cost, in one pass over them.
 * StaticHeuristic  -- a fixed partition of the variables; per group the
                       exact cost of every in-group pattern (keyed by its
                       mask) with out-of-group variables always available,
@@ -117,18 +116,13 @@ class DynamicHeuristic:
     differentials may differ in the last bits (singletons all have
     differential zero and live implicitly in h0). order holds (pattern,
     differential) sorted by descending differential (ties: smaller pattern,
-    then ascending bitmask) for the greedy cover. The greedy cover need not
+    then ascending bitmask) for the one-pass greedy cover, which need not
     be consistent, so A* may reopen nodes under it.
-
-    Bit vectors index the cover: bit i of _hits[y] is set iff pattern i of
-    order contains y, so the patterns that fit the unsearched set are the
-    bits left after clearing _hits[y] for every y already searched.
     """
 
     def __init__(self, tables: Sequence[ScoreTable], k: int):
         n = tables[0].n
         check_pattern_cap(k, n, least=1)
-        self.n = n
         self.h0 = [t.entries[0][0] for t in tables]
         diffs: dict[int, float] = {}
         self.patterns: dict[int, tuple[float, float]] = {}
@@ -144,34 +138,22 @@ class DynamicHeuristic:
             self.patterns.items(),
             key=lambda it: (-it[1][1], it[0].bit_count(), it[0]))]
         self.size = n + len(self.patterns)
-        self._hits = [0] * n
-        for i, (P, _) in enumerate(self.order):
-            for y in bits(P):
-                self._hits[y] |= 1 << i
-        self._cover = [(diff, tuple(bits(P))) for P, diff in self.order]
-        self._all = (1 << len(self.order)) - 1
+        self._singles = [(1 << x, h) for x, h in enumerate(self.h0)]
 
     def value(self, U: int) -> float:
         """Singletons for the unsearched set, added in ascending variable
-        order, plus a greedy cover of it by stored patterns, best
-        differential first.
-
-        The fitting patterns only shrink as the cover grows, so taking the
-        lowest fitting bit each time picks what one pass over order would.
-        """
-        h0, hits = self.h0, self._hits
+        order, plus a greedy cover of it by stored patterns: one pass over
+        order, best differential first, takes each pattern disjoint from
+        U and from the patterns already taken."""
         value = 0.0
-        fit = self._all
-        for y in range(self.n):
-            if U >> y & 1:
-                fit &= ~hits[y]
-            else:
-                value += h0[y]
-        while fit:
-            diff, members = self._cover[(fit & -fit).bit_length() - 1]
-            value += diff
-            for y in members:
-                fit &= ~hits[y]
+        for bit, h in self._singles:
+            if not U & bit:
+                value += h
+        covered = U
+        for P, diff in self.order:
+            if not P & covered:
+                covered |= P
+                value += diff
         return value
 
 

@@ -1094,13 +1094,17 @@ def test_cli_byte_identical_runs():
 # the setups of tests/data/one_scc10.reports, written by `bnopt learn` on
 # synth.random_dataset(10, 200, seed=18) before A* and BFBnB split the
 # search by component, and written again when each family's score became
-# the difference of two exactly rounded set sums
+# the difference of two exactly rounded set sums; the last two sections
+# (the dynamic PDB at k = 4 under A*, at k = 3 under BFBnB) were written
+# while the greedy cover still ran through a bit-vector index
 ONE_SCC_SETUPS = [
     ["--algorithm", "astar", "--heuristic", "simple"],
     ["--algorithm", "astar", "--heuristic", "dynamic", "--k", "3"],
     ["--algorithm", "astar", "--heuristic", "static"],
     ["--algorithm", "bfbnb", "--heuristic", "simple"],
     ["--algorithm", "bfbnb", "--heuristic", "static"],
+    ["--algorithm", "astar", "--heuristic", "dynamic", "--k", "4"],
+    ["--algorithm", "bfbnb", "--heuristic", "dynamic", "--k", "3"],
 ]
 
 

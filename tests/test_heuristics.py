@@ -152,21 +152,27 @@ def test_greedy_start_node_golden(fixture_tables):
 
 
 def test_greedy_cover_bit_identical_to_one_pass(random_score_sets):
-    # the bit-vector cover picks the patterns a pass over order picks, in
-    # the same order, so every value is the same float
-    sets = [read_score_file(DATA_DIR / "fixture4.scores"), *random_score_sets]
-    for scores in sets:
+    # value's cover takes the patterns the oracle's pass over order takes,
+    # in the same order, so every value is the same float; gen14 stores 38
+    # patterns at k = 3 (the benchmark's shape) and 106 at k = 4
+    fixture = read_score_file(DATA_DIR / "fixture4.scores")
+    cases = [(s, sorted({2, 3, s.n})) for s in [fixture, *random_score_sets]]
+    cases.append((read_score_file(DATA_DIR / "gen14.scores"), [3, 4]))
+    stored = []
+    for scores, ks in cases:
         tables = scores.tables
         n = scores.n
-        for k in sorted({2, 3, n}):
+        for k in ks:
             h = DynamicHeuristic(tables, k)
             order = oracle.greedy_order(
                 {P: diff for P, (_, diff) in h.patterns.items()})
             assert h.order == order
             assert h.size == n + len(h.patterns)
+            stored.append(len(h.patterns))
             for U in range(1 << n):
                 assert repr(h.value(U)) == repr(
                     oracle.greedy_cover(order, h.h0, U)), (n, k, U)
+    assert stored[-2:] == [38, 106]
 
 
 def test_greedy_order_fixture_golden():
