@@ -21,12 +21,11 @@ _MODULES = {
                      "format_score_file", "read_score_file",
                      "write_score_file"),
     "heuristics": ("DynamicHeuristic", "SimpleHeuristic", "StaticHeuristic",
-                   "default_grouping", "parse_grouping",
-                   "pattern_cost_exact"),
+                   "default_grouping", "parse_grouping"),
     "search": ("LearnedNetwork", "MemoryBudgetError", "SearchStats", "astar",
-               "bfbnb", "dp_oracle", "exact_distances_to_goal",
-               "initial_upper_bound", "reconstruct"),
+               "bfbnb", "initial_upper_bound", "reconstruct"),
     "synth": ("prefix_dataset", "random_dataset"),
+    "verify": ("dp_oracle", "exact_distances_to_goal", "pattern_cost_exact"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items()
               for name in names}

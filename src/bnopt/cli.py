@@ -22,11 +22,10 @@ from .parent_store import (DataError, ScoreSet, check_names,
                            format_score_file, is_score_file, read_score_file,
                            write_score_file)
 from .search import (DEFAULT_MEM_BUDGET, LearnedNetwork, MemoryBudgetError,
-                     SearchStats, astar, bfbnb, check_exhaustive,
-                     initial_upper_bound)
+                     SearchStats, astar, bfbnb, initial_upper_bound)
 
-# dataset, scoring and verify load numpy; they are imported inside the
-# branches that read a data file, so a score-file learn run never loads them
+# dataset and scoring load numpy, verify the exhaustive references; each is
+# imported where it is needed, so a score-file learn run loads none of them
 if TYPE_CHECKING:
     from .dataset import Dataset
 
@@ -240,7 +239,7 @@ def cmd_learn(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_all
+    from .verify import check_exhaustive, run_all
 
     if args.max_n < 1:
         raise UsageError(f"--max-n {args.max_n}: need at least 1")

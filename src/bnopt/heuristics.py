@@ -16,8 +16,8 @@ U to the goal:
                       mask) with out-of-group variables always available,
                       so a query is one lookup per group.
 
-Both PDBs, and the exact goal distances, come from one backward sweep,
-pattern_costs.
+Both PDBs, and verify's exact goal distances, come from one backward
+sweep, pattern_costs.
 """
 
 from __future__ import annotations
@@ -38,32 +38,6 @@ GROUP_CAP = 25
 # for a static group's table (a dict slot, an int key, a float) and
 # 135-208 B for the dynamic PDB, which also holds every differential
 PDB_ENTRY_BYTES = 220
-
-
-def pattern_cost_exact(P: int, tables: Sequence[ScoreTable]) -> float:
-    """Exact cost of a pattern: shortest distance from the node V\\P to the
-    goal, by dynamic programming over the 2^|P| sub-lattice above V\\P.
-
-    Reference implementation; pattern_costs below must agree with it.
-    """
-    if P == 0:
-        raise ValueError("empty pattern")
-    n = tables[0].n
-    base = full_mask(n) & ~P
-    dist = {0: 0.0}
-    members = list(bits(P))
-    for size in range(len(members)):
-        for combo in combinations(members, size):
-            S = mask_of(combo)
-            d = dist[S]
-            for x in members:
-                if S >> x & 1:
-                    continue
-                nd = d + best_in(tables[x], base | S)[0]
-                child = S | 1 << x
-                if child not in dist or nd < dist[child]:
-                    dist[child] = nd
-    return dist[P]
 
 
 def pattern_costs(

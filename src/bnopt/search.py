@@ -27,8 +27,8 @@ widens the other variables' candidate pools, so goal distances, and with
 them admissibility, consistency and the optimum, are unchanged (Yuan &
 Malone, JAIR 2013; Yuan, Malone & Wu, IJCAI 2011). Where several networks
 tie at the optimum, the one returned can differ from an unpruned search's.
-Both are exact; dp_oracle and exact_distances_to_goal are the unsplit,
-unpruned brute-force references.
+Both are exact; the unsplit, unpruned brute-force references live in
+verify.
 """
 
 from __future__ import annotations
@@ -36,15 +36,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from array import array
 from typing import Sequence
 
 from .bitset import bits, full_mask
-from .heuristics import pattern_costs
 from .parent_store import (G_EPS, ScoreTable, best_in, cursor_exclude,
                            ordered_sum)
-
-DP_MAX_VARS = 20
 
 # crude per-node bookkeeping estimate (heap tuple + dict slots) used for the
 # memory budget; the tracemalloc peak of a search per node it counts was
@@ -61,13 +57,6 @@ DEFAULT_MEM_BUDGET = 4 << 30
 # the G_EPS band counts as a tie.
 def _improves(gc: float, old: float) -> bool:
     return gc < old - G_EPS * max(1.0, abs(old))
-
-
-def check_exhaustive(n: int) -> None:
-    """Raise ValueError when n exceeds DP_MAX_VARS (read at each call)."""
-    if n > DP_MAX_VARS:
-        raise ValueError(f"{n} variables exceed the exhaustive limit "
-                         f"{DP_MAX_VARS}")
 
 
 class SearchStats:
@@ -274,23 +263,30 @@ def bfbnb(
     """Layered breadth-first sweep with bound pruning, one component of
     the parent graph at a time.
 
-    The incumbent (usually from initial_upper_bound) restricted to a
-    component C is feasible there, so its score over C's variables bounds
-    C's sweep: a generated node is dropped when g + h >= that score, and C
-    keeps the incumbent's parent sets unless its goal is reached strictly
-    below it. Each kept set P is read back as best_in(table, P), P itself
-    when reconstruct built the incumbent, and the total is summed in
-    variable order as reconstruct sums it, so a network no component
-    beats has the incumbent's parents and total.
+    The incumbent (usually from initial_upper_bound) must be acyclic, with
+    one parent set per variable, else ValueError. Restricted to a
+    component C it is feasible there, so its score over C's variables
+    bounds C's sweep: a generated node is dropped when g + h >= that
+    score, and C keeps the incumbent's parent sets unless its goal is
+    reached strictly below it. Each kept set P is read back as
+    best_in(table, P), P itself when reconstruct built the incumbent, and
+    the total is summed in variable order as reconstruct sums it, so a
+    network no component beats has the incumbent's parents and total.
     """
     full = full_mask(tables[0].n)
     stats = SearchStats()
     best = [t.entries[0][1] for t in tables]
-    # one incumbent parent set per variable, else ValueError
     chosen = [best_in(t, P)
               for t, P in zip(tables, incumbent.parents, strict=True)]
     scores = [s for s, _ in chosen]
     parents = [P for _, P in chosen]
+    placed = 0  # Kahn's peel of the read-back sets stalls on a cycle
+    while placed != full:
+        ready = sum(1 << x for x in bits(full & ~placed)
+                    if parents[x] & ~placed == 0)
+        if not ready:
+            raise ValueError("incumbent parent sets form a directed cycle")
+        placed |= ready
     E = 0
     for C in components(tables):
         stats.component_sizes.append(C.bit_count())
@@ -385,35 +381,3 @@ def initial_upper_bound(
             best_total = total
             best_perm = list(perm)
     return reconstruct(tables, best_perm)
-
-
-def dp_oracle(tables: Sequence[ScoreTable]) -> tuple[LearnedNetwork, float]:
-    """Forward dynamic programming over all 2^n nodes; exact optimum."""
-    n = tables[0].n
-    check_exhaustive(n)
-    size = 1 << n
-    dist = array("d", [math.inf]) * size
-    dist[0] = 0.0
-    predv = array("b", [-1]) * size
-    for U in range(size):
-        d = dist[U]
-        for x in bits((size - 1) & ~U):
-            nd = d + best_in(tables[x], U)[0]
-            child = U | 1 << x
-            if nd < dist[child]:
-                dist[child] = nd
-                predv[child] = x
-    opt = dist[size - 1]
-    net = reconstruct(tables, _order_from_preds(predv.__getitem__, size - 1),
-                      opt)
-    return net, opt
-
-
-def exact_distances_to_goal(tables: Sequence[ScoreTable]) -> list[float]:
-    """Backward DP; entry [U] is the shortest distance from node U to the
-    goal (indexed by bitmask), i.e. the cost of the pattern V\\U."""
-    n = tables[0].n
-    check_exhaustive(n)
-    full = full_mask(n)
-    cost = pattern_costs(tables, full, n)
-    return [cost[full ^ U] for U in range(1 << n)]

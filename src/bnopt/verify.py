@@ -1,28 +1,96 @@
-"""Exhaustive invariant checks at small n, used by the verify command.
+"""Exhaustive references and the checks built on them.
 
-Every check walks the complete order graph or candidate-set lattice, so
-callers must keep n within the guard. Checks report human-readable
-violations with a concrete counterexample instead of raising.
+dp_oracle and exact_distances_to_goal walk all 2^n nodes and refuse n
+above DP_MAX_VARS; the checks walk as many, so callers keep n within it.
+Checks report violations with a concrete counterexample instead of raising.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
-from typing import TYPE_CHECKING
+from itertools import combinations
+from typing import TYPE_CHECKING, Sequence
 
-from .bitset import bits, format_set, full_mask
+from .bitset import bits, format_set, full_mask, mask_of
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
-                         default_grouping, pattern_cost_exact)
-from .parent_store import ScoreSet, best_in
-from .search import exact_distances_to_goal
+                         default_grouping, pattern_costs)
+from .parent_store import ScoreSet, ScoreTable, best_in
+from .search import LearnedNetwork, _order_from_preds, reconstruct
 
 # dataset and scoring load numpy; only a data-file check imports them, so
 # verifying a score file never loads numpy
 if TYPE_CHECKING:
     from .dataset import Dataset
 
+DP_MAX_VARS = 20
 TOL = 1e-9
 DYNAMIC_K = (2, 3)
+
+
+def check_exhaustive(n: int) -> None:
+    """Raise ValueError when n exceeds DP_MAX_VARS (read at each call)."""
+    if n > DP_MAX_VARS:
+        raise ValueError(f"{n} variables exceed the exhaustive limit "
+                         f"{DP_MAX_VARS}")
+
+
+def dp_oracle(tables: Sequence[ScoreTable]) -> tuple[LearnedNetwork, float]:
+    """Forward dynamic programming over all 2^n nodes; exact optimum."""
+    n = tables[0].n
+    check_exhaustive(n)
+    size = 1 << n
+    dist = array("d", [math.inf]) * size
+    dist[0] = 0.0
+    predv = array("b", [-1]) * size
+    for U in range(size):
+        d = dist[U]
+        for x in bits((size - 1) & ~U):
+            nd = d + best_in(tables[x], U)[0]
+            child = U | 1 << x
+            if nd < dist[child]:
+                dist[child] = nd
+                predv[child] = x
+    opt = dist[size - 1]
+    net = reconstruct(tables, _order_from_preds(predv.__getitem__, size - 1),
+                      opt)
+    return net, opt
+
+
+def exact_distances_to_goal(tables: Sequence[ScoreTable]) -> list[float]:
+    """Backward DP; entry [U] is the shortest distance from node U to the
+    goal (indexed by bitmask), i.e. the cost of the pattern V\\U."""
+    n = tables[0].n
+    check_exhaustive(n)
+    full = full_mask(n)
+    cost = pattern_costs(tables, full, n)
+    return [cost[full ^ U] for U in range(1 << n)]
+
+
+def pattern_cost_exact(P: int, tables: Sequence[ScoreTable]) -> float:
+    """Exact cost of a pattern: shortest distance from the node V\\P to the
+    goal, by dynamic programming over the 2^|P| sub-lattice above V\\P.
+
+    Reference implementation; heuristics.pattern_costs must agree with it.
+    """
+    if P == 0:
+        raise ValueError("empty pattern")
+    n = tables[0].n
+    base = full_mask(n) & ~P
+    dist = {0: 0.0}
+    members = list(bits(P))
+    for size in range(len(members)):
+        for combo in combinations(members, size):
+            S = mask_of(combo)
+            d = dist[S]
+            for x in members:
+                if S >> x & 1:
+                    continue
+                nd = d + best_in(tables[x], base | S)[0]
+                child = S | 1 << x
+                if child not in dist or nd < dist[child]:
+                    dist[child] = nd
+    return dist[P]
 
 
 def check_table_shape(scores: ScoreSet) -> list[str]:

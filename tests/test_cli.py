@@ -244,7 +244,8 @@ def test_verify_fails_table_shape(tmp_path, capsys):
 
 
 def test_verify_fails_first_hit_not_minimal(capsys, monkeypatch):
-    # best_in answers the last fitting entry instead of the first
+    # best_in answers the last fitting entry instead of the first; the
+    # exact pattern costs read verify's best_in too, so they come out high
     from bnopt import verify
 
     def last_fit(t, cands):
@@ -262,7 +263,14 @@ def test_verify_fails_first_hit_not_minimal(capsys, monkeypatch):
     assert out[19] == ("  best-score: first hit (9.5, 0) is not a "
                        "fitting list minimum 9.490224995673064 at variable "
                        "C, candidates {A,B,D}")
-    assert out[20:] == ["PASS heuristics"]
+    assert out[20:] == [
+        "FAIL heuristics (3 violation(s))",
+        "  pattern cost: dynamic k=2 stores 12.490224995673064 for {A,B}, "
+        "exact 19.0",
+        "  pattern cost: dynamic k=3 stores 12.490224995673064 for {A,B}, "
+        "exact 19.0",
+        "  pattern cost: dynamic k=3 stores 21.990224995673064 for {A,B,C}, "
+        "exact 28.5"]
 
 
 def test_verify_fails_rescoring(capsys, monkeypatch):
@@ -316,9 +324,10 @@ def test_verify_fails_dominance_and_consistency(capsys, monkeypatch):
 
 
 def test_verify_fails_pattern_cost(capsys, monkeypatch):
-    from bnopt import heuristics, verify
+    from bnopt import verify
+    real = verify.pattern_cost_exact
     monkeypatch.setattr(verify, "pattern_cost_exact",
-                        lambda P, t: heuristics.pattern_cost_exact(P, t) + 0.5)
+                        lambda P, t: real(P, t) + 0.5)
     assert _verify_out(capsys, GOLDEN_SCORES) == (EXIT_VERIFY, [
         "PASS table shape",
         "PASS best score",
@@ -875,8 +884,8 @@ def test_learn_past_64_variables(tmp_path, capsys, algorithm):
                          ids=["csv", "scores"])
 def test_verify_limit_checked_before_any_check(capsys, monkeypatch, path):
     # a higher --max-n does not lift the limit of the exhaustive sweeps
-    from bnopt import scoring, search, verify
-    monkeypatch.setattr(search, "DP_MAX_VARS", 3)
+    from bnopt import scoring, verify
+    monkeypatch.setattr(verify, "DP_MAX_VARS", 3)
     monkeypatch.setattr(scoring, "build_score_tables",
                         lambda *a, **kw: pytest.fail("scored a refused file"))
     monkeypatch.setattr(verify, "run_all",

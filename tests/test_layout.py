@@ -74,9 +74,10 @@ SCORE_FILE_RUNS = {
 }
 
 # runs bnopt the way `python -m bnopt` does, or only imports it when given
-# no arguments, then names on the last stderr line the numpy-backed modules
-# and the slow-to-import stdlib modules (dataclasses pulls in inspect) it
-# newly loaded; what site preloads does not count
+# no arguments, then names on the last stderr line the numpy-backed modules,
+# the exhaustive references with the array module they use, and the
+# slow-to-import stdlib modules (dataclasses pulls in inspect) it newly
+# loaded; what site preloads does not count
 CHILD = """\
 import runpy, sys
 before = set(sys.modules)
@@ -87,7 +88,8 @@ try:
         import bnopt
 finally:
     print(" ".join(m for m in ("numpy", "bnopt.dataset", "bnopt.scoring",
-                               "bnopt.synth", "dataclasses", "inspect")
+                               "bnopt.synth", "bnopt.verify", "array",
+                               "dataclasses", "inspect")
                    if m in sys.modules and m not in before),
           file=sys.stderr)
 """
@@ -117,9 +119,23 @@ def test_score_file_learn_loads_no_numpy(capsys, flags):
 def test_score_file_verify_loads_no_numpy(capsys):
     argv = ["verify", str(DATA_DIR / "fixture4.scores")]
     report, loaded = _child(argv)
-    assert loaded == []
+    assert loaded == ["bnopt.verify", "array"]
     assert main(argv) == EXIT_OK
     assert report == capsys.readouterr().out
+
+
+def test_search_imports_nothing_from_heuristics():
+    # a search takes any bound with a value method; the exhaustive
+    # references, which read the heuristics' sweep, live in verify
+    tree = ast.parse((Path(bnopt.__file__).parent / "search.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported |= {a.name for a in node.names}
+    assert not imported & {"heuristics", "array"}
 
 
 def test_public_names_resolve():

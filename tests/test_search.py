@@ -90,18 +90,18 @@ def test_dp_oracle_single_variable():
 
 
 def test_dp_oracle_guard(fixture_tables):
-    import bnopt.search as search
+    import bnopt.verify as verify
     data = random_dataset(4, 20, seed=1)
     tables = build_score_tables(data).tables
-    old = search.DP_MAX_VARS
-    search.DP_MAX_VARS = 3
+    old = verify.DP_MAX_VARS
+    verify.DP_MAX_VARS = 3
     try:
         with pytest.raises(ValueError):
             dp_oracle(tables)
         with pytest.raises(ValueError):
             exact_distances_to_goal(tables)
     finally:
-        search.DP_MAX_VARS = old
+        verify.DP_MAX_VARS = old
 
 
 def test_exact_distances(fixture_tables):
@@ -559,6 +559,17 @@ def test_bfbnb_refuses_incumbent_of_wrong_length(n_parents):
     with pytest.raises(ValueError):
         bfbnb(tables, SimpleHeuristic(tables),
               LearnedNetwork([0] * n_parents, 0.0))
+
+
+def test_bfbnb_refuses_cyclic_incumbent():
+    # each variable takes the other as parent: a directed cycle whose
+    # total 2.0 lies below the optimum 6.0, so it is no network to keep
+    tables = [ScoreTable(0, 2, [(1.0, 0b10), (5.0, 0)]),
+              ScoreTable(1, 2, [(1.0, 0b01), (5.0, 0)])]
+    with pytest.raises(ValueError, match="directed cycle"):
+        bfbnb(tables, SimpleHeuristic(tables),
+              LearnedNetwork([0b10, 0b01], 2.0))
+    assert dp_oracle(tables)[1] == 6.0
 
 
 def test_budget_stats_sum_over_components():
