@@ -24,7 +24,7 @@ _MODULES = {
                    "default_grouping", "parse_grouping"),
     "search": ("LearnedNetwork", "MemoryBudgetError", "SearchStats", "astar",
                "bfbnb", "initial_upper_bound", "reconstruct"),
-    "synth": ("prefix_dataset", "random_dataset"),
+    "synth": ("random_dataset",),
     "verify": ("dp_oracle", "exact_distances_to_goal", "pattern_cost_exact"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items()

@@ -17,7 +17,7 @@ U to the goal:
                       so a query is one lookup per group.
 
 Both PDBs, and verify's exact goal distances, come from one backward
-sweep, pattern_costs.
+sweep, pattern_costs; verify checks both PDBs' costs within tie_band.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .bitset import bits, full_mask, mask_of
-from .parent_store import G_EPS, ScoreTable, best_in, ordered_sum
+from .parent_store import ScoreTable, best_in, ordered_sum, tie_band
 
 # largest static group: its table holds 2^size entries; a dynamic PDB may
 # price no more patterns than that
@@ -85,13 +85,13 @@ class DynamicHeuristic:
 
     patterns maps each stored pattern to (exact cost, differential); a
     pattern is stored only when its differential is positive and differs
-    from every immediate sub-pattern's by more than the tie band G_EPS
-    relative to its cost, since differently ordered sums of tied
-    differentials may differ in the last bits (singletons all have
-    differential zero and live implicitly in h0). order holds (pattern,
-    differential) sorted by descending differential (ties: smaller pattern,
-    then ascending bitmask) for the one-pass greedy cover, which need not
-    be consistent, so A* may reopen nodes under it.
+    from every immediate sub-pattern's by more than tie_band(cost), since
+    differently ordered sums of tied differentials may differ in the last
+    bits (singletons all have differential zero and live implicitly in
+    h0). order holds (pattern, differential) sorted by descending
+    differential (ties: smaller pattern, then ascending bitmask) for the
+    one-pass greedy cover, which need not be consistent, so A* may reopen
+    nodes under it.
     """
 
     def __init__(self, tables: Sequence[ScoreTable], k: int):
@@ -104,7 +104,7 @@ class DynamicHeuristic:
         for P, cost in pattern_costs(tables, full_mask(n), k).items():
             diff = cost - ordered_sum(self.h0[x] for x in bits(P))
             diffs[P] = diff
-            tie = G_EPS * max(1.0, abs(cost))
+            tie = tie_band(cost)
             if P.bit_count() >= 2 and diff > 0.0 and all(
                     abs(diff - diffs[P ^ 1 << x]) > tie for x in bits(P)):
                 self.patterns[P] = (cost, diff)

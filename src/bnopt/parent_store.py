@@ -19,6 +19,8 @@ best_in over the variables the mask leaves answers the position.
 
 Scores are added by ordered_sum, left to right from 0.0: sum() compensates
 rounding on Python 3.12+, which would make reports differ between versions.
+Two sums of the same scores added in other orders can differ in the last
+bits; every test of two sums for equality allows tie_band of one of them.
 
 A ScoreSet names the tables of one dataset, and the score file is its form
 on disk: write_score_file and read_score_file round-trip it bit for bit.
@@ -79,6 +81,11 @@ class ScoreTable:
 
 # relative band within which two differently ordered sums count as tied
 G_EPS = 1e-12
+
+
+def tie_band(x: float) -> float:
+    """How far a differently ordered sum may lie from x and still equal it."""
+    return G_EPS * max(1.0, abs(x))
 
 
 def ordered_sum(values: Iterable[float]) -> float:

@@ -1,11 +1,11 @@
 """Shortest-path solvers over the order graph.
 
 Nodes are bitmasks of already-ordered variables; the arc U -> U|{x} costs
-BestScore(x, U) from the sparse parent store. A* runs best-first and
-reopens a closed node on a strictly better g (only the greedy dynamic-PDB
-heuristic, which need not be consistent, causes that);
-BFBnB sweeps layer by layer pruning against an incumbent from ordering
-hill climbing (initial_upper_bound; learn uses seed 0 and 8 restarts).
+BestScore(x, U) from the sparse parent store. A* runs best-first; BFBnB
+sweeps layer by layer pruning against an incumbent from ordering hill
+climbing (initial_upper_bound; learn uses seed 0 and 8 restarts). A path
+replaces a node's g only when shorter by more than tie_band(g), since tied
+paths summed in other orders differ in the last bits.
 
 Both search the strongly connected components of the parent graph one at
 a time (see components). A variable's parents lie in its own component or
@@ -39,8 +39,8 @@ import random
 from typing import Sequence
 
 from .bitset import bits, full_mask
-from .parent_store import (G_EPS, ScoreTable, best_in, cursor_exclude,
-                           ordered_sum)
+from .parent_store import (ScoreTable, best_in, cursor_exclude, ordered_sum,
+                           tie_band)
 
 # crude per-node bookkeeping estimate (heap tuple + dict slots) used for the
 # memory budget; the tracemalloc peak of a search per node it counts was
@@ -50,14 +50,6 @@ from .parent_store import (G_EPS, ScoreTable, best_in, cursor_exclude,
 NODE_BYTES = 200
 
 DEFAULT_MEM_BUDGET = 4 << 30
-
-# Paths that are mathematically tied can differ by an ulp because their arc
-# costs are summed in different orders; treating those as improvements would
-# reopen closed nodes under perfectly consistent heuristics, so a gain inside
-# the G_EPS band counts as a tie.
-def _improves(gc: float, old: float) -> bool:
-    return gc < old - G_EPS * max(1.0, abs(old))
-
 
 class SearchStats:
     """Counters for one solve.
@@ -122,12 +114,13 @@ def _place(tables, order, prefix: int, parents: list[int],
     """Give each variable of order, added after the variables in prefix,
     its best parent set among the variables before it, in parents and
     scores; check the order's path score, summed in order, against
-    expected_g."""
+    expected_g within its tie_band."""
     for x in order:
         scores[x], parents[x] = best_in(tables[x], prefix)
         prefix |= 1 << x
     path_total = ordered_sum(scores[x] for x in order)
-    if expected_g is not None and abs(path_total - expected_g) > 1e-9:
+    if (expected_g is not None
+            and abs(path_total - expected_g) > tie_band(expected_g)):
         raise AssertionError(
             f"reconstructed path score {path_total} != search g {expected_g}")
 
@@ -202,8 +195,8 @@ def astar(
     start.
 
     Ordered by f = g + h, ties broken toward larger g then ascending mask.
-    A closed node is reopened whenever a strictly better g reaches it;
-    under a consistent heuristic that never happens. Each component's
+    A closed node is reopened whenever a shorter path reaches it; under
+    a consistent heuristic that never happens. Each component's
     stored nodes are dropped once its path joins the order.
     """
     stats = SearchStats(nodes_generated=1)
@@ -233,7 +226,7 @@ def astar(
                 child = U | 1 << x
                 gc = g + arc
                 old = g_best.get(child)
-                if old is not None and not _improves(gc, old):
+                if old is not None and not gc < old - tie_band(old):
                     continue
                 if child in closed:
                     closed.discard(child)
@@ -309,7 +302,7 @@ def bfbnb(
                     gc = g + arc
                     old = nxt.get(child)
                     if old is not None:
-                        if _improves(gc, old):
+                        if gc < old - tie_band(old):
                             nxt[child] = gc
                             pred[child] = x
                     elif gc + heuristic.value(child | later) < bound:

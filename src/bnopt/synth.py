@@ -32,10 +32,3 @@ def random_dataset(n: int, N: int, seed: int) -> Dataset:
         cols[:, j] = col
     names = [f"X{i + 1}" for i in range(n)]
     return Dataset(names, [2] * n, cols)
-
-
-def prefix_dataset(data: Dataset, N: int) -> Dataset:
-    """First N records of a dataset (same declared arities)."""
-    if not 1 <= N <= data.N:
-        raise ValueError("prefix length out of range")
-    return Dataset(list(data.names), list(data.arity), data.rows[:N].copy())

@@ -3,6 +3,8 @@
 dp_oracle and exact_distances_to_goal walk all 2^n nodes and refuse n
 above DP_MAX_VARS; the checks walk as many, so callers keep n within it.
 Checks report violations with a concrete counterexample instead of raising.
+They compare sums within parent_store.tie_band of the reference value, as
+the searches do, so no verdict depends on the scale of the scores.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 from .bitset import bits, format_set, full_mask, mask_of
 from .heuristics import (DynamicHeuristic, SimpleHeuristic, StaticHeuristic,
                          default_grouping, pattern_costs)
-from .parent_store import ScoreSet, ScoreTable, best_in
+from .parent_store import ScoreSet, ScoreTable, best_in, tie_band
 from .search import LearnedNetwork, _order_from_preds, reconstruct
 
 # dataset and scoring load numpy; only a data-file check imports them, so
@@ -24,7 +26,6 @@ if TYPE_CHECKING:
     from .dataset import Dataset
 
 DP_MAX_VARS = 20
-TOL = 1e-9
 DYNAMIC_K = (2, 3)
 
 
@@ -137,7 +138,7 @@ def check_best_score(scores: ScoreSet,
             elif raw is not None:
                 brute = min(s for pa, s in raw[x].items()
                             if pa & ~cands == 0)
-                if abs(got[0] - brute) > TOL:
+                if abs(got[0] - brute) > tie_band(brute):
                     out.append(f"best-score: sparse store gives {got[0]}, "
                                f"exhaustive rescoring gives {brute} at "
                                f"{where(x, cands)}")
@@ -154,13 +155,14 @@ def check_heuristics(scores: ScoreSet) -> list[str]:
     dist = exact_distances_to_goal(tables)
     dynamic = [(f"dynamic k={k}", DynamicHeuristic(tables, k))
                for k in DYNAMIC_K if k <= n]
+    static = StaticHeuristic(tables, default_grouping(n))
     bounds = [("simple", SimpleHeuristic(tables)), *dynamic,
-              ("static auto", StaticHeuristic(tables, default_grouping(n)))]
+              ("static auto", static)]
     values = [(label, array("d", map(h.value, range(1 << n))))
               for label, h in bounds]
     for label, hv in values:
         for U in range(1 << n):
-            if hv[U] > dist[U] + TOL:
+            if hv[U] > dist[U] + tie_band(dist[U]):
                 out.append(f"admissibility: {label} overestimates at "
                            f"{format_set(U, scores.names)}: {hv[U]} > "
                            f"{dist[U]}")
@@ -168,23 +170,27 @@ def check_heuristics(scores: ScoreSet) -> list[str]:
     simple = values[0][1]
     for label, hv in values[1:]:
         for U in range(1 << n):
-            if hv[U] < simple[U] - TOL:
+            if hv[U] < simple[U] - tie_band(simple[U]):
                 out.append(f"dominance: {label} below the simple bound at "
                            f"{format_set(U, scores.names)}")
                 break
     for label, hv in (values[0], values[-1]):
         for U in range(1 << n):
             for x in bits(full & ~U):
-                if hv[U] > best_in(tables[x], U)[0] + hv[U | 1 << x] + TOL:
+                via_x = best_in(tables[x], U)[0] + hv[U | 1 << x]
+                if hv[U] > via_x + tie_band(via_x):
                     out.append(f"consistency: {label} violates the arc "
                                f"inequality at {format_set(U, scores.names)} "
                                f"+ {scores.names[x]}")
-    for label, h in dynamic:
-        for P, (cost, _) in h.patterns.items():
-            exact = pattern_cost_exact(P, tables)
-            if abs(cost - exact) > TOL:
-                out.append(f"pattern cost: {label} stores {cost} for "
-                           f"{format_set(P, scores.names)}, exact {exact}")
+    stored = [(label, P, cost) for label, h in dynamic
+              for P, (cost, _) in h.patterns.items()]
+    stored += [("static auto", P, cost) for costs in static.costs
+               for P, cost in costs.items() if P]
+    for label, P, cost in stored:
+        exact = pattern_cost_exact(P, tables)
+        if abs(cost - exact) > tie_band(exact):
+            out.append(f"pattern cost: {label} stores {cost} for "
+                       f"{format_set(P, scores.names)}, exact {exact}")
     return out
 
 

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ sys.path[:0] = [SRC_DIR, str(Path(__file__).parent)]
 os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
 
-from bnopt import LearnedNetwork, best_in, build_score_tables, load_dataset
+from bnopt import (LearnedNetwork, ScoreSet, ScoreTable, best_in,
+                   build_score_tables, load_dataset)
 from bnopt.parent_store import ordered_sum
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -34,6 +36,15 @@ def empty_network(tables):
     short of it: on pruned tables no acyclic network scores worse."""
     return LearnedNetwork([0] * len(tables),
                           ordered_sum(best_in(t, 0)[0] for t in tables))
+
+
+def scaled(scores, k):
+    """scores with every score times 2^k; the products are exact, and so
+    are the sums of them, each 2^k times the unscaled sum."""
+    return ScoreSet(scores.names, [
+        ScoreTable(t.variable, t.n,
+                   [(math.ldexp(s, k), pa) for s, pa in t.entries])
+        for t in scores.tables])
 
 
 @pytest.fixture(scope="session")

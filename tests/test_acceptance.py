@@ -13,14 +13,14 @@ import time
 import pytest
 
 import oracle
-from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
+from bnopt import (Dataset, DynamicHeuristic, ScoreTable, SimpleHeuristic,
                    StaticHeuristic, astar, best_in, bfbnb,
                    build_score_tables, default_grouping, dp_oracle,
                    exact_distances_to_goal, initial_upper_bound,
                    load_dataset, mdl_local_score, parent_limit)
 from bnopt.bitset import bits, full_mask, mask_of
 from bnopt.parent_store import cursor_exclude
-from bnopt.synth import prefix_dataset, random_dataset
+from bnopt.synth import random_dataset
 from conftest import FIXTURE_CSV, empty_network
 
 REL_TOL = 1e-9
@@ -187,7 +187,7 @@ def test_c06_consistency_and_zero_reopenings():
 # at most 2^5 nodes; fixture4 (3 and 1) and n7 (one component of 7)
 # keep their counts. Re-pinned when each family's score became the
 # difference of two exactly rounded set sums and the dynamic PDB began
-# dropping patterns whose differential ties a sub-pattern's within G_EPS:
+# dropping patterns whose differential ties a sub-pattern's within tie_band:
 # the PDBs change, so the dynamic counts do (n7 k3 36 -> 34, n8 k2 17 ->
 # 16 and k3 11 -> 12, n9 k2 18 -> 17 and k3 12 -> 13)
 TREND_SUITE = [
@@ -222,7 +222,7 @@ def test_c08_sparseness_trend():
     totals = []
     lines = []
     for N in (50, 200, 800):
-        data = prefix_dataset(base, N)
+        data = Dataset(base.names, base.arity, base.rows[:N])  # first N
         limit = parent_limit(N)
         scores = build_score_tables(data)
         full_count = sum(math.comb(11, k) for k in range(limit + 1))

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -18,7 +19,7 @@ from bnopt.bitset import bits
 from bnopt.cli import (EXIT_INPUT, EXIT_MEMORY, EXIT_OK, EXIT_PIPE,
                        EXIT_USAGE, EXIT_VERIFY, emit_dot, main)
 from bnopt.synth import random_dataset
-from conftest import DATA_DIR, FIXTURE_CSV, OPT_SCORE
+from conftest import DATA_DIR, FIXTURE_CSV, OPT_SCORE, scaled
 
 GOLDEN_SCORES = DATA_DIR / "fixture4.scores"
 GOLDEN_DOT = DATA_DIR / "fixture4.dot"
@@ -263,14 +264,24 @@ def test_verify_fails_first_hit_not_minimal(capsys, monkeypatch):
     assert out[19] == ("  best-score: first hit (9.5, 0) is not a "
                        "fitting list minimum 9.490224995673064 at variable "
                        "C, candidates {A,B,D}")
+    # the static groups are {A,B} and {C,D}; D's best parent set is empty,
+    # so no pattern of D's alone comes out high
     assert out[20:] == [
-        "FAIL heuristics (3 violation(s))",
+        "FAIL heuristics (8 violation(s))",
         "  pattern cost: dynamic k=2 stores 12.490224995673064 for {A,B}, "
         "exact 19.0",
         "  pattern cost: dynamic k=3 stores 12.490224995673064 for {A,B}, "
         "exact 19.0",
         "  pattern cost: dynamic k=3 stores 21.990224995673064 for {A,B,C}, "
-        "exact 28.5"]
+        "exact 28.5",
+        "  pattern cost: static auto stores 3.0 for {A}, exact 9.5",
+        "  pattern cost: static auto stores 3.0 for {B}, exact 9.5",
+        "  pattern cost: static auto stores 12.490224995673064 for {A,B}, "
+        "exact 19.0",
+        "  pattern cost: static auto stores 9.490224995673064 for {C}, "
+        "exact 9.5",
+        "  pattern cost: static auto stores 18.990224995673064 for {C,D}, "
+        "exact 19.0"]
 
 
 def test_verify_fails_rescoring(capsys, monkeypatch):
@@ -331,13 +342,46 @@ def test_verify_fails_pattern_cost(capsys, monkeypatch):
     assert _verify_out(capsys, GOLDEN_SCORES) == (EXIT_VERIFY, [
         "PASS table shape",
         "PASS best score",
-        "FAIL heuristics (3 violation(s))",
+        "FAIL heuristics (9 violation(s))",
         "  pattern cost: dynamic k=2 stores 12.490224995673064 for {A,B}, "
         "exact 12.990224995673064",
         "  pattern cost: dynamic k=3 stores 12.490224995673064 for {A,B}, "
         "exact 12.990224995673064",
         "  pattern cost: dynamic k=3 stores 21.990224995673064 for {A,B,C}, "
-        "exact 22.490224995673064"])
+        "exact 22.490224995673064",
+        # every non-empty pattern of the static groups {A,B} and {C,D}
+        "  pattern cost: static auto stores 3.0 for {A}, exact 3.5",
+        "  pattern cost: static auto stores 3.0 for {B}, exact 3.5",
+        "  pattern cost: static auto stores 12.490224995673064 for {A,B}, "
+        "exact 12.990224995673064",
+        "  pattern cost: static auto stores 9.490224995673064 for {C}, "
+        "exact 9.990224995673064",
+        "  pattern cost: static auto stores 9.5 for {D}, exact 10.0",
+        "  pattern cost: static auto stores 18.990224995673064 for {C,D}, "
+        "exact 19.490224995673064"])
+
+
+@pytest.mark.parametrize("name", ["fixture4.scores", "repeat8.scores"])
+def test_scores_times_a_power_of_two_keep_every_verdict(tmp_path, capsys,
+                                                         name):
+    # every sum of the scaled scores is exactly 2^14 times the unscaled
+    # one, so a run that compares sums within a band relative to them
+    # decides the same; verify's former absolute 1e-9 band failed
+    # admissibility 76 times on repeat8.scores x 2^14
+    plain, big = DATA_DIR / name, tmp_path / name
+    write_score_file(big, scaled(read_score_file(plain), 14))
+    assert _verify_out(capsys, big) == _verify_out(capsys, plain)
+    for algorithm in ("astar", "bfbnb"):
+        for heuristic in ("simple", "dynamic", "static"):
+            flags = ["--algorithm", algorithm, "--heuristic", heuristic]
+            reports = []
+            for path in (plain, big):
+                assert main(["learn", str(path), *flags]) == EXIT_OK
+                reports.append(json.loads(capsys.readouterr().out))
+            want, got = reports
+            assert got.pop("total_score") == \
+                math.ldexp(want.pop("total_score"), 14), flags
+            assert got == want, flags
 
 
 def test_input_errors(tmp_path, capsys):
@@ -917,7 +961,7 @@ def test_dynamic_counts_pinned_on_every_python(capsys):
     # parent graph splits into components of 1, 12 and 1 variables. While
     # only an exactly equal differential counted as a tie with a
     # sub-pattern's, the PDB stored 113 patterns, and A* expanded 1,629
-    # nodes with 6 reopenings; the G_EPS band drops the 61 that tie
+    # nodes with 6 reopenings; the tie_band filter drops the 61 that tie
     assert main(["learn", str(DATA_DIR / "gen14.scores"), "--heuristic",
                  "dynamic", "--k", "3"]) == EXIT_OK
     stats = json.loads(capsys.readouterr().out)["stats"]

@@ -10,7 +10,7 @@ from bnopt import (DynamicHeuristic, ScoreTable, SimpleHeuristic,
 from bnopt import heuristics
 from bnopt.bitset import bits, full_mask, mask_of
 from bnopt.heuristics import check_pattern_cap
-from bnopt.parent_store import G_EPS
+from bnopt.parent_store import tie_band
 from bnopt.scoring import build_score_tables
 from bnopt.synth import random_dataset
 from conftest import (DATA_DIR, GREEDY_K2_AT_START, PAIR_AB_COST, PAIR_AB_DIFF,
@@ -112,10 +112,10 @@ def test_dynamic_diffs_nonnegative():
 
 
 def test_dynamic_pdb_stores_no_pattern_tied_with_a_sub_pattern():
-    # a differential within the G_EPS band of an immediate sub-pattern's
-    # is that differential summed in another order; on gen14.scores at
-    # k = 3 the PDB held 113 patterns while only an exactly equal
-    # differential counted as a tie, 61 of them inside the band
+    # a differential within tie_band of an immediate sub-pattern's is that
+    # differential summed in another order; on gen14.scores at k = 3 the
+    # PDB held 113 patterns while only an exactly equal differential
+    # counted as a tie, 61 of them inside the band
     tables = read_score_file(DATA_DIR / "gen14.scores").tables
     h = DynamicHeuristic(tables, 3)
     assert h.patterns
@@ -126,8 +126,8 @@ def test_dynamic_pdb_stores_no_pattern_tied_with_a_sub_pattern():
 
     for P, (cost, diff) in h.patterns.items():
         for x in bits(P):
-            assert abs(diff - differential(P ^ 1 << x)) > \
-                G_EPS * max(1.0, cost), (bin(P), x)
+            assert abs(diff - differential(P ^ 1 << x)) > tie_band(cost), \
+                (bin(P), x)
 
 
 def test_greedy_no_pattern_is_simple(fixture_tables):

@@ -15,9 +15,10 @@ from bnopt import (DynamicHeuristic, LearnedNetwork, MemoryBudgetError,
 from bnopt.bitset import bits, full_mask
 from bnopt.dataset import Dataset
 from bnopt.scoring import build_score_tables, parent_limit
-from bnopt.search import G_EPS, NODE_BYTES, components
+from bnopt.parent_store import tie_band
+from bnopt.search import NODE_BYTES, components
 from bnopt.synth import random_dataset
-from conftest import DATA_DIR, OPT_SCORE, empty_network
+from conftest import DATA_DIR, OPT_SCORE, empty_network, scaled
 
 
 def permuted(data, seed):
@@ -249,6 +250,18 @@ def test_reconstruct_checks_path_score(fixture_tables):
         reconstruct(fixture_tables, [0, 1, 2, 3], expected_g=1.0)
 
 
+def test_reconstruct_path_check_scales_with_the_score():
+    # repeat8.scores x 2^24 totals about 5.1e10 in index order, where
+    # tie_band is about 0.05: a g 1e-3 off lies within the band, as that
+    # sum added in another order would; one 1.0 off does not
+    tables = scaled(read_score_file(DATA_DIR / "repeat8.scores"), 24).tables
+    order = list(range(8))
+    g = reconstruct(tables, order).total_score
+    assert reconstruct(tables, order, g + 1e-3).total_score == g
+    with pytest.raises(AssertionError):
+        reconstruct(tables, order, g + 1.0)
+
+
 def test_reconstruct_rejects_partial_order(fixture_tables):
     with pytest.raises(ValueError):
         reconstruct(fixture_tables, [0, 1])
@@ -370,8 +383,7 @@ def test_forced_arc_keeps_goal_distance(n, seed):
         for x in bits(full & ~U):
             if tables[x].entries[0][1] & ~U == 0:
                 via_x = best_in(tables[x], U)[0] + dist[U | 1 << x]
-                assert abs(via_x - dist[U]) <= G_EPS * max(1.0, abs(dist[U])), \
-                    (bin(U), x)
+                assert abs(via_x - dist[U]) <= tie_band(dist[U]), (bin(U), x)
                 forced += 1
     assert forced > 0
 
