@@ -44,7 +44,7 @@ from .parent_store import (ScoreTable, best_in, cursor_exclude, ordered_sum,
 
 # crude per-node bookkeeping estimate (heap tuple + dict slots) used for the
 # memory budget; the tracemalloc peak of a search per node it counts was
-# 139-172 B under A* and 81-122 B under BFBnB (static and dynamic k = 3
+# 111-153 B under A* and 81-122 B under BFBnB (static and dynamic k = 3
 # bounds on tests/data/gen14.scores and on synth.random_dataset(16, 200,
 # seed=500) and (18, 200, seed=501)), so 200 B is a conservative charge
 NODE_BYTES = 200
@@ -195,9 +195,9 @@ def astar(
     start.
 
     Ordered by f = g + h, ties broken toward larger g then ascending mask.
-    A closed node is reopened whenever a shorter path reaches it; under
-    a consistent heuristic that never happens. Each component's
-    stored nodes are dropped once its path joins the order.
+    A node's predecessor is stored when it is expanded; an expanded node is
+    expanded again when a shorter path reaches it (never under a consistent
+    heuristic). A component's nodes are dropped once its path is read back.
     """
     stats = SearchStats(nodes_generated=1)
     best = [t.entries[0][1] for t in tables]
@@ -209,17 +209,16 @@ def astar(
         later ^= C
         start, goal = U, U | C
         g_best = {start: g}
-        pred: dict[int, int] = {}
-        closed: set[int] = set()
-        open_heap = [(g + heuristic.value(U | later), -g, U)]
+        pred: dict[int, int | None] = {}  # expanded nodes and the goal
+        open_heap = [(g + heuristic.value(U | later), -g, U, None)]
         while open_heap:
-            f, neg_g, U = heapq.heappop(open_heap)
+            f, neg_g, U, x = heapq.heappop(open_heap)
             g = -neg_g
             if g > g_best[U]:
                 continue  # stale: a strictly smaller g was pushed since
+            pred[U] = x
             if U == goal:
                 break
-            closed.add(U)
             stats.nodes_expanded += 1
             for x in _successors(best, U, goal & ~U, stats):
                 arc, _ = best_in(tables[x], U)
@@ -228,14 +227,13 @@ def astar(
                 old = g_best.get(child)
                 if old is not None and not gc < old - tie_band(old):
                     continue
-                if child in closed:
-                    closed.discard(child)
+                if child in pred:
+                    del pred[child]
                     stats.reopened += 1
                 g_best[child] = gc
-                pred[child] = x
                 heapq.heappush(open_heap,
                                (gc + heuristic.value(child | later), -gc,
-                                child))
+                                child, x))
                 stats.nodes_generated += 1
             if len(open_heap) > stats.peak_open_size:
                 stats.peak_open_size = len(open_heap)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bnopt import (DataError, LearnedNetwork, StaticHeuristic, bfbnb,
+from bnopt import (DataError, DynamicHeuristic, LearnedNetwork,
+                   SimpleHeuristic, StaticHeuristic, bfbnb,
                    initial_upper_bound, parse_grouping, read_score_file,
                    write_score_file)
 from bnopt.bitset import bits
@@ -961,12 +962,60 @@ def test_dynamic_counts_pinned_on_every_python(capsys):
     # parent graph splits into components of 1, 12 and 1 variables. While
     # only an exactly equal differential counted as a tie with a
     # sub-pattern's, the PDB stored 113 patterns, and A* expanded 1,629
-    # nodes with 6 reopenings; the tie_band filter drops the 61 that tie
-    assert main(["learn", str(DATA_DIR / "gen14.scores"), "--heuristic",
-                 "dynamic", "--k", "3"]) == EXIT_OK
-    stats = json.loads(capsys.readouterr().out)["stats"]
-    assert (stats["pdb_size"], stats["nodes_expanded"], stats["reopened"]) \
-        == (52, 1446, 0)
+    # nodes with 6 reopenings; the tie_band filter drops the 61 that tie.
+    # The paper's claim in small: each PDB's root bound is at least the
+    # simple one's, and A* expands fewer nodes under it
+    path = DATA_DIR / "gen14.scores"
+    opt = 24250.534963467686
+    pinned = {  # pdb_size, expanded, generated, reopened, peak open
+        "simple": (14, 2597, 3197, 0, 1001),
+        "dynamic": (52, 1446, 2265, 0, 722),
+        "static": (256, 2490, 2968, 0, 1016),
+    }
+    for bound, counts in pinned.items():
+        assert main(["learn", str(path), "--heuristic", bound]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        stats = report["stats"]
+        assert (stats["pdb_size"], stats["nodes_expanded"],
+                stats["nodes_generated"], stats["reopened"],
+                stats["peak_open_size"]) == counts, bound
+        assert report["total_score"] == opt, bound
+    tables = read_score_file(path).tables
+    roots = [h.value(0) for h in (
+        SimpleHeuristic(tables), DynamicHeuristic(tables, 3),
+        StaticHeuristic(tables, parse_grouping("auto", 14)))]
+    assert [round(r / opt, 4) for r in roots] == [0.8436, 0.9424, 0.9180]
+    assert min(roots[1:]) >= roots[0]
+    expanded = {bound: counts[1] for bound, counts in pinned.items()}
+    assert max(expanded["dynamic"], expanded["static"]) < expanded["simple"]
+
+
+@pytest.mark.parametrize("algorithm, bound, line", [
+    ("astar", "simple", "open/closed structures passed the 200000-byte "
+     "budget (expanded 177, generated 605)"),
+    ("astar", "static", "open/closed structures passed the 143680-byte "
+     "budget (expanded 65, generated 398)"),
+    ("astar", "dynamic", "open/closed structures passed the 96600-byte "
+     "budget (expanded 80, generated 286)"),
+    ("bfbnb", "simple", "layer storage passed the 200000-byte budget "
+     "(expanded 446, generated 1003)"),
+    ("bfbnb", "static", "layer storage passed the 143680-byte budget "
+     "(expanded 291, generated 719)"),
+    ("bfbnb", "dynamic", "layer storage passed the 96600-byte budget "
+     "(expanded 167, generated 487)"),
+], ids=["astar-simple", "astar-static", "astar-dynamic", "bfbnb-simple",
+        "bfbnb-static", "bfbnb-dynamic"])
+def test_search_budget_exit_line_pinned(capsys, algorithm, bound, line):
+    # gen14.scores under a 200,000-byte budget: the static and dynamic
+    # PDBs price 256 and 470 patterns first, and each search stops on
+    # the node count NODE_BYTES charges, so these counts hold while it
+    # stays 200
+    assert main(["learn", str(DATA_DIR / "gen14.scores"), "--mem-budget",
+                 "200000", "--algorithm", algorithm, "--heuristic",
+                 bound]) == EXIT_MEMORY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"bnopt: {line}"]
 
 
 def test_score_ingestion_flags(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -304,7 +305,7 @@ def test_astar_no_reopen_with_consistent_heuristics():
 
 
 def test_astar_reopens_under_dynamic_heuristic():
-    # the greedy pattern cover is not consistent here: a closed node is
+    # the greedy pattern cover is not consistent here: an expanded node is
     # reached again on a strictly better g, and the optimum still holds.
     # seed=18 reopened until scores became differences of exactly rounded
     # set sums: other patterns then tie a sub-pattern exactly, 8 of its
@@ -312,8 +313,72 @@ def test_astar_reopens_under_dynamic_heuristic():
     tables = build_score_tables(random_dataset(9, 150, seed=10)).tables
     _, opt = dp_oracle(tables)
     net, stats = astar(tables, DynamicHeuristic(tables, 3))
-    assert stats.reopened >= 1
+    assert (stats.nodes_expanded, stats.nodes_generated, stats.reopened,
+            stats.peak_open_size) == (66, 174, 1, 106)
+    assert net.parents == [16, 24, 11, 0, 0, 0, 5, 64, 24]
     assert net.total_score == pytest.approx(opt, rel=1e-9)
+
+
+class SpottyHeuristic:
+    """The exact goal distance on a seeded coin-flip half of the nodes and
+    0 elsewhere: admissible, but a node can sit far above its successor,
+    so it is not consistent."""
+
+    def __init__(self, tables, seed):
+        rng = random.Random(seed)
+        self.dist = [d if rng.random() < 0.5 else 0.0
+                     for d in exact_distances_to_goal(tables)]
+
+    def value(self, U):
+        return self.dist[U]
+
+
+# (expanded, generated, reopened, peak open) of every input the spotty
+# bound makes A* reopen, keyed by (n, seed); the other 166 reopen nothing
+SPOTTY_REOPENINGS = {
+    (5, 5): (16, 30, 1, 14), (5, 6): (20, 31, 1, 12), (5, 20): (9, 17, 1, 8),
+    (5, 26): (17, 30, 1, 15), (6, 8): (25, 48, 1, 26),
+    (6, 11): (34, 60, 4, 27), (6, 21): (31, 60, 2, 29),
+    (6, 29): (26, 51, 3, 28), (7, 5): (56, 104, 2, 47),
+    (7, 11): (30, 51, 1, 22), (7, 23): (22, 35, 3, 15),
+    (7, 28): (43, 92, 5, 50), (7, 29): (35, 61, 3, 26),
+    (8, 0): (82, 157, 1, 78), (8, 1): (20, 40, 1, 19),
+    (8, 4): (34, 55, 1, 21), (8, 5): (90, 160, 6, 73),
+    (8, 7): (46, 101, 5, 52), (8, 8): (44, 90, 2, 49),
+    (8, 9): (59, 104, 2, 52), (8, 11): (45, 84, 1, 42),
+    (8, 13): (14, 28, 1, 14), (8, 17): (17, 28, 1, 13),
+    (8, 18): (120, 212, 6, 94), (8, 21): (75, 164, 2, 93),
+    (8, 24): (38, 78, 1, 40), (8, 25): (53, 134, 3, 79),
+    (8, 28): (31, 54, 1, 24), (9, 0): (180, 353, 2, 173),
+    (9, 1): (68, 132, 2, 65), (9, 5): (24, 55, 1, 31),
+    (9, 8): (52, 89, 2, 35), (9, 9): (93, 183, 6, 93),
+    (9, 10): (114, 212, 12, 93), (9, 12): (15, 21, 1, 6),
+    (9, 15): (171, 325, 7, 146), (9, 18): (19, 33, 1, 16),
+    (9, 19): (108, 225, 4, 116), (9, 20): (60, 128, 4, 66),
+    (9, 21): (60, 93, 3, 42), (9, 22): (34, 62, 10, 28),
+    (9, 23): (252, 390, 21, 167), (9, 24): (37, 80, 6, 43),
+    (9, 25): (187, 402, 6, 208),
+}
+
+
+def test_astar_optimal_and_counted_under_an_inconsistent_bound():
+    # every reopening path: the stale test, the reopening count and the
+    # walk back through predecessors stored at expansion
+    reopening, sums = {}, [0, 0, 0, 0]
+    for n in range(3, 10):
+        for seed in range(30):
+            tables = build_score_tables(
+                random_dataset(n, 30 + 5 * n, seed=seed)).tables
+            _, opt = dp_oracle(tables)
+            net, stats = astar(tables, SpottyHeuristic(tables, seed))
+            assert abs(net.total_score - opt) <= tie_band(opt), (n, seed)
+            counts = (stats.nodes_expanded, stats.nodes_generated,
+                      stats.reopened, stats.peak_open_size)
+            sums = [a + b for a, b in zip(sums, counts)]
+            if stats.reopened:
+                reopening[n, seed] = counts
+    assert reopening == SPOTTY_REOPENINGS
+    assert sums == [4200, 7590, 150, 3506]
 
 
 def test_heuristic_independence_and_stats_sanity():
